@@ -89,6 +89,11 @@ def _prune(welfare: np.ndarray, stock: np.ndarray, maximise: bool, width: int):
     and at least its welfare; future welfare is monotone in stock, so the
     dominating state can only end better. The minimum case mirrors with both
     inequalities flipped.
+
+    The survivors form a frontier ordered from the preferred stock to the
+    preferred welfare. The width cap keeps evenly spaced states along it,
+    both ends included: keeping only the best welfare so far would drop the
+    full-stock states that an optimum sustaining the stock passes through.
     """
     sign = 1.0 if maximise else -1.0
     order = np.lexsort((sign * -welfare, sign * -stock))
@@ -103,8 +108,8 @@ def _prune(welfare: np.ndarray, stock: np.ndarray, maximise: bool, width: int):
     keep[1:] = key[1:] > best[:-1]
     w, s = w[keep], s[keep]
     if len(w) > width:
-        top = np.argsort(-sign * w, kind="stable")[:width]
-        w, s = w[top], s[top]
+        spread = np.linspace(0, len(w) - 1, width).round().astype(np.int64)
+        w, s = w[spread], s[spread]
     return w, s
 
 

@@ -3,9 +3,10 @@
 ``play_game`` runs one iterated game, calling each strategy once per round
 with a fresh observation; it is the reference semantics and keeps the full
 round-by-round record. ``simulate_batch`` runs a stack of games whose
-strategies all belong to the built-in kernel families, advancing every game
-and player with array operations; it exists because the self-play grids and
-cultural-evolution runs need millions of decisions.
+strategies all have kernels (the built-in families and compiled policy
+files), advancing every game and player with array operations; it exists
+because the self-play grids and cultural-evolution runs need millions of
+decisions.
 
 Both paths share the payoff cores in ``games`` and, for deterministic
 strategies, produce identical games (asserted by the test suite).
@@ -32,7 +33,7 @@ from .games import (
     crd_payoff_pair,
     pgg_payoff_pair,
 )
-from .kernels import FAMILIES, KernelFamily, SlotView
+from .kernels import FAMILIES, KernelFamily, SlotFault, SlotView
 from .policy import StepBudgetExceeded
 from .seeding import derive_seed, rng_for
 from .strategies import Observation, Strategy
@@ -148,6 +149,27 @@ def decide_checked(
     return action
 
 
+def decide_group(
+    family: KernelFamily, P: np.ndarray, state, view: SlotView, rng: np.random.Generator
+) -> np.ndarray:
+    """Run ``family.decide_batch`` with every misbehaviour pinned to a slot.
+
+    Raises ``SlotFault``: the family's own, one at slot 0 for any other
+    exception, or ``invalid_action`` at slot 0 unless the result is a bool
+    array with one entry per row of ``P``.
+    """
+    try:
+        acts = family.decide_batch(P, state, view, rng)
+    except SlotFault:
+        raise
+    except Exception as exc:  # noqa: BLE001 - any strategy error aborts the game
+        raise SlotFault(0, "exception", f"{type(exc).__name__}: {exc}") from exc
+    if isinstance(acts, np.ndarray) and acts.dtype == bool and acts.shape == (len(P),):
+        return acts
+    got = f"{acts.dtype} array of shape {acts.shape}" if isinstance(acts, np.ndarray) else repr(acts)
+    raise SlotFault(0, "invalid_action", f"decide_batch returned {got}, expected {len(P)} bools")
+
+
 def play_game(
     kind: GameKind,
     params: GameParams,
@@ -218,12 +240,13 @@ def build_groups(strategies_flat: list[Strategy]) -> list[KernelGroup] | None:
     groups = []
     for name, (rows, slots, labels) in by_family.items():
         family = FAMILIES[name]
+        params = family.stack(rows)
         group = KernelGroup(
             family=family,
-            params=np.asarray(rows, dtype=float),
+            params=params,
             slots=np.asarray(slots, dtype=np.int64),
             labels=labels,
-            state=family.new_state(len(slots)),
+            state=family.new_state(params),
         )
         groups.append(group)
     return groups
@@ -281,6 +304,7 @@ def simulate_batch(
         stock_frac_flat = np.repeat(stock / params.capacity, n) if is_cpr else None
 
         acts_flat = np.empty(S * n, dtype=bool)
+        faults = []
         for group in groups:
             idx = group.slots
             view = SlotView(
@@ -294,13 +318,16 @@ def simulate_batch(
                 stock_frac=None if stock_frac_flat is None else stock_frac_flat[idx],
             )
             try:
-                acts_flat[idx] = group.family.decide_batch(group.params, group.state, view, rng)
-            except Exception as exc:  # noqa: BLE001
-                game, player = divmod(int(idx[0]), n)
-                raise StrategyFault(
-                    group.labels[0], player, t, "exception",
-                    f"{type(exc).__name__}: {exc} (game {game} of batch)",
-                )
+                acts_flat[idx] = decide_group(group.family, group.params, group.state, view, rng)
+            except SlotFault as fault:
+                faults.append((int(idx[fault.slot]), group.labels[fault.slot], fault))
+        if faults:
+            # the lowest (game, player) faults first, as in a per-decision replay
+            slot, label, fault = min(faults, key=lambda item: item[0])
+            game, player = divmod(slot, n)
+            raise StrategyFault(
+                label, player, t, fault.reason, f"{fault.detail} (game {game} of batch)"
+            )
         coop = acts_flat.reshape(S, n)
         payoffs, next_stock = batch_round_payoffs(kind, params, coop, stock)
         totals += payoffs

@@ -26,9 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import HistoryAccumulator, StrategyFault, decide_checked
+from .engine import HistoryAccumulator, StrategyFault, decide_checked, decide_group
 from .games import Action, GameKind, GameParams
-from .kernels import FAMILIES, SlotView
+from .kernels import FAMILIES, SlotFault, SlotView
 from .seeding import derive_seed, parallel_map, rng_for
 from .strategies import Strategy
 
@@ -109,8 +109,8 @@ def _fingerprint_node_batch(
     rng = rng_for(seed, node_index)
     n, r = params.n, params.rounds
     is_cpr = kind is GameKind.COMMON_POOL
-    P = np.tile(np.asarray(vec, dtype=float), (rollouts, 1))
-    state = family.new_state(rollouts)
+    P = np.repeat(family.stack([vec]), rollouts, axis=0)
+    state = family.new_state(P)
     col = np.zeros(rollouts, dtype=np.int64)
     prev_own: np.ndarray | None = None
     stock = np.full(rollouts, params.capacity, dtype=float) if is_cpr else None
@@ -132,7 +132,10 @@ def _fingerprint_node_batch(
             opp_rate=opp_rate,
             stock_frac=None if stock is None else stock / params.capacity,
         )
-        acts = family.decide_batch(P, state, view, rng)
+        try:
+            acts = decide_group(family, P, state, view, rng)
+        except SlotFault as fault:
+            raise StrategyFault(strategy.label, 0, t, fault.reason, fault.detail)
         if t == node.depth:
             return float(acts.mean())
         forced = node.counts[t]

@@ -7,7 +7,9 @@ over many (game, player) slots at once, which is what makes group sizes in
 the hundreds and grids with tens of thousands of games tractable. The two
 forms are kept adjacent in one class per family and are cross-checked by the
 test suite; any deterministic family must produce identical games on both
-paths.
+paths. The ``policy`` family is the exception: its rows are rule tables
+compiled from policy files, and its per-decision form is the rule
+interpreter in ``policy``.
 
 Stochastic families may consume their random stream differently on the two
 paths (batched draws versus lazy scalar draws); each path is individually
@@ -28,6 +30,22 @@ _EPS = 1e-9
 
 class KernelError(RuntimeError):
     """A kernel was asked to decide in a game it cannot play."""
+
+
+class SlotFault(RuntimeError):
+    """One slot of a ``decide_batch`` call misbehaved.
+
+    ``slot`` indexes the rows of the call's parameter matrix; ``reason`` is
+    a ``StrategyFault`` reason (``exception``, ``step_budget`` or
+    ``invalid_action``). The engine maps the slot back to its strategy,
+    game and player.
+    """
+
+    def __init__(self, slot: int, reason: str, detail: str):
+        self.slot = slot
+        self.reason = reason
+        self.detail = detail
+        super().__init__(f"slot {slot} {reason}: {detail}")
 
 
 @dataclass
@@ -61,7 +79,12 @@ class KernelFamily:
                 f"{self.param_names}, got {len(params)}"
             )
 
-    def new_state(self, n_slots: int):
+    def stack(self, rows: list[tuple[float, ...]]) -> np.ndarray:
+        """Stack parameter vectors into the (slots, params) matrix."""
+        return np.asarray(rows, dtype=float)
+
+    def new_state(self, P: np.ndarray):
+        """Per-run working state for the slots whose parameters are ``P``."""
         return None
 
     def decide_one(self, params: tuple[float, ...], obs: Observation, rng) -> Action:
@@ -189,8 +212,8 @@ class Grim(KernelFamily):
                 return Action.D
         return Action.C
 
-    def new_state(self, n_slots):
-        return np.zeros(n_slots, dtype=bool)
+    def new_state(self, P):
+        return np.zeros(len(P), dtype=bool)
 
     def decide_batch(self, P, state, view, rng):
         if view.t > 0:
@@ -307,6 +330,140 @@ class Rota(KernelFamily):
         return on_duty & ~punished
 
 
+@dataclass(frozen=True)
+class _PolicyState:
+    """A stack of rule tables decoded once per run into (slots, rules)
+    arrays. ``lhs``/``den`` index the flattened observable matrix, and each
+    comparison is the closed interval ``lo <= lhs <= hi``."""
+
+    lhs: np.ndarray
+    den: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    prob: np.ndarray
+    touches: np.ndarray
+    over_budget: np.ndarray
+
+
+class PolicyTable(KernelFamily):
+    """Policy-file members compiled to first-match rule tables.
+
+    A parameter row is the header ``(step_budget, default_prob, n_rules)``
+    followed by ``n_rules`` records laid out as ``RULE_LAYOUT``: the
+    left-hand field, the denominator field (``one`` for every op except
+    ``ratio_ge``), the comparison, the value, the cooperation probability
+    and a flag for rules that read ``stock_frac``. Fields index ``FIELDS``
+    and comparisons index ``COMPARISONS``; ``row`` encodes a table. The rule
+    interpreter in ``policy`` is the per-decision form of the same rules, so
+    this family has no ``decide_one``.
+
+    ``decide_batch`` evaluates every rule of every slot at once against a
+    (slots, fields) matrix of observables in which undefined fields are NaN,
+    so their comparisons fail as the interpreter's ``None`` checks do. The
+    first rule that matches or traps stops a slot; faults fire only at that
+    rule, exactly where the interpreter would raise: a rule index at or past
+    the step budget (``step_budget``), a ``stock_frac`` rule outside the
+    common-pool game, or a zero denominator with both ratio fields defined
+    (both ``exception``). One uniform is drawn per slot whatever its
+    probability, so 0 and 1 still decide deterministically.
+    """
+
+    name = "policy"
+    param_names = ("step_budget", "default_prob", "n_rules")
+    RULE_LAYOUT = ("lhs", "den", "cmp", "value", "cooperate_prob", "touches_stock")
+    FIELDS = (
+        "one", "round", "rounds_left", "rounds_left_after",
+        "last_opp_coop", "opp_coop_rate", "my_last_c", "stock_frac",
+    )
+    COMPARISONS = ("eq", "lt", "ge", "le")
+    # "one == NaN" never matches and never traps
+    _PAD_RULE = (0.0, 0.0, 0.0, np.nan, 0.0, 0.0)
+
+    @classmethod
+    def row(cls, step_budget: int, default_prob: float, rules) -> tuple[float, ...]:
+        """Encode a rule table. ``rules`` holds ``(lhs, den, comparison,
+        value, cooperate_prob)`` with field and comparison names."""
+        row = [step_budget, default_prob, len(rules)]
+        for lhs, den, cmp, value, prob in rules:
+            row += (
+                cls.FIELDS.index(lhs), cls.FIELDS.index(den), cls.COMPARISONS.index(cmp),
+                value, prob, "stock_frac" in (lhs, den),
+            )
+        return tuple(float(x) for x in row)
+
+    def stack(self, rows):
+        """Pad rows to the longest table (at least one rule) and stack them."""
+        header, width = len(self.param_names), len(self.RULE_LAYOUT)
+        n_rules = max(1, max((len(row) - header) // width for row in rows))
+        P = np.empty((len(rows), header + n_rules * width))
+        P[:, header:] = np.tile(self._PAD_RULE, n_rules)
+        for i, row in enumerate(rows):
+            P[i, : len(row)] = row
+        return P
+
+    def new_state(self, P):
+        slots = len(P)
+        R = P[:, len(self.param_names):].reshape(slots, -1, len(self.RULE_LAYOUT))
+        base = np.arange(slots)[:, None] * len(self.FIELDS)
+        cmp, value = R[..., 2], R[..., 3]
+        eq, lt, ge = cmp == 0, cmp == 1, cmp == 2
+        # lhs < v is lhs <= (the float just below v)
+        lo = np.where(eq | ge, value, -np.inf)
+        hi = np.where(ge, np.inf, np.where(lt, np.nextafter(value, -np.inf), value))
+        index = np.arange(R.shape[1])
+        return _PolicyState(
+            lhs=base + R[..., 0].astype(np.int64),
+            den=base + R[..., 1].astype(np.int64),
+            lo=lo,
+            hi=hi,
+            prob=R[..., 4],
+            touches=R[..., 5] > 0.5,
+            over_budget=(index >= P[:, :1]) & (index < P[:, 2:3]),
+        )
+
+    def decide_batch(self, P, state, view, rng):
+        slots = len(P)
+        X = np.empty((slots, len(self.FIELDS)))  # columns in FIELDS order
+        X[:, :4] = (1.0, view.t, view.rounds - view.t, view.rounds - view.t - 1)
+        if view.t == 0:
+            X[:, 4:7] = np.nan
+        else:
+            X[:, 4] = view.opp_coop
+            X[:, 5] = view.opp_rate
+            X[:, 6] = view.prev_c
+        X[:, 7] = np.nan if view.stock_frac is None else view.stock_frac
+        flat = X.ravel()
+        num, den = flat[state.lhs], flat[state.den]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lhs = num / den
+        match = (lhs >= state.lo) & (lhs <= state.hi)
+        zero_den = (den == 0.0) & ~np.isnan(num)
+        trap = zero_den | state.touches if view.stock_frac is None else zero_den
+        fault = trap | state.over_budget
+        stop = match | fault
+        first = stop.argmax(axis=1)
+        rows = np.arange(slots)
+        faulted = fault[rows, first]
+        if faulted.any():
+            slot = int(faulted.argmax())
+            self._raise_fault(P, state, view, slot, int(first[slot]))
+        prob = np.where(stop[rows, first], state.prob[rows, first], P[:, 1])
+        return rng.random(slots) < prob
+
+    @staticmethod
+    def _raise_fault(P, state: _PolicyState, view: SlotView, slot: int, rule: int):
+        if state.over_budget[slot, rule]:
+            raise SlotFault(
+                slot, "step_budget",
+                f"exceeded {int(P[slot, 0])} predicate evaluations in one decision",
+            )
+        if view.stock_frac is None and state.touches[slot, rule]:
+            detail = "stock_frac is undefined outside the common-pool game"
+        else:
+            detail = "ratio denominator is zero"
+        raise SlotFault(slot, "exception", f"rule {rule}: {detail}")
+
+
 FAMILIES: dict[str, KernelFamily] = {
     fam.name: fam
     for fam in (
@@ -318,6 +475,7 @@ FAMILIES: dict[str, KernelFamily] = {
         Endgame(),
         StockGuardian(),
         Rota(),
+        PolicyTable(),
     )
 }
 
@@ -331,6 +489,8 @@ def kernel_strategy(
     """Build a Strategy from a named family and its parameter vector."""
     if family not in FAMILIES:
         raise ValueError(f"unknown strategy family {family!r}")
+    if family == PolicyTable.name:
+        raise ValueError("policy tables are compiled from policy files by policy_strategy")
     fam = FAMILIES[family]
     vec = tuple(float(p) for p in params)
     fam.validate(vec)

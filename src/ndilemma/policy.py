@@ -13,6 +13,11 @@ example a ratio predicate dividing by zero rounds remaining) aborts the game
 with a fault that names the strategy; the validation gate turns such faults
 into rejections.
 
+Each member is also compiled to a rule table (``compile_spec``) that the
+``policy`` kernel family evaluates for whole stacks of games at once; the
+interpreter here stays the per-decision reference for ``play_game``, the
+validation gate and the tests.
+
 File schema (JSON, versioned; see docs/formats.md for the byte-level
 description)::
 
@@ -31,6 +36,7 @@ description)::
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -38,6 +44,7 @@ from typing import Any
 import numpy as np
 
 from .games import Action
+from .kernels import PolicyTable
 from .strategies import Attitude, Observation, Strategy, StrategyPool
 
 POLICY_SCHEMA_VERSION = 1
@@ -183,10 +190,56 @@ def _act(prob: float, rng: np.random.Generator) -> Action:
     return Action.C if rng.random() < prob else Action.D
 
 
+# op -> (left-hand field, comparison, fixed value or None for the rule's own)
+_OP_TERMS = {
+    "always": ("one", "eq", 1.0),
+    "round_is": ("round", "eq", None),
+    "round_lt": ("round", "lt", None),
+    "round_ge": ("round", "ge", None),
+    "rounds_left_le": ("rounds_left", "le", None),
+    "rounds_left_ge": ("rounds_left", "ge", None),
+    "last_coop_ge": ("last_opp_coop", "ge", None),
+    "last_coop_le": ("last_opp_coop", "le", None),
+    "coop_rate_ge": ("opp_coop_rate", "ge", None),
+    "coop_rate_le": ("opp_coop_rate", "le", None),
+    "my_last_is": ("my_last_c", "eq", None),
+    "stock_frac_ge": ("stock_frac", "ge", None),
+    "stock_frac_le": ("stock_frac", "le", None),
+}
+
+
+def _rule_terms(rule: PolicyRule) -> tuple:
+    """A rule as ``(lhs, den, comparison, value, cooperate_prob)`` over the
+    ``PolicyTable`` field and comparison names; ``den`` is ``one`` except
+    for ``ratio_ge``."""
+    when = rule.when
+    if when.op == "ratio_ge":
+        return (when.num, when.den, "ge", float(when.value), rule.cooperate_prob)
+    if when.op not in _OP_TERMS:
+        raise ValueError(f"unknown predicate {when.op!r}")
+    lhs, cmp, value = _OP_TERMS[when.op]
+    if when.op == "my_last_is":
+        value = {"C": 1.0, "D": 0.0}[when.value]
+    elif value is None:
+        value = float(when.value)
+    return (lhs, "one", cmp, value, rule.cooperate_prob)
+
+
+def compile_spec(spec: PolicySpec, step_budget: int = DEFAULT_STEP_BUDGET) -> tuple[float, ...]:
+    """The member as a ``policy`` kernel row."""
+    return PolicyTable.row(
+        step_budget, spec.default_prob, [_rule_terms(rule) for rule in spec.rules]
+    )
+
+
 def policy_strategy(
     spec: PolicySpec, step_budget: int = DEFAULT_STEP_BUDGET
 ) -> Strategy:
-    """Compile a policy spec into a metered first-match strategy."""
+    """Compile a policy spec into a metered first-match strategy.
+
+    ``decide`` interprets the rules one decision at a time; the kernel is
+    the same rules as a table for the batched engine.
+    """
 
     def decide(obs: Observation, rng: np.random.Generator) -> Action:
         steps = 0
@@ -200,7 +253,8 @@ def policy_strategy(
                 return _act(rule.cooperate_prob, rng)
         return _act(spec.default_prob, rng)
 
-    return Strategy(label=spec.label, origin="file", decide=decide, kernel=None)
+    kernel = (PolicyTable.name, compile_spec(spec, step_budget))
+    return Strategy(label=spec.label, origin="file", decide=decide, kernel=kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +277,17 @@ def _require(obj: dict, key: str, path: str) -> Any:
 def _number(value: Any, path: str, lo: float | None = None, hi: float | None = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(path, f"expected a number, got {value!r}")
-    if lo is not None and value < lo:
+    try:
+        number = float(value)
+    except OverflowError:
+        raise _fail(path, "number out of range")
+    if not math.isfinite(number):
+        raise _fail(path, f"expected a finite number, got {value!r}")
+    if lo is not None and number < lo:
         raise _fail(path, f"value {value} below minimum {lo}")
-    if hi is not None and value > hi:
+    if hi is not None and number > hi:
         raise _fail(path, f"value {value} above maximum {hi}")
-    return float(value)
+    return number
 
 
 def parse_predicate(raw: Any, path: str) -> Predicate:
@@ -280,7 +340,7 @@ def parse_member(raw: Any, path: str) -> PolicySpec:
 
 def parse_pool(data: Any, source: str, step_budget: int = DEFAULT_STEP_BUDGET) -> StrategyPool:
     version = _require(data, "schema_version", source)
-    if version != POLICY_SCHEMA_VERSION:
+    if isinstance(version, bool) or version != POLICY_SCHEMA_VERSION:
         raise _fail(
             f"{source}.schema_version",
             f"unsupported version {version!r}; this engine reads version "
@@ -289,8 +349,11 @@ def parse_pool(data: Any, source: str, step_budget: int = DEFAULT_STEP_BUDGET) -
     gene_tag = _require(data, "gene_tag", source)
     if not isinstance(gene_tag, str) or not gene_tag:
         raise _fail(f"{source}.gene_tag", "expected a non-empty string")
+    raw_attitude = _require(data, "attitude", source)
+    if not isinstance(raw_attitude, str):
+        raise _fail(f"{source}.attitude", f"expected a string, got {raw_attitude!r}")
     try:
-        attitude = Attitude.parse(_require(data, "attitude", source))
+        attitude = Attitude.parse(raw_attitude)
     except ValueError as exc:
         raise _fail(f"{source}.attitude", str(exc))
     raw_members = _require(data, "members", source)
@@ -312,4 +375,6 @@ def load_pool(path: str | Path, step_budget: int = DEFAULT_STEP_BUDGET) -> Strat
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except ValueError as exc:  # undecodable UTF-8, or an integer too long to convert
+        raise SchemaError(f"{path}: invalid JSON: {exc}")
     return parse_pool(data, str(path), step_budget)

@@ -67,8 +67,9 @@ class FamilySpec:
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown strategy family {self.family!r}")
+        if self.family not in DEFAULT_FAMILY_PARAMS:
+            # policy tables come from policy files, not parameter draws
+            raise ValueError(f"unknown or unsynthesizable strategy family {self.family!r}")
         if self.weight <= 0:
             raise ValueError(f"family weight must be positive, got {self.weight}")
 

@@ -88,9 +88,11 @@ class Strategy:
     """A labelled decision rule, optionally with a vectorisable kernel.
 
     ``kernel`` is ``(family_name, params)`` for strategies drawn from the
-    built-in parametric families; the batch engine uses it to run whole
-    stacks of games as array operations. Strategies loaded from policy files
-    have no kernel and always take the per-decision path.
+    built-in parametric families and for policy-file members (family
+    ``policy``, whose params are the compiled rule table); the batch engine
+    uses it to run whole stacks of games as array operations. Strategies
+    without a kernel, such as user-written callables, take the per-decision
+    path.
     """
 
     label: str

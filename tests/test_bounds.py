@@ -82,3 +82,24 @@ def test_bounds_contain_played_games(alld_pool, allc_pool):
         for pool in (alld_pool, allc_pool):
             game = play_game(kind, params, list(pool.members[:4]), seed=3)
             assert limits.min_mean - 1e-9 <= game.mean_welfare <= limits.max_mean + 1e-9
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_cpr_beam_bounds_at_grid_sizes(n):
+    limits = welfare_bounds(GameKind.COMMON_POOL, GameParams(n=n, rounds=20))
+    assert limits.min_mean == pytest.approx(0.2, abs=1e-12)
+    assert limits.max_mean == pytest.approx(2.1, abs=1e-12)
+
+
+def test_cpr_beam_bound_covers_a_played_game_at_n256():
+    """Sustaining the stock for 19 rounds and strip-mining the last one is
+    a play the beam must keep reachable at the default group size."""
+    from ndilemma.engine import build_groups, simulate_batch
+    from ndilemma.kernels import kernel_strategy
+
+    params = GameParams(n=256, rounds=20)
+    lineup = [kernel_strategy("endgame", 1.0, 0.0)] * params.n
+    played = simulate_batch(GameKind.COMMON_POOL, params, build_groups(lineup), 1, seed=0)
+    assert played.mean_welfare[0] == pytest.approx(2.1, abs=1e-12)
+    limits = welfare_bounds(GameKind.COMMON_POOL, params)
+    assert limits.max_mean >= played.mean_welfare[0] - 1e-12
