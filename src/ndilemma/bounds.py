@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .games import GameKind, GameParams, crd_payoff_pair, pgg_payoff_pair
+from .games import GameKind, GameParams, cpr_next_stock, crd_payoff_pair, pgg_payoff_pair
 
 DEFAULT_EXHAUSTIVE_BUDGET = 200_000
 DEFAULT_BEAM_WIDTH = 4096
@@ -73,15 +73,6 @@ def _cpr_round_sums(stock: np.ndarray, params: GameParams) -> np.ndarray:
     return stock[:, None] * (2 * n - counts) / (2 * n)
 
 
-def _cpr_next_stocks(stock: np.ndarray, params: GameParams) -> np.ndarray:
-    """Next stock for each cooperator count: shape (states, n + 1)."""
-    n = params.n
-    counts = np.arange(n + 1)
-    remaining = stock[:, None] * counts / (2 * n)
-    grown = remaining + 2.0 * remaining * (1.0 - remaining / params.capacity)
-    return np.minimum(grown, params.capacity)
-
-
 def _prune(welfare: np.ndarray, stock: np.ndarray, maximise: bool, width: int):
     """Drop states dominated in (welfare, stock); cap survivors at ``width``.
 
@@ -122,7 +113,8 @@ def _cpr_bounds(params: GameParams, exhaustive_budget: int, beam_width: int) -> 
         stock = np.array([params.capacity])
         for _ in range(r):
             new_welfare = (welfare[:, None] + _cpr_round_sums(stock, params)).ravel()
-            new_stock = _cpr_next_stocks(stock, params).ravel()
+            # next stock for each cooperator count: shape (states, n + 1)
+            new_stock = cpr_next_stock(stock[:, None], np.arange(n + 1), params).ravel()
             if exhaustive:
                 welfare, stock = new_welfare, new_stock
             else:

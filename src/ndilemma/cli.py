@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Commands: ``fingerprint``, ``selfplay``, ``evolve``, ``validate``,
-``bounds``. Each pipeline command reads a JSON config (see docs/formats.md),
-writes its data files plus a run manifest into ``--out``, and uses the
-single master seed from the config (or ``--seed``) for all randomness.
+``bounds``, ``verify``. Each pipeline command reads a JSON config (see
+docs/formats.md), writes its data files plus a run manifest into ``--out``,
+and uses the single master seed from the config (or ``--seed``) for all
+randomness. ``verify`` re-hashes such an output directory.
 
-Exit codes: 0 success, 1 configuration error, 2 strategy fault or failed
-validation.
+Exit codes: 0 success, 1 configuration error or (``verify``) an output
+that does not match its manifest, 2 strategy fault or failed validation.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .fingerprint import (
 )
 from .games import GameConfigError, GameKind, GameParams
 from .kernels import default_reference_overlay, make_reference
-from .manifest import RunManifest, config_digest
+from .manifest import MANIFEST_NAME, RunManifest, config_digest, verify_manifest
 from .policy import SchemaError, load_pool
 from .pools import FamilySpec, synth_pool, validate_pool
 from .seeding import derive_seed
@@ -461,6 +462,22 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def cmd_verify(args: argparse.Namespace) -> int:
+    out_dir = Path(args.dir)
+    if not (out_dir / MANIFEST_NAME).exists():
+        raise ConfigError(f"no {MANIFEST_NAME} in {out_dir}")
+    try:
+        problems = verify_manifest(out_dir)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{out_dir / MANIFEST_NAME}: malformed manifest: {exc!r}")
+    for problem in problems:
+        print(problem)
+    if problems:
+        return EXIT_CONFIG
+    print(f"{out_dir}: every output matches {MANIFEST_NAME}")
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # Entry point.
 # ---------------------------------------------------------------------------
@@ -513,6 +530,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bo.add_argument("--capacity", type=float, default=None)
     p_bo.add_argument("--out", default=None)
     p_bo.set_defaults(func=cmd_bounds)
+
+    p_ve = sub.add_parser("verify", help="re-hash an output directory against its manifest")
+    p_ve.add_argument("dir", help="output directory holding manifest.json")
+    p_ve.set_defaults(func=cmd_verify)
 
     return parser
 

@@ -10,6 +10,15 @@ forced, and the feature value is the fraction of replays in which the
 subject cooperates at the node's round. Stochastic strategies and strategies
 that condition on their own history make the replays non-trivial.
 
+A strategy with a kernel replays all nodes of one depth together, as one
+stack of ``(nodes at that depth) x rollouts`` rows, node-major; very large
+depths are split into stacks of at most ``_STACK_ROWS`` rows, in node
+order. It draws from one random stream per strategy, consumed depth by
+depth from the root down. A strategy without a kernel replays each node
+and rollout on its own, one decision at a time, on a stream addressed by
+(node index, rollout). Deterministic strategies give identical values on
+both paths, faults included.
+
 Variation within and between labelled sets of fingerprints is summarised by
 the normalised mean pairwise distance, Cohen's d between set centroids, and
 the participation ratio of the covariance eigenvalues.
@@ -27,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import HistoryAccumulator, StrategyFault, decide_checked, decide_group
-from .games import Action, GameKind, GameParams
+from .games import Action, GameKind, GameParams, cpr_next_stock
 from .kernels import FAMILIES, SlotFault, SlotView
 from .seeding import derive_seed, parallel_map, rng_for
 from .strategies import Strategy
@@ -95,58 +104,70 @@ def _fingerprint_node_scalar(
     return cooperations / rollouts
 
 
-def _fingerprint_node_batch(
+# Rows per stack on the batched path; deeper levels of large games are split
+# into several stacks, in node order, so memory stays bounded.
+_STACK_ROWS = 1 << 16
+
+
+def _at_node(detail: str, node: DecisionNode) -> str:
+    return f"{detail} (at fingerprint node {node.column_name()})"
+
+
+def _fingerprint_stacked(
     strategy: Strategy,
     kind: GameKind,
     params: GameParams,
-    node: DecisionNode,
+    nodes: Sequence[DecisionNode],
     rollouts: int,
     seed: int,
-    node_index: int,
-) -> float:
+) -> np.ndarray:
+    """Kernel path: the nodes of each depth replayed together, one row per
+    (node, rollout), node-major, depths in increasing order on one stream."""
     family_name, vec = strategy.kernel
     family = FAMILIES[family_name]
-    rng = rng_for(seed, node_index)
+    row = family.stack([vec])
+    rng = rng_for(seed)
     n, r = params.n, params.rounds
     is_cpr = kind is GameKind.COMMON_POOL
-    P = np.repeat(family.stack([vec]), rollouts, axis=0)
-    state = family.new_state(P)
-    col = np.zeros(rollouts, dtype=np.int64)
-    prev_own: np.ndarray | None = None
-    stock = np.full(rollouts, params.capacity, dtype=float) if is_cpr else None
-    forced_sum = 0
-    for t in range(node.depth + 1):
-        if t == 0:
-            prev_c = opp_coop = opp_rate = None
-        else:
-            prev_c = prev_own
-            opp_coop = np.full(rollouts, float(node.counts[t - 1]))
-            opp_rate = np.full(rollouts, forced_sum / ((n - 1) * t))
-        view = SlotView(
-            t=t,
-            rounds=r,
-            n=n,
-            col=col,
-            prev_c=prev_c,
-            opp_coop=opp_coop,
-            opp_rate=opp_rate,
-            stock_frac=None if stock is None else stock / params.capacity,
-        )
-        try:
-            acts = decide_group(family, P, state, view, rng)
-        except SlotFault as fault:
-            raise StrategyFault(strategy.label, 0, t, fault.reason, fault.detail)
-        if t == node.depth:
-            return float(acts.mean())
-        forced = node.counts[t]
-        forced_sum += forced
-        if is_cpr:
-            n_c = forced + acts
-            remaining = stock * n_c / (2 * n)
-            grown = remaining + 2.0 * remaining * (1.0 - remaining / params.capacity)
-            stock = np.minimum(grown, params.capacity)
-        prev_own = acts
-    raise AssertionError("unreachable")
+    by_depth: dict[int, list[int]] = {}
+    for i, node in enumerate(nodes):
+        by_depth.setdefault(node.depth, []).append(i)
+    per_stack = max(1, _STACK_ROWS // rollouts)
+    values = np.empty(len(nodes), dtype=float)
+    for depth in sorted(by_depth):
+        for start in range(0, len(by_depth[depth]), per_stack):
+            index = by_depth[depth][start : start + per_stack]
+            slots = len(index) * rollouts
+            counts = np.array([nodes[i].counts for i in index], dtype=np.int64)
+            forced = np.repeat(counts, rollouts, axis=0)  # (slots, depth)
+            forced_sum = np.cumsum(forced, axis=1)
+            P = np.repeat(row, slots, axis=0)
+            state = family.new_state(P)
+            col = np.zeros(slots, dtype=np.int64)
+            stock = np.full(slots, params.capacity) if is_cpr else None
+            acts = None
+            for t in range(depth + 1):
+                view = SlotView(
+                    t=t,
+                    rounds=r,
+                    n=n,
+                    col=col,
+                    prev_c=acts,
+                    opp_coop=None if t == 0 else forced[:, t - 1].astype(float),
+                    opp_rate=None if t == 0 else forced_sum[:, t - 1] / ((n - 1) * t),
+                    stock_frac=None if stock is None else stock / params.capacity,
+                )
+                try:
+                    acts = decide_group(family, P, state, view, rng)
+                except SlotFault as fault:
+                    node = nodes[index[fault.slot // rollouts]]
+                    raise StrategyFault(
+                        strategy.label, 0, t, fault.reason, _at_node(fault.detail, node)
+                    )
+                if is_cpr and t < depth:
+                    stock = cpr_next_stock(stock, forced[:, t] + acts, params)
+            values[index] = acts.reshape(len(index), rollouts).mean(axis=1)
+    return values
 
 
 def fingerprint(
@@ -175,15 +196,16 @@ def fingerprint(
     for node in nodes:
         if any(not 0 <= c <= params.n - 1 for c in node.counts):
             raise ValueError(f"node {node.counts} has counts outside 0..{params.n - 1}")
-    node_fn = _fingerprint_node_batch if strategy.kernel is not None else _fingerprint_node_scalar
+    if strategy.kernel is not None:
+        return _fingerprint_stacked(strategy, kind, params, nodes, rollouts, seed)
     values = np.empty(len(nodes), dtype=float)
     for i, node in enumerate(nodes):
         try:
-            values[i] = node_fn(strategy, kind, params, node, rollouts, seed, i)
+            values[i] = _fingerprint_node_scalar(strategy, kind, params, node, rollouts, seed, i)
         except StrategyFault as fault:
             raise StrategyFault(
                 fault.label, fault.player, fault.round_index, fault.reason,
-                f"{fault.detail} (at fingerprint node {node.column_name()})",
+                _at_node(fault.detail, node),
             )
     return values
 

@@ -150,10 +150,19 @@ def cpr_payoff_pair(stock: float, params: GameParams) -> tuple[float, float]:
     return share, 2.0 * share
 
 
-def cpr_next_stock(stock: float, n_c: int, params: GameParams) -> float:
-    """Stock after extraction by ``n_c`` cooperators plus logistic regrowth."""
+def cpr_next_stock(
+    stock: float | np.ndarray, n_c: int | np.ndarray, params: GameParams
+) -> float | np.ndarray:
+    """Stock after extraction by ``n_c`` cooperators plus logistic regrowth.
+
+    ``stock`` and ``n_c`` are numbers or arrays that broadcast together.
+    Numbers give a plain float (its ``repr`` goes into the CSVs), arrays an
+    array.
+    """
     remaining = stock * n_c / (2 * params.n)
     grown = remaining + 2.0 * remaining * (1.0 - remaining / params.capacity)
+    if isinstance(grown, np.ndarray):
+        return np.minimum(grown, params.capacity)
     return min(grown, params.capacity)
 
 
@@ -241,9 +250,7 @@ def batch_round_payoffs(
     assert stock is not None
     share = stock / (2 * n)
     payoffs = share[:, None] * (1.0 + defect)
-    remaining = stock * coop.sum(axis=1) / (2 * n)
-    grown = remaining + 2.0 * remaining * (1.0 - remaining / params.capacity)
-    return payoffs, np.minimum(grown, params.capacity)
+    return payoffs, cpr_next_stock(stock, coop.sum(axis=1), params)
 
 
 # ---------------------------------------------------------------------------

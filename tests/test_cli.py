@@ -222,6 +222,65 @@ class TestFingerprintCmd:
         assert digests[0] == digests[1]
 
 
+    def test_threads_do_not_change_data_files(self, tmp_path):
+        config = self.fingerprint_config()
+        config["include_references"] = True
+        config["pools"][0]["source"] = {
+            "type": "synth", "size": 6,
+            "families": [{"family": "reciprocator"}, {"family": "bernoulli"}],
+        }
+        path = write_json(tmp_path / "cfg.json", config)
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            assert main([
+                "fingerprint", "--config", str(path), "--out", str(out), "--threads", threads,
+            ]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            digests.append({e["path"]: e["sha256"] for e in manifest["outputs"]})
+        assert digests[0] == digests[1]
+
+
+class TestVerifyCmd:
+    def run_selfplay(self, tmp_path) -> Path:
+        config = write_json(tmp_path / "cfg.json", selfplay_config())
+        out = tmp_path / "run"
+        assert main(["selfplay", "--config", str(config), "--out", str(out)]) == 0
+        return out
+
+    def test_untouched_outputs_exit_zero(self, tmp_path, capsys):
+        out = self.run_selfplay(tmp_path)
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 0
+        assert "every output matches" in capsys.readouterr().out
+
+    def test_one_corrupted_byte_exits_one(self, tmp_path, capsys):
+        out = self.run_selfplay(tmp_path)
+        grid = out / "grid.csv"
+        data = bytearray(grid.read_bytes())
+        data[-2] ^= 0x01
+        grid.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        assert capsys.readouterr().out.splitlines() == ["grid.csv: digest mismatch"]
+
+    def test_missing_output_exits_one(self, tmp_path, capsys):
+        out = self.run_selfplay(tmp_path)
+        (out / "grid.csv").unlink()
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        assert "grid.csv: missing" in capsys.readouterr().out
+
+    def test_directory_without_manifest_exits_one(self, tmp_path, capsys):
+        assert main(["verify", str(tmp_path)]) == 1
+        assert "manifest.json" in capsys.readouterr().err
+
+    def test_malformed_manifest_exits_one(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").write_text('{"outputs": 3}')
+        assert main(["verify", str(tmp_path)]) == 1
+        assert "malformed manifest" in capsys.readouterr().err
+
+
 class TestValidateCmd:
     def test_faulting_member_exits_two(self, tmp_path, capsys):
         pool = {

@@ -1,5 +1,7 @@
 """Fingerprints, PCA, and the three variation metrics."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from ndilemma import (
     GameKind,
     GameParams,
+    StrategyFault,
     cohens_d,
     enumerate_nodes,
     fingerprint,
@@ -18,6 +21,10 @@ from ndilemma import (
     pca,
 )
 from ndilemma.kernels import kernel_strategy
+from ndilemma.policy import Predicate, PolicyRule, PolicySpec, policy_strategy
+
+# the package exports the function under the module's name
+fingerprint_module = importlib.import_module("ndilemma.fingerprint")
 
 KIND = GameKind.PUBLIC_GOODS
 PARAMS = GameParams(n=4, rounds=5, k=2.0)
@@ -115,6 +122,93 @@ class TestFingerprint:
         with pytest.raises(ValueError):
             fingerprint(make_reference("allc"), KIND, GameParams(n=4, rounds=2, k=2.0),
                         NODES, 10, seed=0)
+
+
+# one deterministic member of every built-in family; stock_guardian faults
+# outside the common-pool game, on both paths alike
+DETERMINISTIC_MEMBERS = [
+    kernel_strategy("constant", 1.0),
+    kernel_strategy("bernoulli", 0.0),
+    kernel_strategy("bernoulli", 1.0),
+    make_reference("cc", t=2),
+    make_reference("cd", t=1),
+    kernel_strategy("reciprocator", 0.5, 0.0),
+    kernel_strategy("reciprocator", 1.0, 1.0),
+    kernel_strategy("grim", 0.34),
+    kernel_strategy("endgame", 2, 0.5),
+    kernel_strategy("stock_guardian", 0.6),
+    kernel_strategy("rota", 3, 1, 1),
+]
+
+
+LATE_DIVIDER = PolicySpec("late-divider", (
+    PolicyRule(Predicate("round_lt", value=2.0), 1.0),
+    PolicyRule(Predicate("coop_rate_le", value=0.1), 0.0),
+    PolicyRule(Predicate("ratio_ge", value=0.5, num="round", den="last_opp_coop"), 1.0),
+), 1.0)
+
+
+def _fingerprint_or_fault(strategy, kind, nodes=NODES):
+    try:
+        return fingerprint(strategy, kind, PARAMS, nodes, 20, seed=11), None
+    except StrategyFault as fault:
+        return None, (fault.label, fault.player, fault.round_index, fault.reason)
+
+
+class TestStackedFingerprint:
+    @pytest.mark.parametrize("kind", list(GameKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("strategy", DETERMINISTIC_MEMBERS, ids=lambda s: s.label)
+    def test_batched_path_matches_per_decision_path_in_every_game(self, strategy, kind):
+        fast, fast_fault = _fingerprint_or_fault(strategy, kind)
+        slow, slow_fault = _fingerprint_or_fault(strategy.without_kernel(), kind)
+        assert fast_fault == slow_fault
+        if fast_fault is None:
+            assert np.array_equal(fast, slow)
+        else:
+            assert strategy.kernel[0] == "stock_guardian"
+
+    @pytest.mark.parametrize("kind", list(GameKind), ids=lambda k: k.value)
+    def test_shuffled_nodes_give_the_same_values_per_node(self, kind):
+        order = np.random.default_rng(4).permutation(len(NODES))
+        shuffled = [NODES[i] for i in order]
+        for strategy in (kernel_strategy("grim", 0.34), kernel_strategy("endgame", 2, 0.5)):
+            values, _ = _fingerprint_or_fault(strategy, kind)
+            moved, _ = _fingerprint_or_fault(strategy, kind, shuffled)
+            assert np.array_equal(moved, values[order])
+
+    def test_first_fault_at_depth_two_matches_the_per_decision_path(self):
+        """Rounds 0 and 1 are settled by the first rule. In round 2 a low
+        opponent cooperation rate settles the node too; otherwise the ratio
+        rule divides by last round's opponent cooperators, which is zero
+        first at node 1.0, the fifth node of depth 2."""
+        member = policy_strategy(LATE_DIVIDER)
+        faults = []
+        for strategy in (member, member.without_kernel()):
+            with pytest.raises(StrategyFault) as info:
+                fingerprint(strategy, KIND, PARAMS, NODES, 20, seed=11)
+            faults.append(info.value)
+        fast, slow = faults
+        assert (fast.label, fast.player, fast.round_index, fast.reason) == (
+            "late-divider", 0, 2, "exception",
+        )
+        assert (slow.label, slow.player, slow.round_index, slow.reason) == (
+            fast.label, fast.player, fast.round_index, fast.reason,
+        )
+        assert fast.detail.endswith("(at fingerprint node 1.0)")
+        assert slow.detail.endswith("(at fingerprint node 1.0)")
+
+    def test_depths_split_into_several_stacks_give_the_same_results(self, monkeypatch):
+        whole = [_fingerprint_or_fault(s, GameKind.COMMON_POOL) for s in DETERMINISTIC_MEMBERS]
+        # three nodes per stack of 20 rollouts, so node 1.0 sits in the second
+        # stack of depth 2
+        monkeypatch.setattr(fingerprint_module, "_STACK_ROWS", 60)
+        split = [_fingerprint_or_fault(s, GameKind.COMMON_POOL) for s in DETERMINISTIC_MEMBERS]
+        for (a, a_fault), (b, b_fault) in zip(whole, split):
+            assert a_fault == b_fault and np.array_equal(a, b)
+        with pytest.raises(StrategyFault) as info:
+            fingerprint(policy_strategy(LATE_DIVIDER), KIND, PARAMS, NODES, 20, seed=11)
+        assert info.value.round_index == 2
+        assert info.value.detail.endswith("(at fingerprint node 1.0)")
 
 
 class TestPca:
