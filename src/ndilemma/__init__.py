@@ -11,7 +11,7 @@ from .evolution import (
     EvolutionResult,
     Gene,
     GenerationStats,
-    Individual,
+    Population,
     batch_runs,
     run_evolution,
     run_generation,
@@ -66,12 +66,12 @@ __all__ = [
     "GameResult",
     "Gene",
     "GenerationStats",
-    "Individual",
     "MixGridConfig",
     "MixGridRow",
     "Observation",
     "PcaResult",
     "PolicySpec",
+    "Population",
     "RoundRecord",
     "SchemaError",
     "Strategy",

@@ -18,6 +18,7 @@ aborts the game with a ``StrategyFault`` naming the offender.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -217,38 +218,81 @@ class KernelGroup:
     family: KernelFamily
     params: np.ndarray  # (n_slots, n_params)
     slots: np.ndarray  # flat indices into the (S * n) slot space
-    labels: list[str]
+    labels: np.ndarray  # (n_slots,) strategy labels
     state: object = None
 
 
-def build_groups(strategies_flat: list[Strategy]) -> list[KernelGroup] | None:
-    """Group a flat slot-major strategy list by kernel family.
+@dataclass(frozen=True)
+class MemberTable:
+    """Strategies compiled once into arrays, so lineups are index arrays.
 
-    Returns None if any strategy lacks a kernel, in which case callers fall
-    back to the per-decision engine. Group order follows first appearance so
-    random-stream consumption is reproducible.
+    Member ``m`` plays kernel family ``families[family[m]]`` with parameter
+    row ``params[family[m]][row[m]]``; each family's rows are stacked once
+    with ``family.stack``, so policy tables are padded once, to the widest
+    table. ``family[m]`` is -1 for a member without a kernel, which plays
+    ``strategies[m]`` on the per-decision engine.
     """
-    by_family: dict[str, tuple[list, list, list]] = {}
-    for slot, strat in enumerate(strategies_flat):
-        if strat.kernel is None:
-            return None
-        name, vec = strat.kernel
-        rows, slots, labels = by_family.setdefault(name, ([], [], []))
-        rows.append(vec)
-        slots.append(slot)
-        labels.append(strat.label)
-    groups = []
-    for name, (rows, slots, labels) in by_family.items():
-        family = FAMILIES[name]
-        params = family.stack(rows)
-        group = KernelGroup(
+
+    strategies: tuple[Strategy, ...]
+    labels: np.ndarray  # (members,) object array
+    family: np.ndarray  # (members,) family code, -1 without a kernel
+    row: np.ndarray  # (members,) row into that family's parameter matrix
+    families: tuple[KernelFamily, ...]
+    params: tuple[np.ndarray, ...]
+
+    @classmethod
+    def compile(cls, strategies: Sequence[Strategy]) -> "MemberTable":
+        codes: dict[str, int] = {}
+        rows: list[list[tuple[float, ...]]] = []
+        family = np.full(len(strategies), -1, dtype=np.int64)
+        row = np.zeros(len(strategies), dtype=np.int64)
+        for m, strategy in enumerate(strategies):
+            if strategy.kernel is None:
+                continue
+            name, vec = strategy.kernel
+            code = codes.setdefault(name, len(codes))
+            if code == len(rows):
+                rows.append([])
+            family[m] = code
+            row[m] = len(rows[code])
+            rows[code].append(vec)
+        families = tuple(FAMILIES[name] for name in codes)
+        return cls(
+            strategies=tuple(strategies),
+            labels=np.array([s.label for s in strategies], dtype=object),
             family=family,
-            params=params,
-            slots=np.asarray(slots, dtype=np.int64),
-            labels=labels,
-            state=family.new_state(params),
+            row=row,
+            families=families,
+            params=tuple(fam.stack(vecs) for fam, vecs in zip(families, rows)),
         )
-        groups.append(group)
+
+
+def build_groups(members: np.ndarray, table: MemberTable) -> list[KernelGroup] | None:
+    """Gather a flat slot-major lineup of member indices into kernel groups.
+
+    Returns None if any member lacks a kernel, in which case callers fall
+    back to the per-decision engine. Group order follows each family's first
+    appearance among the slots so random-stream consumption is reproducible.
+    """
+    codes = table.family[members]
+    if (codes < 0).any():
+        return None
+    present, first = np.unique(codes, return_index=True)
+    groups = []
+    for code in present[np.argsort(first)]:
+        slots = np.flatnonzero(codes == code)
+        picked = members[slots]
+        family = table.families[code]
+        params = table.params[code][table.row[picked]]
+        groups.append(
+            KernelGroup(
+                family=family,
+                params=params,
+                slots=slots,
+                labels=table.labels[picked],
+                state=family.new_state(params),
+            )
+        )
     return groups
 
 
@@ -347,26 +391,28 @@ def simulate_batch(
 def play_many(
     kind: GameKind,
     params: GameParams,
-    strategy_rows: list[list[Strategy]],
+    lineups: np.ndarray,
+    table: MemberTable,
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Play a stack of same-shaped games; returns (totals, mean_welfare).
 
-    Takes the batched path when every strategy has a kernel, otherwise plays
-    each game through the per-decision engine with a per-game derived seed.
-    Which path runs is a pure function of the strategies, so results are
+    ``lineups`` is an (S, n) array of ``table`` member indices, one row per
+    game. Takes the batched path when every member has a kernel, otherwise
+    plays each game through the per-decision engine with a per-game derived
+    seed. Which path runs is a pure function of the members, so results are
     reproducible either way.
     """
-    S = len(strategy_rows)
-    flat = [s for row in strategy_rows for s in row]
-    groups = build_groups(flat)
+    S = len(lineups)
+    groups = build_groups(lineups.ravel(), table)
     if groups is not None:
         result = simulate_batch(kind, params, groups, S, seed)
         return result.totals, result.mean_welfare
     totals = np.empty((S, params.n), dtype=float)
     welfare = np.empty(S, dtype=float)
-    for g, row in enumerate(strategy_rows):
-        result = play_game(kind, params, row, derive_seed(seed, g))
+    for g, row in enumerate(lineups):
+        lineup = [table.strategies[m] for m in row]
+        result = play_game(kind, params, lineup, derive_seed(seed, g))
         totals[g] = result.player_totals
         welfare[g] = result.mean_welfare
     return totals, welfare

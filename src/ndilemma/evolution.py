@@ -1,12 +1,15 @@
 """Cultural evolution over a population of gene-carrying agents.
 
 Each agent carries a gene, the (pool tag, attitude) pair naming a registered
-strategy pool, plus a concrete strategy sampled from that pool. A generation
-partitions the population into groups several times so every agent plays
-exactly ``games_per_agent`` games, scores each agent by its mean normalised
-payoff, carries the top ``elites`` agents over unchanged, and refills the
-remaining slots by fitness-proportional copying of genes with mutation and a
-fresh strategy draw. The process stops when one gene reaches the dominance
+strategy pool, plus a member of that pool. A population is two aligned
+integer arrays, gene index and member index; every pool of a run is compiled
+once into a member table, so a generation never loops over agents. A
+generation partitions the population into groups ``games_per_agent`` times so
+every agent plays exactly that many games, plays all waves as one stack on
+one kernel seed, scores each agent by its mean normalised payoff, carries the
+top ``elites`` agents over unchanged, and refills the remaining slots by
+fitness-proportional copying of genes with mutation and one vectorised draw
+of fresh members. The process stops when one gene reaches the dominance
 threshold or after a fixed number of generations, and reports the plurality
 gene as the equilibrium.
 """
@@ -17,16 +20,17 @@ import csv
 import json
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .bounds import cached_bounds
-from .engine import play_many
+from .engine import MemberTable, play_many
 from .games import GameKind, GameParams
 from .seeding import SEED_SPACE, derive_seed, parallel_map, rng_for
-from .strategies import Attitude, Strategy, StrategyPool
+from .strategies import Attitude, StrategyPool
 
 
 @dataclass(frozen=True)
@@ -41,11 +45,16 @@ class Gene:
         return f"{self.pool_tag}/{self.attitude.value}"
 
 
-@dataclass
-class Individual:
-    gene: Gene
-    strategy: Strategy
-    fitness: float = 0.0
+@dataclass(frozen=True)
+class Population:
+    """Agents as two aligned integer arrays: ``gene[a]`` indexes
+    ``config.genes`` and ``member[a]`` indexes that gene's pool."""
+
+    gene: np.ndarray
+    member: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.gene)
 
 
 @dataclass(frozen=True)
@@ -97,6 +106,22 @@ class EvolutionConfig:
             if gene not in self.pools:
                 raise ValueError(f"gene {gene.label} has no registered pool")
 
+    @cached_property
+    def pool_sizes(self) -> np.ndarray:
+        """Members per gene's pool, in gene order."""
+        return np.array([len(self.pools[gene]) for gene in self.genes], dtype=np.int64)
+
+    @cached_property
+    def pool_starts(self) -> np.ndarray:
+        """Row of each gene's first member in ``member_table``."""
+        return np.cumsum(self.pool_sizes) - self.pool_sizes
+
+    @cached_property
+    def member_table(self) -> MemberTable:
+        """Every gene's pool compiled once, gene by gene; an agent with gene
+        ``g`` and member ``m`` plays row ``pool_starts[g] + m``."""
+        return MemberTable.compile([s for gene in self.genes for s in self.pools[gene].members])
+
 
 @dataclass
 class GenerationStats:
@@ -110,7 +135,7 @@ class GenerationStats:
 
 @dataclass
 class GenerationOutcome:
-    population: list[Individual]  # the next generation
+    population: Population  # the next generation
     stats: GenerationStats
     fitness: np.ndarray
     partitions: list[np.ndarray]  # one (groups, group_size) index array per wave
@@ -144,17 +169,14 @@ def welfare_efficiency(
     return value
 
 
-def initial_population(config: EvolutionConfig, rng: np.random.Generator) -> list[Individual]:
-    """Uniform split over genes (remainder to the earliest genes)."""
-    base, extra = divmod(config.population, len(config.genes))
-    population = []
-    for g, gene in enumerate(config.genes):
-        count = base + (1 if g < extra else 0)
-        pool = config.pools[gene]
-        population.extend(
-            Individual(gene=gene, strategy=pool.sample_one(rng)) for _ in range(count)
-        )
-    return population
+def initial_population(config: EvolutionConfig, rng: np.random.Generator) -> Population:
+    """Uniform split over genes (remainder to the earliest genes), each agent
+    with a uniformly drawn member of its gene's pool."""
+    n_genes = len(config.genes)
+    base, extra = divmod(config.population, n_genes)
+    counts = base + (np.arange(n_genes) < extra)
+    genes = np.repeat(np.arange(n_genes), counts)
+    return Population(genes, rng.integers(config.pool_sizes[genes]))
 
 
 def sample_partitions(
@@ -168,77 +190,79 @@ def sample_partitions(
 
 
 def evaluate_fitness(
-    population: list[Individual],
+    population: Population,
     config: EvolutionConfig,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Play every wave; returns (fitness, per-game welfare, partitions).
+    """Play every wave as one stack; returns (fitness, per-game welfare,
+    partitions).
 
     Fitness is the agent's mean normalised payoff over its
-    ``games_per_agent`` games.
+    ``games_per_agent`` games; per-game welfare is in wave order.
     """
     pop_size = len(population)
     partitions = sample_partitions(pop_size, config.group_size, config.games_per_agent, rng)
-    fitness_sum = np.zeros(pop_size)
-    welfares = []
-    for partition in partitions:
-        rows = [[population[a].strategy for a in group] for group in partition]
-        totals, mean_welfare = play_many(
-            config.kind, config.params, rows, int(rng.integers(SEED_SPACE))
-        )
-        fitness_sum[partition.ravel()] += (totals / config.params.rounds).ravel()
-        welfares.append(mean_welfare)
-    return fitness_sum / config.games_per_agent, np.concatenate(welfares), partitions
+    agents = np.concatenate(partitions)  # (waves * groups, group_size)
+    rows = config.pool_starts[population.gene] + population.member
+    totals, welfare = play_many(
+        config.kind, config.params, rows[agents], config.member_table,
+        int(rng.integers(SEED_SPACE)),
+    )
+    # every agent appears once per wave, so sum with bincount, not fancy +=
+    fitness_sum = np.bincount(
+        agents.ravel(), weights=(totals / config.params.rounds).ravel(), minlength=pop_size
+    )
+    return fitness_sum / config.games_per_agent, welfare, partitions
 
 
 def next_population(
-    population: list[Individual],
+    population: Population,
     fitness: np.ndarray,
     config: EvolutionConfig,
     rng: np.random.Generator,
-) -> list[Individual]:
-    """Elitist selection plus fitness-proportional copying with mutation."""
+) -> Population:
+    """Elitist selection plus fitness-proportional copying with mutation.
+
+    Elites keep their gene and member; every child copies a parent's gene,
+    mutates it to another gene with probability ``mutation_rate`` and draws
+    a fresh member from its gene's pool.
+    """
     pop_size = len(population)
     shuffle = rng.permutation(pop_size)  # breaks fitness ties without rank bias
     ranked = shuffle[np.argsort(-fitness[shuffle], kind="stable")]
-    elite_idx = ranked[: config.elites]
-    new_pop = [
-        Individual(gene=population[i].gene, strategy=population[i].strategy)
-        for i in elite_idx
-    ]
+    elites = ranked[: config.elites]
     slots = pop_size - config.elites
     total_fitness = float(fitness.sum())
     if total_fitness > 0:
         parents = rng.choice(pop_size, size=slots, p=fitness / total_fitness)
     else:
         parents = rng.integers(pop_size, size=slots)
-    gene_index = {gene: g for g, gene in enumerate(config.genes)}
+    genes = population.gene[parents]
     n_genes = len(config.genes)
     mutate = rng.random(slots) < config.mutation_rate
-    offsets = rng.integers(1, n_genes, size=slots) if n_genes > 1 else None
-    for s in range(slots):
-        gene = population[int(parents[s])].gene
-        if mutate[s] and offsets is not None:
-            gene = config.genes[(gene_index[gene] + int(offsets[s])) % n_genes]
-        new_pop.append(Individual(gene=gene, strategy=config.pools[gene].sample_one(rng)))
-    return new_pop
+    if n_genes > 1:
+        offsets = rng.integers(1, n_genes, size=slots)
+        genes = np.where(mutate, (genes + offsets) % n_genes, genes)
+    members = rng.integers(config.pool_sizes[genes])
+    return Population(
+        np.concatenate([population.gene[elites], genes]),
+        np.concatenate([population.member[elites], members]),
+    )
 
 
-def gene_frequencies(population: list[Individual], config: EvolutionConfig) -> dict[Gene, int]:
-    counts = Counter(ind.gene for ind in population)
-    return {gene: counts.get(gene, 0) for gene in config.genes}
+def gene_frequencies(population: Population, config: EvolutionConfig) -> dict[Gene, int]:
+    counts = np.bincount(population.gene, minlength=len(config.genes))
+    return {gene: int(count) for gene, count in zip(config.genes, counts)}
 
 
 def run_generation(
-    population: list[Individual],
+    population: Population,
     config: EvolutionConfig,
     rng: np.random.Generator,
     generation: int = 0,
 ) -> GenerationOutcome:
     """One full generation: play, score, select, refill."""
     fitness, game_welfares, partitions = evaluate_fitness(population, config, rng)
-    for ind, f in zip(population, fitness):
-        ind.fitness = float(f)
     stats = GenerationStats(
         generation=generation,
         gene_frequencies=gene_frequencies(population, config),

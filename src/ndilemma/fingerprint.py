@@ -15,9 +15,9 @@ stack of ``(nodes at that depth) x rollouts`` rows, node-major; very large
 depths are split into stacks of at most ``_STACK_ROWS`` rows, in node
 order. It draws from one random stream per strategy, consumed depth by
 depth from the root down. A strategy without a kernel replays each node
-and rollout on its own, one decision at a time, on a stream addressed by
-(node index, rollout). Deterministic strategies give identical values on
-both paths, faults included.
+and rollout on its own, one decision at a time, on one stream per strategy
+as well, consumed node by node and rollout by rollout. Deterministic
+strategies give identical values on both paths, faults included.
 
 Variation within and between labelled sets of fingerprints is summarised by
 the normalised mean pairwise distance, Cohen's d between set centroids, and
@@ -86,12 +86,10 @@ def _fingerprint_node_scalar(
     params: GameParams,
     node: DecisionNode,
     rollouts: int,
-    seed: int,
-    node_index: int,
+    rng: np.random.Generator,
 ) -> float:
     cooperations = 0
-    for rollout in range(rollouts):
-        rng = rng_for(seed, node_index, rollout)
+    for _ in range(rollouts):
         acc = HistoryAccumulator(kind, params)
         for forced in node.counts:
             own = decide_checked(strategy, acc.observation_for(0), rng, 0)
@@ -198,10 +196,11 @@ def fingerprint(
             raise ValueError(f"node {node.counts} has counts outside 0..{params.n - 1}")
     if strategy.kernel is not None:
         return _fingerprint_stacked(strategy, kind, params, nodes, rollouts, seed)
+    rng = rng_for(seed)
     values = np.empty(len(nodes), dtype=float)
     for i, node in enumerate(nodes):
         try:
-            values[i] = _fingerprint_node_scalar(strategy, kind, params, node, rollouts, seed, i)
+            values[i] = _fingerprint_node_scalar(strategy, kind, params, node, rollouts, rng)
         except StrategyFault as fault:
             raise StrategyFault(
                 fault.label, fault.player, fault.round_index, fault.reason,

@@ -17,10 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import cached_bounds
-from .engine import build_groups, play_game, simulate_batch
+from .engine import MemberTable, build_groups, play_game, simulate_batch
 from .games import GameKind, GameParams
 from .seeding import derive_seed, parallel_map, rng_for
-from .strategies import Strategy, StrategyPool
+from .strategies import StrategyPool
 
 DEFAULT_GROUP_SIZES = (4, 16, 64, 256)
 DEFAULT_SAMPLES_PER_CELL = 200
@@ -85,22 +85,23 @@ class MixGridRow:
         return self.n - self.n_e
 
 
-def _draw_cell_sample(
-    config: MixGridConfig, n: int, n_e: int, sample: int
-) -> list[Strategy]:
+def _draw_cell_sample(config: MixGridConfig, n: int, n_e: int, sample: int) -> np.ndarray:
+    """Member indices of one sample's lineup in ``config.pool_e`` then
+    ``config.pool_c`` order (the latter offset by ``len(config.pool_e)``)."""
     rng = rng_for(config.master_seed, n, n_e, sample, 0)
-    group = config.pool_e.sample_without_replacement(n_e, rng)
-    group += config.pool_c.sample_without_replacement(n - n_e, rng)
-    return group
+    picked_e = config.pool_e.sample_without_replacement(n_e, rng)
+    picked_c = config.pool_c.sample_without_replacement(n - n_e, rng)
+    return np.concatenate([picked_e, len(config.pool_e) + picked_c])
 
 
-def _run_cell(config: MixGridConfig, n: int, n_e: int, threads: int) -> np.ndarray:
+def _run_cell(
+    config: MixGridConfig, table: MemberTable, n: int, n_e: int, threads: int
+) -> np.ndarray:
     """Mean welfare of each sample in one cell."""
     samples = config.samples_per_cell
     params = config.params_for(n)
-    rows = [_draw_cell_sample(config, n, n_e, s) for s in range(samples)]
-    flat = [strategy for row in rows for strategy in row]
-    groups = build_groups(flat)
+    lineups = np.stack([_draw_cell_sample(config, n, n_e, s) for s in range(samples)])
+    groups = build_groups(lineups.ravel(), table)
     if groups is not None:
         batch = simulate_batch(
             config.kind, params, groups, samples,
@@ -110,7 +111,8 @@ def _run_cell(config: MixGridConfig, n: int, n_e: int, threads: int) -> np.ndarr
 
     def one(sample: int) -> float:
         seed = derive_seed(config.master_seed, n, n_e, sample, 1)
-        return play_game(config.kind, params, rows[sample], seed).mean_welfare
+        lineup = [table.strategies[m] for m in lineups[sample]]
+        return play_game(config.kind, params, lineup, seed).mean_welfare
 
     return np.asarray(parallel_map(one, range(samples), threads), dtype=float)
 
@@ -118,12 +120,13 @@ def _run_cell(config: MixGridConfig, n: int, n_e: int, threads: int) -> np.ndarr
 def run_mix_grid(config: MixGridConfig, threads: int = 1) -> list[MixGridRow]:
     """All cells for all group sizes; deterministic given the master seed."""
     config.validate()
+    table = MemberTable.compile(config.pool_e.members + config.pool_c.members)
     out: list[MixGridRow] = []
     for n in config.group_sizes:
         params = config.params_for(n)
         limits = cached_bounds(config.kind, params)
         for n_e in range(n + 1):
-            welfare = _run_cell(config, n, n_e, threads)
+            welfare = _run_cell(config, table, n, n_e, threads)
             std_error = (
                 float(welfare.std(ddof=1) / np.sqrt(len(welfare)))
                 if len(welfare) > 1

@@ -110,8 +110,9 @@ class StrategyPool:
     """A labelled collection of strategies sharing a tag and an attitude.
 
     The (gene_tag, attitude) pair identifies the pool in evolution runs and
-    analysis output. Group draws sample members without replacement, so the
-    pool must be at least as large as the largest requested group.
+    analysis output. Draws return member indices; group draws sample without
+    replacement, so the pool must be at least as large as the largest
+    requested group.
     """
 
     gene_tag: str
@@ -125,16 +126,15 @@ class StrategyPool:
     def __len__(self) -> int:
         return len(self.members)
 
-    def sample_without_replacement(
-        self, count: int, rng: np.random.Generator
-    ) -> list[Strategy]:
+    def sample_without_replacement(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """Indices of ``count`` distinct members."""
         if count > len(self.members):
             raise ValueError(
                 f"pool {self.gene_tag!r}/{self.attitude.value} has "
                 f"{len(self.members)} members; cannot draw {count} without replacement"
             )
-        idx = rng.choice(len(self.members), size=count, replace=False)
-        return [self.members[i] for i in idx]
+        return rng.choice(len(self.members), size=count, replace=False)
 
-    def sample_one(self, rng: np.random.Generator) -> Strategy:
-        return self.members[int(rng.integers(len(self.members)))]
+    def sample_one(self, rng: np.random.Generator) -> int:
+        """Index of one member, drawn uniformly."""
+        return int(rng.integers(len(self.members)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ndilemma import Attitude, Strategy, StrategyPool, make_reference
+from ndilemma.engine import MemberTable, build_groups
 
 
 def reference_pool(kind: str, count: int, tag: str, attitude: Attitude, **kwargs) -> StrategyPool:
@@ -12,6 +13,12 @@ def reference_pool(kind: str, count: int, tag: str, attitude: Attitude, **kwargs
         for i in range(count)
     )
     return StrategyPool(gene_tag=tag, attitude=attitude, members=members)
+
+
+def lineup_groups(lineup: list[Strategy]):
+    """``build_groups`` over a flat slot-major strategy list, one table
+    member per slot."""
+    return build_groups(np.arange(len(lineup)), MemberTable.compile(lineup))
 
 
 @pytest.fixture

@@ -5,10 +5,11 @@ bounds."""
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from conftest import lineup_groups
 
 from ndilemma import GameKind, GameParams
 from ndilemma.bounds import cached_bounds
-from ndilemma.engine import build_groups, simulate_batch
+from ndilemma.engine import simulate_batch
 from ndilemma.kernels import kernel_strategy
 
 UNIT = st.floats(0.0, 1.0)
@@ -55,7 +56,7 @@ def batches(draw):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_recorded_batches_keep_their_invariants(batch):
     kind, params, games, lineup, seed = batch
-    result = simulate_batch(kind, params, build_groups(lineup), games, seed, record=True)
+    result = simulate_batch(kind, params, lineup_groups(lineup), games, seed, record=True)
     np.testing.assert_allclose(result.totals, result.payoffs.sum(axis=0), rtol=1e-12, atol=0)
     if kind is GameKind.COMMON_POOL:
         assert result.stocks.shape == (params.rounds + 1, games)

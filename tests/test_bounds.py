@@ -94,12 +94,14 @@ def test_cpr_beam_bounds_at_grid_sizes(n):
 def test_cpr_beam_bound_covers_a_played_game_at_n256():
     """Sustaining the stock for 19 rounds and strip-mining the last one is
     a play the beam must keep reachable at the default group size."""
-    from ndilemma.engine import build_groups, simulate_batch
+    from conftest import lineup_groups
+
+    from ndilemma.engine import simulate_batch
     from ndilemma.kernels import kernel_strategy
 
     params = GameParams(n=256, rounds=20)
     lineup = [kernel_strategy("endgame", 1.0, 0.0)] * params.n
-    played = simulate_batch(GameKind.COMMON_POOL, params, build_groups(lineup), 1, seed=0)
+    played = simulate_batch(GameKind.COMMON_POOL, params, lineup_groups(lineup), 1, seed=0)
     assert played.mean_welfare[0] == pytest.approx(2.1, abs=1e-12)
     limits = welfare_bounds(GameKind.COMMON_POOL, params)
     assert limits.max_mean >= played.mean_welfare[0] - 1e-12

@@ -167,6 +167,20 @@ class TestEvolve:
             blobs.append((out / "generations.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_multi_run_summary_byte_identical_any_threads(self, tmp_path):
+        doc = self.evolve_config(runs=3, max_generations=3, dominance_threshold=1.0)
+        doc["genes"][1]["source"] = {"type": "synth", "size": 16, "families": [
+            {"family": "bernoulli"}, {"family": "reciprocator"}, {"family": "grim"}]}
+        config = write_json(tmp_path / "cfg.json", doc)
+        blobs = []
+        for name, threads in (("a", "1"), ("b", "2"), ("c", "1")):
+            out = tmp_path / name
+            assert main([
+                "evolve", "--config", str(config), "--out", str(out), "--threads", threads,
+            ]) == 0
+            blobs.append([(out / f).read_bytes() for f in ("summary.json", "summary.csv")])
+        assert blobs[0] == blobs[1] == blobs[2]
+
 
 class TestFingerprintCmd:
     def fingerprint_config(self) -> dict:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import lineup_groups
 
 from ndilemma import (
     Action,
@@ -14,8 +15,9 @@ from ndilemma import (
     make_reference,
     play_game,
 )
-from ndilemma.engine import build_groups, play_many, simulate_batch
-from ndilemma.kernels import kernel_strategy
+from ndilemma.engine import KernelGroup, MemberTable, build_groups, play_many, simulate_batch
+from ndilemma.kernels import FAMILIES, PolicyTable, kernel_strategy
+from ndilemma.policy import PolicyRule, PolicySpec, Predicate, policy_strategy
 
 
 def test_pgg_all_defect_single_round():
@@ -135,7 +137,7 @@ def test_batch_engine_matches_scalar_engine(kind, specs):
         lineup[-1] = kernel_strategy("stock_guardian", 0.6)
     params = GameParams(n=4, rounds=9, k=2.0)
     scalar = play_game(kind, params, lineup, seed=1)
-    batch = simulate_batch(kind, params, build_groups(lineup), 1, seed=2, record=True)
+    batch = simulate_batch(kind, params, lineup_groups(lineup), 1, seed=2, record=True)
     assert np.array_equal(scalar.coop, batch.coop[:, 0, :])
     assert np.array_equal(scalar.payoffs, batch.payoffs[:, 0, :])
 
@@ -148,7 +150,7 @@ def test_batch_stacks_are_independent():
     rows = [[alld, alld], [cc1, cc1], [alld, cc1]]
     flat = [s for row in rows for s in row]
     batch = simulate_batch(
-        GameKind.PUBLIC_GOODS, params, build_groups(flat), 3, seed=0, record=True
+        GameKind.PUBLIC_GOODS, params, lineup_groups(flat), 3, seed=0, record=True
     )
     for g, row in enumerate(rows):
         solo = play_game(GameKind.PUBLIC_GOODS, params, row, seed=123)
@@ -165,12 +167,96 @@ def test_play_many_scalar_fallback_matches_kernel_path():
         kernel_strategy("threshold_trigger", 1.0, 3.0, 1.0),
     ]
     params = GameParams(n=4, rounds=10, k=2.0)
-    rows = [lineup, lineup[::-1]]
-    fast_totals, fast_welfare = play_many(GameKind.PUBLIC_GOODS, params, rows, seed=7)
-    bare = [[s.without_kernel() for s in row] for row in rows]
-    slow_totals, slow_welfare = play_many(GameKind.PUBLIC_GOODS, params, bare, seed=7)
+    rows = np.array([[0, 1, 2, 3], [3, 2, 1, 0]])
+    kernels = MemberTable.compile(lineup)
+    fast_totals, fast_welfare = play_many(GameKind.PUBLIC_GOODS, params, rows, kernels, seed=7)
+    bare = MemberTable.compile([s.without_kernel() for s in lineup])
+    slow_totals, slow_welfare = play_many(GameKind.PUBLIC_GOODS, params, rows, bare, seed=7)
     assert np.array_equal(fast_totals, slow_totals)
     assert np.array_equal(fast_welfare, slow_welfare)
+
+
+def _policy_member(n_rules: int) -> Strategy:
+    """A stochastic policy member with ``n_rules`` round-keyed rules."""
+    rules = tuple(
+        PolicyRule(Predicate("round_is", value=float(i)), float(i % 2)) for i in range(n_rules)
+    )
+    return policy_strategy(PolicySpec(f"policy{n_rules}", rules, 0.5))
+
+
+# the last member, the widest policy table, is never picked, so the table's
+# policy rows are padded wider than any picked lineup needs
+TABLE_MEMBERS = [
+    kernel_strategy("grim", 0.5),
+    kernel_strategy("bernoulli", 0.3),
+    kernel_strategy("rota", 3.0, 1.0, 1.0),
+    kernel_strategy("reciprocator", 0.5, 0.2),
+    kernel_strategy("endgame", 2.0, 0.5),
+    make_reference("cc", t=1),
+    _policy_member(0),
+    _policy_member(1),
+    _policy_member(3),
+    _policy_member(7),
+]
+
+
+def _stacked_one_by_one(lineup: list[Strategy]) -> list[KernelGroup]:
+    """Group a strategy lineup slot by slot, stacking each family's picked
+    rows on their own."""
+    by_family: dict[str, tuple[list, list, list]] = {}
+    for slot, strategy in enumerate(lineup):
+        name, vec = strategy.kernel
+        rows, slots, labels = by_family.setdefault(name, ([], [], []))
+        rows.append(vec)
+        slots.append(slot)
+        labels.append(strategy.label)
+    groups = []
+    for name, (rows, slots, labels) in by_family.items():
+        family = FAMILIES[name]
+        P = family.stack(rows)
+        groups.append(KernelGroup(family, P, np.array(slots), labels, family.new_state(P)))
+    return groups
+
+
+@given(
+    st.sampled_from(list(GameKind)),
+    st.integers(2, 5),
+    st.integers(1, 4),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_gathered_groups_match_groups_stacked_one_by_one(kind, n, games, data):
+    table = MemberTable.compile(TABLE_MEMBERS)
+    picks = data.draw(st.lists(
+        st.integers(0, len(TABLE_MEMBERS) - 2), min_size=n * games, max_size=n * games,
+    ))
+    members = np.array(picks)
+    gathered = build_groups(members, table)
+    reference = _stacked_one_by_one([TABLE_MEMBERS[m] for m in picks])
+    assert [g.family.name for g in gathered] == [g.family.name for g in reference]
+    for got, want in zip(gathered, reference):
+        assert np.array_equal(got.slots, want.slots)
+        assert list(got.labels) == want.labels
+        width = want.params.shape[1]
+        assert np.array_equal(got.params[:, :width], want.params, equal_nan=True)
+        extra = got.params[:, width:]
+        if extra.size:  # only policy tables pad, and only with never-matching rules
+            assert got.family is FAMILIES["policy"]
+            pad = np.tile(PolicyTable._PAD_RULE, extra.shape[1] // len(PolicyTable._PAD_RULE))
+            assert np.array_equal(extra, np.broadcast_to(pad, extra.shape), equal_nan=True)
+    params = GameParams(n=n, rounds=6, k=(1 + n) / 2)
+    a = simulate_batch(kind, params, gathered, games, seed=11, record=True)
+    b = simulate_batch(kind, params, reference, games, seed=11, record=True)
+    assert np.array_equal(a.coop, b.coop)
+    assert np.array_equal(a.payoffs, b.payoffs)
+    if kind is GameKind.COMMON_POOL:
+        assert np.array_equal(a.stocks, b.stocks)
+
+
+def test_build_groups_falls_back_when_a_picked_member_has_no_kernel():
+    table = MemberTable.compile([make_reference("allc"), make_reference("alld").without_kernel()])
+    assert build_groups(np.array([0, 0, 0]), table) is not None
+    assert build_groups(np.array([0, 1, 0]), table) is None
 
 
 @given(st.integers(0, 2**63 - 1))

@@ -1,6 +1,7 @@
 """Cultural evolution: partitions, selection, termination, bookkeeping."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,21 +13,30 @@ from ndilemma import (
     GameKind,
     GameParams,
     Gene,
+    StrategyPool,
     batch_runs,
     run_evolution,
     run_generation,
     welfare_efficiency,
 )
+from ndilemma.engine import play_many
 from ndilemma.evolution import (
+    Population,
+    evaluate_fitness,
     gene_frequencies,
     initial_population,
     sample_partitions,
     write_generations_csv,
 )
+from ndilemma.pools import FamilySpec, synth_pool
 from ndilemma.seeding import rng_for
 
 G_D = Gene("base", Attitude.EXPLOITATIVE)
 G_C = Gene("base", Attitude.COLLECTIVE)
+
+
+def _pairs(population):
+    return list(zip(population.gene.tolist(), population.member.tolist()))
 
 
 def two_gene_config(**overrides):
@@ -107,13 +117,9 @@ class TestInitialPopulation:
 
 class TestRunGeneration:
     def test_single_gene_stays_single_without_mutation(self):
-        from ndilemma.evolution import Individual
-
         config = two_gene_config(mutation_rate=0.0)
-        population = [
-            Individual(gene=G_D, strategy=ind.strategy)
-            for ind in initial_population(config, rng_for(1))
-        ]
+        start = initial_population(config, rng_for(1))
+        population = Population(np.zeros_like(start.gene), start.member)
         outcome = run_generation(population, config, rng_for(2))
         freqs = gene_frequencies(outcome.population, config)
         assert freqs[G_D] == 64 and freqs[G_C] == 0
@@ -123,30 +129,19 @@ class TestRunGeneration:
         population = initial_population(config, rng_for(3))
         for generation in range(10):
             outcome = run_generation(population, config, rng_for(4, generation))
-            previous = {ind.gene for ind in population}
-            current = {ind.gene for ind in outcome.population}
+            previous = {config.genes[g] for g in population.gene}
+            current = {config.genes[g] for g in outcome.population.gene}
             assert current <= previous
             population = outcome.population
 
     def test_elites_carried_over_unchanged(self):
-        from ndilemma.evolution import Individual
-        from ndilemma.strategies import Strategy
-
         config = two_gene_config()
-        # unique strategy objects so elites can be traced by identity
-        population = []
-        for i in range(64):
-            gene = G_D if i % 2 == 0 else G_C
-            base = config.pools[gene].members[i]
-            population.append(
-                Individual(gene=gene, strategy=Strategy(f"u{i}", base.origin, base.decide, base.kernel))
-            )
+        # unique (gene, member) pairs so elites can be traced to their source
+        population = Population(np.arange(64) % 2, np.arange(64))
         outcome = run_generation(population, config, rng_for(6))
-        by_strategy = {id(ind.strategy): k for k, ind in enumerate(population)}
-        elites = outcome.population[:8]
-        sources = [by_strategy[id(ind.strategy)] for ind in elites]
-        for ind, src in zip(elites, sources):
-            assert ind.gene == population[src].gene  # gene kept with strategy
+        by_pair = {pair: k for k, pair in enumerate(_pairs(population))}
+        elites = _pairs(outcome.population)[:8]
+        sources = [by_pair[pair] for pair in elites]  # gene kept with member
         elite_fitness = sorted(outcome.fitness[sources].tolist())
         assert elite_fitness == sorted(outcome.fitness.tolist())[-8:]
 
@@ -167,13 +162,58 @@ class TestRunGeneration:
         for trial in range(100):
             population = initial_population(config, rng_for(9, trial))
             outcome = run_generation(population, config, rng_for(10, trial))
-            for ind, fit in zip(population, outcome.fitness):
-                ind.fitness = float(fit)
-            d_fit = np.mean([i.fitness for i in population if i.gene == G_D])
-            c_fit = np.mean([i.fitness for i in population if i.gene == G_C])
+            d_fit = outcome.fitness[population.gene == 0].mean()
+            c_fit = outcome.fitness[population.gene == 1].mean()
             assert d_fit > c_fit  # within-group +1 advantage survives averaging
             growth.append(gene_frequencies(outcome.population, config)[G_D] - 32)
         assert np.mean(growth) > 2.0
+
+
+def deterministic_config(kind: GameKind, **overrides):
+    """Two genes over pools of deterministic, history-reading members."""
+    families = [
+        FamilySpec("threshold_trigger"), FamilySpec("grim"),
+        FamilySpec("endgame"), FamilySpec("rota"),
+    ]
+    pools = {
+        G_D: synth_pool(families, 24, 1, "base", Attitude.EXPLOITATIVE),
+        G_C: synth_pool(families, 24, 2, "base", Attitude.COLLECTIVE),
+    }
+    return two_gene_config(kind=kind, pools=pools, **overrides)
+
+
+class TestOneStackPerGeneration:
+    @pytest.mark.parametrize("kind", list(GameKind))
+    def test_one_stack_matches_playing_each_wave(self, kind):
+        config = deterministic_config(kind)
+        population = initial_population(config, rng_for(30))
+        fitness, welfare, partitions = evaluate_fitness(population, config, rng_for(31))
+        rows = config.pool_starts[population.gene] + population.member
+        fitness_sum = np.zeros(len(population))
+        welfares = []
+        for wave, partition in enumerate(partitions):
+            totals, wave_welfare = play_many(
+                kind, config.params, rows[partition], config.member_table, seed=wave
+            )
+            fitness_sum[partition.ravel()] += (totals / config.params.rounds).ravel()
+            welfares.append(wave_welfare)
+        assert len(np.unique(fitness)) > 1  # the lineups matter
+        assert np.array_equal(fitness, fitness_sum / config.games_per_agent)
+        assert np.array_equal(welfare, np.concatenate(welfares))
+
+    @pytest.mark.parametrize("kind", list(GameKind))
+    def test_per_decision_fallback_evolves_like_the_kernel_path(self, kind):
+        config = deterministic_config(
+            kind, population=16, elites=2, max_generations=4, dominance_threshold=1.0
+        )
+        bare = replace(config, pools={
+            gene: StrategyPool(
+                pool.gene_tag, pool.attitude, tuple(m.without_kernel() for m in pool.members)
+            )
+            for gene, pool in config.pools.items()
+        })
+        assert (bare.member_table.family < 0).all()
+        assert run_evolution(bare) == run_evolution(config)
 
 
 class TestRunEvolution:

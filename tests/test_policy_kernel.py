@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from conftest import lineup_groups
 
 from ndilemma import GameKind, GameParams, SchemaError, StrategyFault, play_game
-from ndilemma.engine import build_groups, simulate_batch
+from ndilemma.engine import simulate_batch
 from ndilemma.fingerprint import enumerate_nodes, fingerprint
 from ndilemma.kernels import FAMILIES, KernelFamily
 from ndilemma.policy import (
@@ -85,7 +86,7 @@ def test_compiled_tables_play_like_the_interpreter(game):
         lambda: play_game(kind, params, [s.without_kernel() for s in lineup], seed=1)
     )
     batch, batch_fault = _outcome(
-        lambda: simulate_batch(kind, params, build_groups(lineup), 1, seed=2, record=True)
+        lambda: simulate_batch(kind, params, lineup_groups(lineup), 1, seed=2, record=True)
     )
     assert scalar_fault == batch_fault
     if scalar_fault is None:
@@ -101,7 +102,7 @@ def test_stochastic_tables_reproduce_from_their_seed(game):
     kind, params, lineup = game
     runs = [
         _outcome(lambda: simulate_batch(
-            kind, params, build_groups(lineup * 2), 2, seed=5, record=True
+            kind, params, lineup_groups(lineup * 2), 2, seed=5, record=True
         ))
         for _ in range(2)
     ]
@@ -123,7 +124,7 @@ def test_fault_names_the_member_that_divides_by_zero():
     lineup = [policy_strategy(_spec(f"safe{i}", [(safe, 1.0)])) for i in range(5)]
     lineup[2] = policy_strategy(_spec("divider", [(trap, 0.0)]))
     params = GameParams(n=5, rounds=4, k=2.0)
-    groups = build_groups(lineup * 3)
+    groups = lineup_groups(lineup * 3)
     assert len(groups) == 1
     with pytest.raises(StrategyFault) as info:
         simulate_batch(GameKind.PUBLIC_GOODS, params, groups, 3, seed=0)
@@ -144,7 +145,7 @@ def test_zero_denominator_with_undefined_numerator_does_not_trap():
     lineup = [policy_strategy(_spec(f"r{i}", [(rule, 0.0)])) for i in range(3)]
     params = GameParams(n=3, rounds=3, k=2.0)
     batch = simulate_batch(
-        GameKind.PUBLIC_GOODS, params, build_groups(lineup), 1, seed=0, record=True
+        GameKind.PUBLIC_GOODS, params, lineup_groups(lineup), 1, seed=0, record=True
     )
     assert batch.coop[:, 0, :].tolist() == [[True] * 3, [False] * 3, [False] * 3]
 
@@ -156,7 +157,7 @@ def test_step_budget_fault_reason_on_batched_paths():
     params = GameParams(n=3, rounds=3, k=2.0)
     with pytest.raises(StrategyFault) as info:
         simulate_batch(
-            GameKind.COLLECTIVE_RISK, params, build_groups([allc, allc, mill]), 1, seed=0
+            GameKind.COLLECTIVE_RISK, params, lineup_groups([allc, allc, mill]), 1, seed=0
         )
     fault = info.value
     assert (fault.label, fault.player, fault.reason) == ("rule-mill", 2, "step_budget")
@@ -191,7 +192,7 @@ def test_wrong_shaped_batch_result_is_an_invalid_action(monkeypatch):
     odd = Strategy("odd", "parametric", lambda obs, rng: None, kernel=("shapeless", (0.0,)))
     params = GameParams(n=2, rounds=2, k=1.5)
     with pytest.raises(StrategyFault) as info:
-        simulate_batch(GameKind.PUBLIC_GOODS, params, build_groups([odd, odd]), 1, seed=0)
+        simulate_batch(GameKind.PUBLIC_GOODS, params, lineup_groups([odd, odd]), 1, seed=0)
     assert (info.value.label, info.value.reason) == ("odd", "invalid_action")
 
 

@@ -149,7 +149,7 @@ class TestFamilies:
 class TestStrategyPool:
     def test_sampling_without_replacement_no_duplicates(self, alld_pool, rng):
         draw = alld_pool.sample_without_replacement(100, rng)
-        assert len({id(s) for s in draw}) == 100
+        assert len(set(draw.tolist())) == 100
 
     def test_oversampling_rejected(self, rng):
         pool = StrategyPool("tiny", Attitude.COLLECTIVE, (make_reference("allc"),))
