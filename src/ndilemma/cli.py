@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -293,7 +294,7 @@ def cmd_selfplay(args: argparse.Namespace) -> int:
         grid.validate()
     except ValueError as exc:
         raise ConfigError(str(exc))
-    rows = run_mix_grid(grid, args.threads)
+    rows = run_mix_grid(grid)
     out_dir = _prepare_out(args.out)
     emit_grid_csv(rows, out_dir / "grid.csv")
     manifest = RunManifest("selfplay", __version__, seed, config_digest(config))
@@ -414,7 +415,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 ])
         manifest = RunManifest(
             "validate", __version__, args.seed,
-            config_digest({"pool": str(args.pool), "game": kind.value, "n": params.n}),
+            config_digest({
+                "pool": str(args.pool), "game": kind.value, **asdict(params),
+                "trials": args.trials, "seed": args.seed,
+            }),
         )
         manifest.add_output(out_dir, out_dir / "validation.csv")
         manifest.write(out_dir)
@@ -455,7 +459,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         )
         manifest = RunManifest(
             "bounds", __version__, 0,
-            config_digest({"game": kind.value, "n": params.n, "rounds": params.rounds}),
+            config_digest({"game": kind.value, **asdict(params)}),
         )
         manifest.add_output(out_dir, out_dir / "bounds.json")
         manifest.write(out_dir)

@@ -1,15 +1,16 @@
-"""Game execution: the per-decision reference engine and the batched engine.
+"""Game execution: one engine for every strategy.
 
-``play_game`` runs one iterated game, calling each strategy once per round
-with a fresh observation; it is the reference semantics and keeps the full
-round-by-round record. ``simulate_batch`` runs a stack of games whose
-strategies all have kernels (the built-in families and compiled policy
-files), advancing every game and player with array operations; it exists
-because the self-play grids and cultural-evolution runs need millions of
-decisions.
-
-Both paths share the payoff cores in ``games`` and, for deterministic
-strategies, produce identical games (asserted by the test suite).
+``simulate_batch`` runs a stack of games in lockstep with array operations;
+every game plays through it, ``play_game`` as a stack of one that keeps the
+round-by-round record. Kernel strategies (the built-in families and
+compiled policy files) decide per family for all their slots at once. A
+strategy without a kernel, such as a user-written callable, plays as the
+``callable`` family: its ``decide`` is called once per decision on the
+``Observation`` a per-decision loop would build, so only its own slots pay
+the per-decision cost. A kernel strategy's own ``decide`` (a family's
+``decide_one`` or the policy interpreter) is the reference that its
+``without_kernel()`` copy plays; deterministic strategies give identical
+games either way (asserted by the test suite).
 
 A strategy that raises, exceeds its step budget, or returns a non-action
 aborts the game with a ``StrategyFault`` naming the offender.
@@ -17,27 +18,19 @@ aborts the game with a ``StrategyFault`` naming the offender.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .games import (
-    Action,
-    GameKind,
-    GameParams,
-    GameResult,
-    RoundRecord,
-    batch_round_payoffs,
-    cpr_next_stock,
-    cpr_payoff_pair,
-    crd_payoff_pair,
-    pgg_payoff_pair,
-)
+from .games import Action, GameKind, GameParams, GameResult, RoundRecord, batch_round_payoffs
 from .kernels import FAMILIES, KernelFamily, SlotFault, SlotView
 from .policy import StepBudgetExceeded
-from .seeding import derive_seed, rng_for
+from .seeding import rng_for
 from .strategies import Observation, Strategy
+
+_log = logging.getLogger("ndilemma")
 
 
 class StrategyFault(RuntimeError):
@@ -60,10 +53,11 @@ class StrategyFault(RuntimeError):
 
 
 class HistoryAccumulator:
-    """Incremental game state shared by the scalar engine and fingerprinting.
+    """Incremental state of one game, for the per-decision ``Observation``.
 
     Tracks completed rounds plus the running aggregates needed to build
-    observations in O(1) per player.
+    observations in O(1) per player. The ``callable`` family keeps one per
+    game; the per-decision fingerprint reference keeps one per rollout.
     """
 
     def __init__(self, kind: GameKind, params: GameParams):
@@ -96,33 +90,28 @@ class HistoryAccumulator:
             my_last_action=Action.C if my_last_c else Action.D,
         )
 
-    def push_round(self, coop: list[bool]) -> RoundRecord:
-        """Record a completed round, computing payoffs and the next stock."""
-        params = self.params
-        n_c = sum(coop)
-        if self.kind is GameKind.PUBLIC_GOODS:
-            pay_c, pay_d = pgg_payoff_pair(n_c, params)
-            next_stock = None
-        elif self.kind is GameKind.COLLECTIVE_RISK:
-            pay_c, pay_d = crd_payoff_pair(n_c, params)
-            next_stock = None
-        else:
-            pay_c, pay_d = cpr_payoff_pair(self.stock, params)
-            next_stock = cpr_next_stock(self.stock, n_c, params)
+    def push_round(self, coop: Sequence[bool]) -> RoundRecord:
+        """Record a completed round; its payoffs and the next stock come from
+        ``batch_round_payoffs`` on this one game."""
+        row = np.asarray(coop, dtype=bool)
+        stock = None if self.stock is None else np.array([self.stock])
+        payoffs, next_stock = batch_round_payoffs(self.kind, self.params, row[None], stock)
+        coop = row.tolist()
         record = RoundRecord(
             actions=tuple(Action.C if c else Action.D for c in coop),
-            payoffs=tuple(pay_c if c else pay_d for c in coop),
+            payoffs=tuple(payoffs[0].tolist()),
             stock_before=self.stock,
-            stock_after=next_stock,
+            stock_after=None if next_stock is None else float(next_stock[0]),
         )
         self.history = self.history + (record,)
         for i, c in enumerate(coop):
             if c:
                 self._coop_cum[i] += 1
+        n_c = sum(coop)
         self._total_cum += n_c
         self._last_coop = coop
         self._last_total = n_c
-        self.stock = next_stock
+        self.stock = record.stock_after
         self.round_index += 1
         return record
 
@@ -171,39 +160,46 @@ def decide_group(
     raise SlotFault(0, "invalid_action", f"decide_batch returned {got}, expected {len(P)} bools")
 
 
-def play_game(
-    kind: GameKind,
-    params: GameParams,
-    strategies: list[Strategy],
-    seed: int,
-) -> GameResult:
-    """Run one full iterated game; deterministic given the seed.
+class CallableFamily(KernelFamily):
+    """Strategies without a kernel, such as user-written callables.
 
-    Every round, all strategies observe the completed history and move
-    simultaneously. The common-pool stock starts at the carrying capacity.
+    A parameter row holds the strategy itself. Each game that holds a slot
+    of this family keeps one ``HistoryAccumulator``, so every slot's
+    ``decide`` sees the ``Observation`` a per-decision loop would build. It
+    is called through ``decide_checked``, slot by slot in slot order on the
+    stack's stream, and a fault is raised at the slot that made it.
     """
-    if len(strategies) != params.n:
-        raise ValueError(f"need {params.n} strategies, got {len(strategies)}")
-    acc = HistoryAccumulator(kind, params)
-    rng = rng_for(seed)
-    n, r = params.n, params.rounds
-    coop_mat = np.empty((r, n), dtype=bool)
-    payoff_mat = np.empty((r, n), dtype=float)
-    totals = np.zeros(n)
-    stocks = [acc.stock] if acc.stock is not None else None
-    for t in range(r):
-        coop = [
-            decide_checked(s, acc.observation_for(i), rng, i) is Action.C
-            for i, s in enumerate(strategies)
-        ]
-        record = acc.push_round(coop)
-        coop_mat[t] = coop
-        payoff_mat[t] = record.payoffs
-        totals += payoff_mat[t]
-        if stocks is not None:
-            stocks.append(record.stock_after)
-    stock_arr = np.asarray(stocks) if stocks is not None else None
-    return GameResult(kind, params, coop_mat, payoff_mat, stock_arr, player_totals=totals)
+
+    name = "callable"
+    param_names = ("strategy",)
+
+    def stack(self, rows):
+        return np.array(rows, dtype=object)[:, None]
+
+    def new_state(self, P):
+        return {}  # game index -> HistoryAccumulator, filled in round 0
+
+    def decide_batch(self, P, state, view, rng):
+        games, players = np.divmod(view.slots, view.n)
+        if view.t == 0:
+            for game in set(games.tolist()):
+                state[game] = HistoryAccumulator(view.kind, view.params)
+        else:
+            for game, acc in state.items():
+                acc.push_round(view.last[game])
+        acts = np.empty(len(P), dtype=bool)
+        for i, (strategy, game, player) in enumerate(
+            zip(P[:, 0], games.tolist(), players.tolist())
+        ):
+            try:
+                action = decide_checked(strategy, state[game].observation_for(player), rng, player)
+            except StrategyFault as fault:
+                raise SlotFault(i, fault.reason, fault.detail) from fault
+            acts[i] = action is Action.C
+        return acts
+
+
+CALLABLE = CallableFamily()
 
 
 # ---------------------------------------------------------------------------
@@ -229,54 +225,60 @@ class MemberTable:
     Member ``m`` plays kernel family ``families[family[m]]`` with parameter
     row ``params[family[m]][row[m]]``; each family's rows are stacked once
     with ``family.stack``, so policy tables are padded once, to the widest
-    table. ``family[m]`` is -1 for a member without a kernel, which plays
-    ``strategies[m]`` on the per-decision engine.
+    table. A member without a kernel plays the ``callable`` family, whose
+    row is the strategy itself.
     """
 
-    strategies: tuple[Strategy, ...]
     labels: np.ndarray  # (members,) object array
-    family: np.ndarray  # (members,) family code, -1 without a kernel
+    family: np.ndarray  # (members,) family code
     row: np.ndarray  # (members,) row into that family's parameter matrix
     families: tuple[KernelFamily, ...]
     params: tuple[np.ndarray, ...]
 
     @classmethod
-    def compile(cls, strategies: Sequence[Strategy]) -> "MemberTable":
-        codes: dict[str, int] = {}
-        rows: list[list[tuple[float, ...]]] = []
-        family = np.full(len(strategies), -1, dtype=np.int64)
-        row = np.zeros(len(strategies), dtype=np.int64)
+    def compile(cls, strategies: Sequence[Strategy], warn: bool = True) -> "MemberTable":
+        """Compile ``strategies``; unless ``warn`` is False, log one warning
+        naming the members without a kernel, which play per decision."""
+        codes: dict[KernelFamily, int] = {}
+        rows: list[list] = []
+        family = np.empty(len(strategies), dtype=np.int64)
+        row = np.empty(len(strategies), dtype=np.int64)
         for m, strategy in enumerate(strategies):
             if strategy.kernel is None:
-                continue
-            name, vec = strategy.kernel
-            code = codes.setdefault(name, len(codes))
+                fam, vec = CALLABLE, strategy
+            else:
+                name, vec = strategy.kernel
+                fam = FAMILIES[name]
+            code = codes.setdefault(fam, len(codes))
             if code == len(rows):
                 rows.append([])
             family[m] = code
             row[m] = len(rows[code])
             rows[code].append(vec)
-        families = tuple(FAMILIES[name] for name in codes)
+        bare = [s.label for s in strategies if s.kernel is None]
+        if bare and warn:
+            more = f" and {len(bare) - 3} more" if len(bare) > 3 else ""
+            _log.warning(
+                "%d member(s) without a kernel play per decision: %s%s",
+                len(bare), ", ".join(repr(label) for label in bare[:3]), more,
+            )
         return cls(
-            strategies=tuple(strategies),
             labels=np.array([s.label for s in strategies], dtype=object),
             family=family,
             row=row,
-            families=families,
-            params=tuple(fam.stack(vecs) for fam, vecs in zip(families, rows)),
+            families=tuple(codes),
+            params=tuple(fam.stack(vecs) for fam, vecs in zip(codes, rows)),
         )
 
 
-def build_groups(members: np.ndarray, table: MemberTable) -> list[KernelGroup] | None:
-    """Gather a flat slot-major lineup of member indices into kernel groups.
+def build_groups(members: np.ndarray, table: MemberTable) -> list[KernelGroup]:
+    """Gather a flat slot-major lineup of member indices into one kernel
+    group per family present.
 
-    Returns None if any member lacks a kernel, in which case callers fall
-    back to the per-decision engine. Group order follows each family's first
-    appearance among the slots so random-stream consumption is reproducible.
+    Group order follows each family's first appearance among the slots so
+    random-stream consumption is reproducible.
     """
     codes = table.family[members]
-    if (codes < 0).any():
-        return None
     present, first = np.unique(codes, return_index=True)
     groups = []
     for code in present[np.argsort(first)]:
@@ -360,6 +362,10 @@ def simulate_batch(
                 opp_coop=None if opp_coop_flat is None else opp_coop_flat[idx],
                 opp_rate=None if opp_rate_flat is None else opp_rate_flat[idx],
                 stock_frac=None if stock_frac_flat is None else stock_frac_flat[idx],
+                kind=kind,
+                params=params,
+                slots=idx,
+                last=prev,
             )
             try:
                 acts_flat[idx] = decide_group(group.family, group.params, group.state, view, rng)
@@ -398,21 +404,30 @@ def play_many(
     """Play a stack of same-shaped games; returns (totals, mean_welfare).
 
     ``lineups`` is an (S, n) array of ``table`` member indices, one row per
-    game. Takes the batched path when every member has a kernel, otherwise
-    plays each game through the per-decision engine with a per-game derived
-    seed. Which path runs is a pure function of the members, so results are
-    reproducible either way.
+    game, played as one ``simulate_batch`` stack.
     """
-    S = len(lineups)
-    groups = build_groups(lineups.ravel(), table)
-    if groups is not None:
-        result = simulate_batch(kind, params, groups, S, seed)
-        return result.totals, result.mean_welfare
-    totals = np.empty((S, params.n), dtype=float)
-    welfare = np.empty(S, dtype=float)
-    for g, row in enumerate(lineups):
-        lineup = [table.strategies[m] for m in row]
-        result = play_game(kind, params, lineup, derive_seed(seed, g))
-        totals[g] = result.player_totals
-        welfare[g] = result.mean_welfare
-    return totals, welfare
+    result = simulate_batch(kind, params, build_groups(lineups.ravel(), table), len(lineups), seed)
+    return result.totals, result.mean_welfare
+
+
+def play_game(
+    kind: GameKind,
+    params: GameParams,
+    strategies: list[Strategy],
+    seed: int,
+) -> GameResult:
+    """Run one full iterated game, as a stack of one; deterministic given
+    the seed.
+
+    Every round, all strategies observe the completed history and move
+    simultaneously. The common-pool stock starts at the carrying capacity.
+    """
+    if len(strategies) != params.n:
+        raise ValueError(f"need {params.n} strategies, got {len(strategies)}")
+    # a single game has no faster path to point at, so no warning
+    groups = build_groups(np.arange(params.n), MemberTable.compile(strategies, warn=False))
+    batch = simulate_batch(kind, params, groups, 1, seed, record=True)
+    stocks = None if batch.stocks is None else batch.stocks[:, 0]
+    return GameResult(
+        kind, params, batch.coop[:, 0], batch.payoffs[:, 0], stocks, player_totals=batch.totals[0]
+    )

@@ -276,8 +276,8 @@ class GameResult:
     coop: np.ndarray  # bool (rounds, n)
     payoffs: np.ndarray  # float (rounds, n)
     stocks: np.ndarray | None  # float (rounds + 1,) for CPR, else None
-    # round-by-round accumulated player totals; engines fill this so that the
-    # per-decision and batched paths aggregate in the same order
+    # round-by-round accumulated player totals; the engine fills this so that
+    # a game played alone and inside a stack aggregates in the same order
     player_totals: np.ndarray | None = None
     _rounds: list[RoundRecord] | None = field(default=None, repr=False)
 

@@ -1,19 +1,19 @@
-"""Built-in strategy families with paired per-decision and batched deciders.
+"""Built-in strategy families: batched deciders and per-decision references.
 
-Each family defines the same rule twice: ``decide_one`` works on a single
-``Observation`` (the reference semantics, used by the per-decision engine,
-validation, and fingerprint fallbacks), and ``decide_batch`` works on arrays
-over many (game, player) slots at once, which is what makes group sizes in
-the hundreds and grids with tens of thousands of games tractable. The two
-forms are kept adjacent in one class per family and are cross-checked by the
-test suite; any deterministic family must produce identical games on both
-paths. The ``policy`` family is the exception: its rows are rule tables
-compiled from policy files, and its per-decision form is the rule
-interpreter in ``policy``.
+Each family's ``decide_batch`` works on arrays over many (game, player)
+slots at once; every game plays it, from one ``play_game`` to grids with
+tens of thousands of games and group sizes in the hundreds. Each family
+keeps the same rule as ``decide_one`` on a single ``Observation``: the
+reference the tests compare against. It is a kernel strategy's ``decide``,
+which its ``without_kernel()`` copy plays one decision at a time as the
+engine's ``callable`` family; deterministic families must produce identical
+games both ways. The ``policy`` family is the exception: its rows are rule
+tables compiled from policy files, and its per-decision reference is the
+rule interpreter in ``policy``.
 
-Stochastic families may consume their random stream differently on the two
-paths (batched draws versus lazy scalar draws); each path is individually
-reproducible from its seed.
+Stochastic families consume their random stream differently in the two
+forms (batched draws versus lazy scalar draws); each is reproducible from
+its seed.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import Action
+from .games import Action, GameKind, GameParams
 from .strategies import Observation, Strategy
 
 _EPS = 1e-9
@@ -54,7 +54,10 @@ class SlotView:
 
     Arrays are aligned with the slots a family was asked to decide for.
     ``prev_c``, ``opp_coop`` and ``opp_rate`` are None in round 0;
-    ``stock_frac`` is None outside the common-pool game.
+    ``stock_frac`` is None outside the common-pool game. The engine's
+    ``callable`` family also reads the whole stack: ``slots`` holds each
+    slot's flat ``game * n + player`` index and ``last`` the previous
+    round's (games, n) actions, None in round 0.
     """
 
     t: int
@@ -65,6 +68,10 @@ class SlotView:
     opp_coop: np.ndarray | None
     opp_rate: np.ndarray | None
     stock_frac: np.ndarray | None
+    kind: GameKind | None = None
+    params: GameParams | None = None
+    slots: np.ndarray | None = None
+    last: np.ndarray | None = None
 
 
 class KernelFamily:
@@ -457,11 +464,12 @@ class PolicyTable(KernelFamily):
                 slot, "step_budget",
                 f"exceeded {int(P[slot, 0])} predicate evaluations in one decision",
             )
+        # the interpreter's exception type and message
         if view.stock_frac is None and state.touches[slot, rule]:
-            detail = "stock_frac is undefined outside the common-pool game"
+            detail = "PolicyEvaluationError: stock_frac is undefined outside the common-pool game"
         else:
-            detail = "ratio denominator is zero"
-        raise SlotFault(slot, "exception", f"rule {rule}: {detail}")
+            detail = "ZeroDivisionError: float division by zero"
+        raise SlotFault(slot, "exception", f"{detail} (rule {rule})")
 
 
 FAMILIES: dict[str, KernelFamily] = {

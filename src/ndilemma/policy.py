@@ -13,10 +13,13 @@ example a ratio predicate dividing by zero rounds remaining) aborts the game
 with a fault that names the strategy; the validation gate turns such faults
 into rejections.
 
-Each member is also compiled to a rule table (``compile_spec``) that the
-``policy`` kernel family evaluates for whole stacks of games at once; the
-interpreter here stays the per-decision reference for ``play_game``, the
-validation gate and the tests.
+Each member is compiled to a rule table (``compile_spec``) that the
+``policy`` kernel family evaluates for whole stacks of games at once, and
+every game plays that table on the one engine, ``play_game`` and the
+validation gate included. The interpreter here is the per-decision
+reference the tests compare against: it is the ``decide`` of a member's
+``without_kernel()`` copy. A trap names the same exception type and message
+on both; the table adds the index of the rule that trapped.
 
 File schema (JSON, versioned; see docs/formats.md for the byte-level
 description)::

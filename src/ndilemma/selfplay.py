@@ -17,9 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import cached_bounds
-from .engine import MemberTable, build_groups, play_game, simulate_batch
+from .engine import MemberTable, play_many
 from .games import GameKind, GameParams
-from .seeding import derive_seed, parallel_map, rng_for
+from .seeding import derive_seed, rng_for
 from .strategies import StrategyPool
 
 DEFAULT_GROUP_SIZES = (4, 16, 64, 256)
@@ -94,30 +94,16 @@ def _draw_cell_sample(config: MixGridConfig, n: int, n_e: int, sample: int) -> n
     return np.concatenate([picked_e, len(config.pool_e) + picked_c])
 
 
-def _run_cell(
-    config: MixGridConfig, table: MemberTable, n: int, n_e: int, threads: int
-) -> np.ndarray:
-    """Mean welfare of each sample in one cell."""
-    samples = config.samples_per_cell
-    params = config.params_for(n)
-    lineups = np.stack([_draw_cell_sample(config, n, n_e, s) for s in range(samples)])
-    groups = build_groups(lineups.ravel(), table)
-    if groups is not None:
-        batch = simulate_batch(
-            config.kind, params, groups, samples,
-            derive_seed(config.master_seed, n, n_e, 1),
-        )
-        return batch.mean_welfare
-
-    def one(sample: int) -> float:
-        seed = derive_seed(config.master_seed, n, n_e, sample, 1)
-        lineup = [table.strategies[m] for m in lineups[sample]]
-        return play_game(config.kind, params, lineup, seed).mean_welfare
-
-    return np.asarray(parallel_map(one, range(samples), threads), dtype=float)
+def _run_cell(config: MixGridConfig, table: MemberTable, n: int, n_e: int) -> np.ndarray:
+    """Mean welfare of each sample in one cell, played as one stack."""
+    lineups = np.stack(
+        [_draw_cell_sample(config, n, n_e, s) for s in range(config.samples_per_cell)]
+    )
+    seed = derive_seed(config.master_seed, n, n_e, 1)
+    return play_many(config.kind, config.params_for(n), lineups, table, seed)[1]
 
 
-def run_mix_grid(config: MixGridConfig, threads: int = 1) -> list[MixGridRow]:
+def run_mix_grid(config: MixGridConfig) -> list[MixGridRow]:
     """All cells for all group sizes; deterministic given the master seed."""
     config.validate()
     table = MemberTable.compile(config.pool_e.members + config.pool_c.members)
@@ -126,7 +112,7 @@ def run_mix_grid(config: MixGridConfig, threads: int = 1) -> list[MixGridRow]:
         params = config.params_for(n)
         limits = cached_bounds(config.kind, params)
         for n_e in range(n + 1):
-            welfare = _run_cell(config, table, n, n_e, threads)
+            welfare = _run_cell(config, table, n, n_e)
             std_error = (
                 float(welfare.std(ddof=1) / np.sqrt(len(welfare)))
                 if len(welfare) > 1

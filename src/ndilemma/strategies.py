@@ -89,10 +89,13 @@ class Strategy:
 
     ``kernel`` is ``(family_name, params)`` for strategies drawn from the
     built-in parametric families and for policy-file members (family
-    ``policy``, whose params are the compiled rule table); the batch engine
-    uses it to run whole stacks of games as array operations. Strategies
-    without a kernel, such as user-written callables, take the per-decision
-    path.
+    ``policy``, whose params are the compiled rule table); the engine uses
+    it to run whole stacks of games as array operations. There is one
+    engine: a strategy without a kernel, such as a user-written callable,
+    plays inside the same stacks as the ``callable`` family, which calls
+    ``decide`` once per decision. For a kernel strategy ``decide`` is the
+    per-decision reference (a family's ``decide_one`` or the policy
+    interpreter), played by its ``without_kernel()`` copy.
     """
 
     label: str
@@ -101,7 +104,7 @@ class Strategy:
     kernel: tuple[str, tuple[float, ...]] | None = None
 
     def without_kernel(self) -> "Strategy":
-        """Copy of this strategy restricted to the per-decision path."""
+        """Copy of this strategy that plays ``decide`` once per decision."""
         return Strategy(self.label, self.origin, self.decide, None)
 
 

@@ -16,6 +16,10 @@ def write_json(path: Path, doc: dict) -> Path:
     return path
 
 
+def manifest_digest(out: Path) -> str:
+    return json.loads((out / "manifest.json").read_text())["config_digest"]
+
+
 def selfplay_config(**overrides) -> dict:
     doc = {
         "schema_version": 1,
@@ -56,6 +60,26 @@ class TestBounds:
         assert main(["bounds", "pgg", "--n", "4", "--out", str(out)]) == 0
         assert (out / "bounds.json").exists()
         assert verify_manifest(out) == []
+
+    def test_config_digest_covers_every_parameter(self, tmp_path):
+        runs = {
+            "base": ["pgg", "--n", "4"],
+            "rounds": ["pgg", "--n", "4", "--rounds", "5"],
+            "k": ["pgg", "--n", "4", "--k", "3"],
+            "m": ["crd", "--n", "4", "--m", "3"],
+            "crd": ["crd", "--n", "4"],
+            "capacity": ["cpr", "--n", "4", "--rounds", "3", "--capacity", "8"],
+            "cpr": ["cpr", "--n", "4", "--rounds", "3"],
+        }
+        digests = {}
+        for name, args in runs.items():
+            out = tmp_path / name
+            assert main(["bounds", *args, "--out", str(out)]) == 0
+            digests[name] = manifest_digest(out)
+        assert len(set(digests.values())) == len(runs)
+        again = tmp_path / "again"
+        assert main(["bounds", "pgg", "--n", "4", "--out", str(again)]) == 0
+        assert manifest_digest(again) == digests["base"]
 
 
 class TestSelfplay:
@@ -326,6 +350,23 @@ class TestValidateCmd:
         ])
         assert code == 0
         assert (tmp_path / "rep" / "validation.csv").exists()
+
+    def test_config_digest_covers_every_parameter(self, tmp_path):
+        pool = str(REPO / "configs" / "pool_example.json")
+        base = ["--game", "pgg", "--n", "4", "--trials", "3"]
+        runs = {
+            "base": base,
+            "rounds": base + ["--rounds", "5"],
+            "k": base + ["--k", "3"],
+            "trials": ["--game", "pgg", "--n", "4", "--trials", "4"],
+            "seed": base + ["--seed", "1"],
+        }
+        digests = {}
+        for name, args in runs.items():
+            out = tmp_path / name
+            assert main(["validate", pool, *args, "--out", str(out)]) == 0
+            digests[name] = manifest_digest(out)
+        assert len(set(digests.values())) == len(runs)
 
     def test_schema_error_exits_one(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

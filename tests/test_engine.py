@@ -1,5 +1,7 @@
 """The game loop: determinism, bookkeeping, faults, and path equivalence."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from ndilemma import (
 )
 from ndilemma.engine import KernelGroup, MemberTable, build_groups, play_many, simulate_batch
 from ndilemma.kernels import FAMILIES, PolicyTable, kernel_strategy
-from ndilemma.policy import PolicyRule, PolicySpec, Predicate, policy_strategy
+from ndilemma.policy import PolicyRule, PolicySpec, Predicate, StepBudgetExceeded, policy_strategy
 
 
 def test_pgg_all_defect_single_round():
@@ -131,12 +133,14 @@ DETERMINISTIC_LINEUPS = [
     ids=["triggers", "grim-endgame", "rota-recip", "long-rota"],
 )
 def test_batch_engine_matches_scalar_engine(kind, specs):
-    """Deterministic families must play identical games on both paths."""
+    """Deterministic families must play identical games on both paths: the
+    reference plays each family's ``decide_one`` on ``without_kernel()``
+    copies."""
     lineup = [kernel_strategy(name, *params) for name, params in specs]
     if kind is GameKind.COMMON_POOL:
         lineup[-1] = kernel_strategy("stock_guardian", 0.6)
     params = GameParams(n=4, rounds=9, k=2.0)
-    scalar = play_game(kind, params, lineup, seed=1)
+    scalar = play_game(kind, params, [s.without_kernel() for s in lineup], seed=1)
     batch = simulate_batch(kind, params, lineup_groups(lineup), 1, seed=2, record=True)
     assert np.array_equal(scalar.coop, batch.coop[:, 0, :])
     assert np.array_equal(scalar.payoffs, batch.payoffs[:, 0, :])
@@ -253,10 +257,126 @@ def test_gathered_groups_match_groups_stacked_one_by_one(kind, n, games, data):
         assert np.array_equal(a.stocks, b.stocks)
 
 
-def test_build_groups_falls_back_when_a_picked_member_has_no_kernel():
-    table = MemberTable.compile([make_reference("allc"), make_reference("alld").without_kernel()])
-    assert build_groups(np.array([0, 0, 0]), table) is not None
-    assert build_groups(np.array([0, 1, 0]), table) is None
+def test_kernel_less_members_form_their_own_group():
+    allc, bare = make_reference("allc"), make_reference("alld").without_kernel()
+    table = MemberTable.compile([allc, bare])
+    assert [g.family.name for g in build_groups(np.array([0, 0, 0]), table)] == ["constant"]
+    kernel, callable_ = build_groups(np.array([0, 1, 0, 1]), table)
+    assert (kernel.family.name, callable_.family.name) == ("constant", "callable")
+    assert kernel.slots.tolist() == [0, 2]
+    assert callable_.slots.tolist() == [1, 3]
+    assert list(callable_.labels) == ["AllD", "AllD"]
+    assert all(s is bare for s in callable_.params[:, 0])
+
+
+# deterministic members of every built-in family; stock_guardian faults
+# outside the common-pool game, so it joins only there
+MIXED_MEMBERS = [
+    kernel_strategy("constant", 1.0),
+    kernel_strategy("constant", 0.0),
+    kernel_strategy("threshold_trigger", 1.0, 2.0, 1.0),
+    kernel_strategy("grim", 0.3),
+    kernel_strategy("endgame", 2.0, 0.5),
+    kernel_strategy("reciprocator", 0.6, 0.0),
+    kernel_strategy("rota", 3.0, 1.0, 1.0),
+    policy_strategy(PolicySpec("pol", (
+        PolicyRule(Predicate("last_coop_ge", value=2.0), 1.0),
+        PolicyRule(Predicate("coop_rate_le", value=0.4), 0.0),
+    ), 1.0)),
+]
+
+
+@pytest.mark.parametrize("kind", list(GameKind))
+@given(n=st.integers(2, 5), games=st.integers(1, 4), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_mixed_stacks_match_all_kernel_less_stacks(kind, n, games, data):
+    """A stack that mixes kernel and kernel-less members plays the same
+    games as the same stack with every member stripped of its kernel."""
+    members = MIXED_MEMBERS + (
+        [kernel_strategy("stock_guardian", 0.6)] if kind is GameKind.COMMON_POOL else []
+    )
+    picks = data.draw(st.lists(st.integers(0, len(members) - 1), min_size=n * games,
+                               max_size=n * games))
+    stripped = data.draw(st.lists(st.booleans(), min_size=n * games, max_size=n * games))
+    mixed = [members[m].without_kernel() if bare else members[m]
+             for m, bare in zip(picks, stripped)]
+    reference = [s.without_kernel() for s in mixed]
+    params = GameParams(n=n, rounds=7, k=(1 + n) / 2)
+    a = simulate_batch(kind, params, lineup_groups(mixed), games, seed=3, record=True)
+    b = simulate_batch(kind, params, lineup_groups(reference), games, seed=4, record=True)
+    assert np.array_equal(a.coop, b.coop)
+    assert np.array_equal(a.payoffs, b.payoffs)
+    assert np.array_equal(a.totals, b.totals)
+    if kind is GameKind.COMMON_POOL:
+        assert np.array_equal(a.stocks, b.stocks)
+
+
+def _raises(obs, rng):
+    raise ZeroDivisionError("boom")
+
+
+def _mill(obs, rng):
+    raise StepBudgetExceeded("exceeded 2 predicate evaluations in one decision")
+
+
+@pytest.mark.parametrize(
+    "decide,reason,detail",
+    [
+        (_raises, "exception", "ZeroDivisionError: boom"),
+        (lambda obs, rng: "C", "invalid_action", "'C'"),
+        (_mill, "step_budget", "exceeded 2 predicate evaluations"),
+    ],
+    ids=["exception", "invalid_action", "step_budget"],
+)
+def test_callable_faults_name_the_faulting_slot(decide, reason, detail):
+    """Slot 6 (game 2, player 0) and slot 5 (game 1, player 2) fault in the
+    callable group; slot 5 is lower. The kernel group decides first, and
+    its only member never faults."""
+    allc = make_reference("allc")
+    bad_late = Strategy("late", "file", decide)
+    bad_early = Strategy("early", "file", decide)
+    fine = Strategy("fine", "file", lambda obs, rng: Action.C)
+    lineup = [allc, fine, fine, allc, fine, bad_early, bad_late, allc, fine]
+    with pytest.raises(StrategyFault) as info:
+        simulate_batch(
+            GameKind.PUBLIC_GOODS, GameParams(n=3, rounds=2, k=2.0),
+            lineup_groups(lineup), 3, seed=0,
+        )
+    fault = info.value
+    assert (fault.label, fault.player, fault.round_index, fault.reason) == ("early", 2, 0, reason)
+    assert detail in fault.detail
+    assert "game 1 of batch" in fault.detail
+
+
+def test_lowest_faulting_slot_wins_across_groups():
+    """A kernel fault at slot 4 beats a callable fault at slot 5; swapping
+    them, the callable fault at slot 4 wins."""
+    guardian = kernel_strategy("stock_guardian", 0.5)  # faults outside CPR
+    broken = Strategy("broken", "file", _raises)
+    allc = make_reference("allc")
+    params = GameParams(n=3, rounds=2, k=2.0)
+    for lineup, want in (
+        ([allc, allc, allc, allc, guardian, broken], ("stock_guardian(0.5)", 1, "exception")),
+        ([allc, allc, allc, allc, broken, guardian], ("broken", 1, "exception")),
+    ):
+        with pytest.raises(StrategyFault) as info:
+            simulate_batch(GameKind.PUBLIC_GOODS, params, lineup_groups(lineup), 2, seed=0)
+        assert (info.value.label, info.value.player, info.value.reason) == want
+        assert "game 1 of batch" in info.value.detail
+
+
+def test_kernel_less_members_log_one_warning(caplog):
+    bare = [make_reference("alld").without_kernel() for _ in range(5)]
+    with caplog.at_level(logging.WARNING, logger="ndilemma"):
+        MemberTable.compile([make_reference("allc")] + bare)
+    assert len(caplog.records) == 1
+    message = caplog.records[0].getMessage()
+    assert "5 member(s) without a kernel play per decision" in message
+    assert message.count("'AllD'") == 3 and "and 2 more" in message
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="ndilemma"):
+        MemberTable.compile([make_reference("allc"), make_reference("alld")])
+    assert caplog.records == []
 
 
 @given(st.integers(0, 2**63 - 1))

@@ -212,7 +212,7 @@ class TestOneStackPerGeneration:
             )
             for gene, pool in config.pools.items()
         })
-        assert (bare.member_table.family < 0).all()
+        assert [f.name for f in bare.member_table.families] == ["callable"]
         assert run_evolution(bare) == run_evolution(config)
 
 

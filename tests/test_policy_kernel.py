@@ -138,6 +138,31 @@ def test_fault_names_the_member_that_divides_by_zero():
     assert (scalar.value.label, scalar.value.player, scalar.value.round_index) == ("divider", 2, 3)
 
 
+@pytest.mark.parametrize(
+    "trap,kind,expected",
+    [
+        (Predicate("ratio_ge", value=0.5, num="round", den="rounds_left_after"),
+         GameKind.PUBLIC_GOODS, "ZeroDivisionError: float division by zero (rule 1)"),
+        (Predicate("stock_frac_ge", value=0.5), GameKind.COLLECTIVE_RISK,
+         "PolicyEvaluationError: stock_frac is undefined outside the common-pool game (rule 1)"),
+    ],
+    ids=["zero-denominator", "stock-outside-cpr"],
+)
+def test_table_faults_name_the_interpreters_exception(trap, kind, expected):
+    """The compiled table's detail is the interpreter's exception type and
+    message plus the index of the rule that trapped."""
+    member = policy_strategy(_spec("trapper", [(Predicate("round_is", value=99.0), 1.0),
+                                               (trap, 1.0)]))
+    params = GameParams(n=2, rounds=2, k=1.5)
+    with pytest.raises(StrategyFault) as table:
+        play_game(kind, params, [member, member], seed=0)
+    with pytest.raises(StrategyFault) as interpreted:
+        play_game(kind, params, [member.without_kernel()] * 2, seed=0)
+    suffix = " (game 0 of batch)"
+    assert table.value.detail == expected + suffix
+    assert interpreted.value.detail == expected.replace(" (rule 1)", "") + suffix
+
+
 def test_zero_denominator_with_undefined_numerator_does_not_trap():
     """In round 0 last_opp_coop is undefined, so last_opp_coop / round is a
     non-match, not a division by zero; from round 1 on it is defined."""

@@ -69,13 +69,11 @@ def test_grid_is_exhaustive_per_group_size(small_pools):
     assert [r.n_e for r in rows if r.n == 8] == list(range(9))
 
 
-def test_deterministic_and_thread_invariant(small_pools):
-    pool_e, pool_c = small_pools
-    config = small_grid(GameKind.COMMON_POOL, pool_e, pool_c, samples_per_cell=10)
-    a = run_mix_grid(config, threads=1)
-    b = run_mix_grid(config, threads=2)
-    c = run_mix_grid(config, threads=1)
-    assert a == b == c
+def test_deterministic_on_rerun(small_pools):
+    pool_e, _ = small_pools
+    coin = reference_pool("rnd", 16, "coin", Attitude.COLLECTIVE, p=0.5)
+    config = small_grid(GameKind.COMMON_POOL, pool_e, coin, samples_per_cell=10)
+    assert run_mix_grid(config) == run_mix_grid(config)
 
 
 def test_scalar_fallback_matches_kernel_path(small_pools):
@@ -91,6 +89,28 @@ def test_scalar_fallback_matches_kernel_path(small_pools):
                           tuple(m.without_kernel() for m in pool_c.members))
     slow = run_mix_grid(small_grid(GameKind.COMMON_POOL, bare_e, bare_c, samples_per_cell=10))
     assert fast == slow
+
+
+def test_kernel_less_cells_play_one_stack_each(small_pools, monkeypatch):
+    from ndilemma import engine
+    from ndilemma.strategies import StrategyPool
+
+    stacks = []
+    real = engine.simulate_batch
+
+    def counted(kind, params, groups, n_games, seed, record=False):
+        stacks.append((n_games, sorted(g.family.name for g in groups)))
+        return real(kind, params, groups, n_games, seed, record)
+
+    monkeypatch.setattr(engine, "simulate_batch", counted)
+    pool_e, pool_c = small_pools
+    bare_c = StrategyPool(pool_c.gene_tag, pool_c.attitude,
+                          tuple(m.without_kernel() for m in pool_c.members))
+    rows = run_mix_grid(small_grid(GameKind.PUBLIC_GOODS, pool_e, bare_c, samples_per_cell=6))
+    assert len(stacks) == len(rows) == 5
+    assert all(games == 6 for games, _ in stacks)
+    assert stacks[0][1] == ["callable"] and stacks[-1][1] == ["constant"]
+    assert stacks[2][1] == ["callable", "constant"]
 
 
 def test_pool_too_small_for_group(small_pools):
