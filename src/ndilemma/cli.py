@@ -186,6 +186,8 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
     seed = _seed_from(config, args.seed)
     kind, params = _game_params(config.get("game", {}))
     rollouts = int(config.get("rollouts", 50))
+    if rollouts < 1:
+        raise ConfigError(f"rollouts must be >= 1, got {rollouts}")
     pool_specs = config.get("pools", [])
     if not pool_specs:
         raise ConfigError("fingerprint config needs at least one pool")
@@ -206,9 +208,7 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
         sets.extend([name] * len(pool.members))
         pool_slices.append((name, slice(start, len(strategies))))
 
-    matrix = fingerprint_many(
-        strategies, kind, params, nodes, rollouts, derive_seed(seed, 1), args.threads
-    )
+    matrix = fingerprint_many(strategies, kind, params, nodes, rollouts, derive_seed(seed, 1))
     analysis = pca(matrix)
 
     include_refs = bool(config.get("include_references", True))
@@ -217,9 +217,7 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
     if include_refs:
         refs = default_reference_overlay(params.n)
         ref_labels = [ref.label for ref in refs]
-        ref_matrix = fingerprint_many(
-            refs, kind, params, nodes, rollouts, derive_seed(seed, 2), args.threads
-        )
+        ref_matrix = fingerprint_many(refs, kind, params, nodes, rollouts, derive_seed(seed, 2))
 
     write_nodes_csv(nodes, out_dir / "nodes.csv")
     all_labels = labels + ref_labels
@@ -297,7 +295,9 @@ def cmd_selfplay(args: argparse.Namespace) -> int:
     rows = run_mix_grid(grid)
     out_dir = _prepare_out(args.out)
     emit_grid_csv(rows, out_dir / "grid.csv")
-    manifest = RunManifest("selfplay", __version__, seed, config_digest(config))
+    # the digest covers the config as played, with any --k override applied
+    digested = config if args.k is None else {**config, "game": game}
+    manifest = RunManifest("selfplay", __version__, seed, config_digest(digested))
     manifest.add_output(out_dir, out_dir / "grid.csv")
     manifest.write(out_dir)
     print(f"mix grid written to {out_dir / 'grid.csv'} ({len(rows)} cells)")
@@ -340,6 +340,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc))
     runs = int(config.get("runs", 1))
+    if runs < 1:
+        raise ConfigError(f"runs must be >= 1, got {runs}")
     out_dir = _prepare_out(args.out)
     manifest = RunManifest("evolve", __version__, seed, config_digest(config))
     if runs == 1:
@@ -366,7 +368,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             f"{result.terminated_by} after {result.generations_run} generations"
         )
     else:
-        summary = batch_runs(evo, runs, args.threads)
+        summary = batch_runs(evo, runs)
         write_summary_csv(summary, out_dir / "summary.csv")
         write_summary_json(summary, out_dir / "summary.json")
         manifest.add_output(out_dir, out_dir / "summary.csv")
@@ -499,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--threads", type=int, default=1, help="worker thread cap")
 
     p_fp = sub.add_parser("fingerprint", help="behavioral fingerprints, PCA, metrics")
     common(p_fp)

@@ -29,7 +29,7 @@ import numpy as np
 from .bounds import cached_bounds
 from .engine import MemberTable, play_many
 from .games import GameKind, GameParams
-from .seeding import SEED_SPACE, derive_seed, parallel_map, rng_for
+from .seeding import SEED_SPACE, derive_seed, rng_for
 from .strategies import Attitude, StrategyPool
 
 
@@ -351,30 +351,27 @@ class BatchRunsSummary:
     runs: list[RunRecord]
 
 
-def batch_runs(
-    config: EvolutionConfig, run_count: int, threads: int = 1
-) -> BatchRunsSummary:
-    """Independent seeded runs; the summary mirrors one results-table column."""
+def batch_runs(config: EvolutionConfig, run_count: int) -> BatchRunsSummary:
+    """Independent seeded runs; the summary mirrors one results-table column.
+
+    Run ``r`` is ``run_evolution`` on master seed
+    ``derive_seed(config.master_seed, r)``, so its record depends only on
+    that address.
+    """
     if run_count < 1:
         raise ValueError(f"run_count must be >= 1, got {run_count}")
     config.validate()
-
-    def one(run: int) -> RunRecord:
-        result = run_evolution(
-            replace(config, master_seed=derive_seed(config.master_seed, run))
-        )
-        final_eff = (
-            result.history[-1].welfare_efficiency if result.history else float("nan")
-        )
-        return RunRecord(
+    records = []
+    for run in range(run_count):
+        result = run_evolution(replace(config, master_seed=derive_seed(config.master_seed, run)))
+        final_eff = result.history[-1].welfare_efficiency if result.history else float("nan")
+        records.append(RunRecord(
             run=run,
             winner=result.winner,
             terminated_by=result.terminated_by,
             generations=result.generations_run,
             final_welfare_efficiency=final_eff,
-        )
-
-    records = parallel_map(one, range(run_count), threads)
+        ))
     winner_counts = Counter(rec.winner for rec in records)
     effs = [
         rec.final_welfare_efficiency

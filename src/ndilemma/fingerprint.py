@@ -10,14 +10,16 @@ forced, and the feature value is the fraction of replays in which the
 subject cooperates at the node's round. Stochastic strategies and strategies
 that condition on their own history make the replays non-trivial.
 
-A strategy with a kernel replays all nodes of one depth together, as one
-stack of ``(nodes at that depth) x rollouts`` rows, node-major; very large
-depths are split into stacks of at most ``_STACK_ROWS`` rows, in node
-order. It draws from one random stream per strategy, consumed depth by
-depth from the root down. A strategy without a kernel replays each node
-and rollout on its own, one decision at a time, on one stream per strategy
-as well, consumed node by node and rollout by rollout. Deterministic
-strategies give identical values on both paths, faults included.
+One driver replays all nodes of one depth together, as one stack of
+``(nodes at that depth) x rollouts`` rows, node-major; very large depths are
+split into stacks of bounded size, in node order. It draws
+from one random stream per strategy, consumed depth by depth from the root
+down. A strategy with a kernel decides for the whole stack through its
+family; a strategy without one plays as the engine's ``callable`` family,
+one ``decide`` call per row on the ``Observation`` a per-decision replay
+would build. ``_fingerprint_node_scalar`` is that per-decision replay, kept
+as the reference: deterministic strategies give identical values on both,
+faults included.
 
 Variation within and between labelled sets of fingerprints is summarised by
 the normalised mean pairwise distance, Cohen's d between set centroids, and
@@ -35,10 +37,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import HistoryAccumulator, StrategyFault, decide_checked, decide_group
+from .engine import CALLABLE, HistoryAccumulator, StrategyFault, decide_checked, decide_group
 from .games import Action, GameKind, GameParams, cpr_next_stock
 from .kernels import FAMILIES, SlotFault, SlotView
-from .seeding import derive_seed, parallel_map, rng_for
+from .seeding import derive_seed, rng_for
 from .strategies import Strategy
 
 
@@ -102,70 +104,11 @@ def _fingerprint_node_scalar(
     return cooperations / rollouts
 
 
-# Rows per stack on the batched path; deeper levels of large games are split
-# into several stacks, in node order, so memory stays bounded.
+# Rows per stack; deeper levels of large games are split into several stacks,
+# in node order, so memory stays bounded. A row of a strategy without a kernel
+# keeps its own history (about 3.5 KB at n=8), so its stacks are smaller.
 _STACK_ROWS = 1 << 16
-
-
-def _at_node(detail: str, node: DecisionNode) -> str:
-    return f"{detail} (at fingerprint node {node.column_name()})"
-
-
-def _fingerprint_stacked(
-    strategy: Strategy,
-    kind: GameKind,
-    params: GameParams,
-    nodes: Sequence[DecisionNode],
-    rollouts: int,
-    seed: int,
-) -> np.ndarray:
-    """Kernel path: the nodes of each depth replayed together, one row per
-    (node, rollout), node-major, depths in increasing order on one stream."""
-    family_name, vec = strategy.kernel
-    family = FAMILIES[family_name]
-    row = family.stack([vec])
-    rng = rng_for(seed)
-    n, r = params.n, params.rounds
-    is_cpr = kind is GameKind.COMMON_POOL
-    by_depth: dict[int, list[int]] = {}
-    for i, node in enumerate(nodes):
-        by_depth.setdefault(node.depth, []).append(i)
-    per_stack = max(1, _STACK_ROWS // rollouts)
-    values = np.empty(len(nodes), dtype=float)
-    for depth in sorted(by_depth):
-        for start in range(0, len(by_depth[depth]), per_stack):
-            index = by_depth[depth][start : start + per_stack]
-            slots = len(index) * rollouts
-            counts = np.array([nodes[i].counts for i in index], dtype=np.int64)
-            forced = np.repeat(counts, rollouts, axis=0)  # (slots, depth)
-            forced_sum = np.cumsum(forced, axis=1)
-            P = np.repeat(row, slots, axis=0)
-            state = family.new_state(P)
-            col = np.zeros(slots, dtype=np.int64)
-            stock = np.full(slots, params.capacity) if is_cpr else None
-            acts = None
-            for t in range(depth + 1):
-                view = SlotView(
-                    t=t,
-                    rounds=r,
-                    n=n,
-                    col=col,
-                    prev_c=acts,
-                    opp_coop=None if t == 0 else forced[:, t - 1].astype(float),
-                    opp_rate=None if t == 0 else forced_sum[:, t - 1] / ((n - 1) * t),
-                    stock_frac=None if stock is None else stock / params.capacity,
-                )
-                try:
-                    acts = decide_group(family, P, state, view, rng)
-                except SlotFault as fault:
-                    node = nodes[index[fault.slot // rollouts]]
-                    raise StrategyFault(
-                        strategy.label, 0, t, fault.reason, _at_node(fault.detail, node)
-                    )
-                if is_cpr and t < depth:
-                    stock = cpr_next_stock(stock, forced[:, t] + acts, params)
-            values[index] = acts.reshape(len(index), rollouts).mean(axis=1)
-    return values
+_CALLABLE_STACK_ROWS = 1 << 12
 
 
 def fingerprint(
@@ -178,10 +121,15 @@ def fingerprint(
 ) -> np.ndarray:
     """Cooperation rate at every node; entries in [0, 1].
 
-    Deterministic given the seed. Opponent identities within a forced count
-    are assigned to the lowest opponent indices; the subject plays index 0.
-    For the common-pool game the stock along a branch is recomputed from the
-    forced counts plus the subject's own actions.
+    Deterministic given the seed. The nodes of each depth are replayed
+    together, one row per (node, rollout), node-major, depths in increasing
+    order on one stream. Row ``i`` is game ``i`` with the subject as player
+    0; opponent identities within a forced count are assigned to the lowest
+    opponent indices. For the common-pool game the stock along a branch is
+    recomputed from the forced counts plus the subject's own actions. A
+    strategy without a kernel plays as the ``callable`` family, which alone
+    reads each row's slot and the previous round's (rows, n) actions: the
+    subject's own, then opponents 1..n-1, the first ``count`` cooperating.
     """
     params.validate_for(kind)
     if rollouts < 1:
@@ -194,18 +142,60 @@ def fingerprint(
     for node in nodes:
         if any(not 0 <= c <= params.n - 1 for c in node.counts):
             raise ValueError(f"node {node.counts} has counts outside 0..{params.n - 1}")
-    if strategy.kernel is not None:
-        return _fingerprint_stacked(strategy, kind, params, nodes, rollouts, seed)
+    if strategy.kernel is None:
+        family, row = CALLABLE, CALLABLE.stack([strategy])
+    else:
+        family_name, vec = strategy.kernel
+        family = FAMILIES[family_name]
+        row = family.stack([vec])
+    per_decision = family is CALLABLE
     rng = rng_for(seed)
-    values = np.empty(len(nodes), dtype=float)
+    n, r = params.n, params.rounds
+    is_cpr = kind is GameKind.COMMON_POOL
+    by_depth: dict[int, list[int]] = {}
     for i, node in enumerate(nodes):
-        try:
-            values[i] = _fingerprint_node_scalar(strategy, kind, params, node, rollouts, rng)
-        except StrategyFault as fault:
-            raise StrategyFault(
-                fault.label, fault.player, fault.round_index, fault.reason,
-                _at_node(fault.detail, node),
-            )
+        by_depth.setdefault(node.depth, []).append(i)
+    per_stack = max(1, (_CALLABLE_STACK_ROWS if per_decision else _STACK_ROWS) // rollouts)
+    values = np.empty(len(nodes), dtype=float)
+    for depth in sorted(by_depth):
+        for start in range(0, len(by_depth[depth]), per_stack):
+            index = by_depth[depth][start : start + per_stack]
+            slots = len(index) * rollouts
+            counts = np.array([nodes[i].counts for i in index], dtype=np.int64)
+            forced = np.repeat(counts, rollouts, axis=0)  # (slots, depth)
+            forced_sum = np.cumsum(forced, axis=1)
+            P = np.repeat(row, slots, axis=0)
+            state = family.new_state(P)
+            col = np.zeros(slots, dtype=np.int64)
+            stock = np.full(slots, params.capacity) if is_cpr else None
+            slot_index = np.arange(slots) * n if per_decision else None
+            acts = last = None
+            for t in range(depth + 1):
+                if per_decision and t > 0:
+                    last = np.column_stack((acts, np.arange(1, n) <= forced[:, t - 1, None]))
+                view = SlotView(
+                    t=t,
+                    rounds=r,
+                    n=n,
+                    col=col,
+                    prev_c=acts,
+                    opp_coop=None if t == 0 else forced[:, t - 1].astype(float),
+                    opp_rate=None if t == 0 else forced_sum[:, t - 1] / ((n - 1) * t),
+                    stock_frac=None if stock is None else stock / params.capacity,
+                    kind=kind,
+                    params=params,
+                    slots=slot_index,
+                    last=last,
+                )
+                try:
+                    acts = decide_group(family, P, state, view, rng)
+                except SlotFault as fault:
+                    node = nodes[index[fault.slot // rollouts]]
+                    detail = f"{fault.detail} (at fingerprint node {node.column_name()})"
+                    raise StrategyFault(strategy.label, 0, t, fault.reason, detail)
+                if is_cpr and t < depth:
+                    stock = cpr_next_stock(stock, forced[:, t] + acts, params)
+            values[index] = acts.reshape(len(index), rollouts).mean(axis=1)
     return values
 
 
@@ -216,15 +206,15 @@ def fingerprint_many(
     nodes: Sequence[DecisionNode],
     rollouts: int = 50,
     seed: int = 0,
-    threads: int = 1,
 ) -> np.ndarray:
-    """Fingerprints for a list of strategies: shape (len(strategies), nodes)."""
+    """Fingerprints for a list of strategies: shape (len(strategies), nodes).
 
-    def one(item: tuple[int, Strategy]) -> np.ndarray:
-        index, strategy = item
-        return fingerprint(strategy, kind, params, nodes, rollouts, derive_seed(seed, index))
-
-    rows = parallel_map(one, list(enumerate(strategies)), threads)
+    Row ``i`` is ``fingerprint`` on seed ``derive_seed(seed, i)``.
+    """
+    rows = [
+        fingerprint(strategy, kind, params, nodes, rollouts, derive_seed(seed, i))
+        for i, strategy in enumerate(strategies)
+    ]
     return np.vstack(rows) if rows else np.empty((0, len(nodes)))
 
 

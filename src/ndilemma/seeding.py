@@ -1,20 +1,15 @@
-"""Deterministic random-stream derivation and seed-stable parallel mapping.
+"""Deterministic random-stream derivation.
 
 Every random decision in the package flows from a single master seed. Child
 streams are derived with ``numpy.random.SeedSequence`` spawn keys, so a task's
 stream depends only on the master seed and the task's address (for example
-``(group_size, cell, sample)``), never on execution order or thread count.
+``(group_size, cell, sample)`` or a run index), never on the order in which
+tasks are played.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
-
 import numpy as np
-
-T = TypeVar("T")
-U = TypeVar("U")
 
 # Upper bound (exclusive) for integer seeds handed to external surfaces.
 SEED_SPACE = 2**63
@@ -34,20 +29,3 @@ def derive_seed(master: int, *key: int) -> int:
     """A plain integer seed derived from (master, key), for storage or logs."""
     state = seed_sequence(master, *key).generate_state(2, dtype=np.uint32)
     return (int(state[0]) << 31 | int(state[1])) % SEED_SPACE
-
-
-def parallel_map(
-    fn: Callable[[T], U],
-    items: Sequence[T] | Iterable[T],
-    threads: int = 1,
-) -> list[U]:
-    """Map ``fn`` over ``items``, optionally on a thread pool.
-
-    Output order always matches input order, and because every task carries
-    its own derived seed, results are identical for any thread count.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

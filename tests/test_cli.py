@@ -5,8 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ndilemma.cli import main
-from ndilemma.manifest import verify_manifest
+from ndilemma.manifest import config_digest, verify_manifest
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -104,15 +106,12 @@ class TestSelfplay:
         assert code == 1
         assert "schema_version" in capsys.readouterr().err
 
-    def test_rerun_byte_identical_any_threads(self, tmp_path):
+    def test_rerun_byte_identical_three_runs(self, tmp_path):
         config = write_json(tmp_path / "cfg.json", selfplay_config())
         runs = {}
-        for name, threads in (("a", "1"), ("b", "2"), ("c", "1")):
+        for name in ("a", "b", "c"):
             out = tmp_path / name
-            assert main([
-                "selfplay", "--config", str(config), "--out", str(out),
-                "--threads", threads,
-            ]) == 0
+            assert main(["selfplay", "--config", str(config), "--out", str(out)]) == 0
             runs[name] = (out / "grid.csv").read_bytes()
         assert runs["a"] == runs["b"] == runs["c"]
 
@@ -128,6 +127,19 @@ class TestSelfplay:
         by_ne_k3 = {r.n_e: r.mean_welfare for r in read_grid_csv(out3 / "grid.csv")}
         assert by_ne_k2[0] == 2.0
         assert by_ne_k3[0] == 3.0
+
+
+    def test_k_flag_is_in_the_config_digest(self, tmp_path):
+        doc = selfplay_config()
+        config = write_json(tmp_path / "cfg.json", doc)
+        digests = {}
+        for k in (None, "2", "3"):
+            out = tmp_path / f"k{k}"
+            flag = [] if k is None else ["--k", k]
+            assert main(["selfplay", "--config", str(config), "--out", str(out), *flag]) == 0
+            digests[k] = manifest_digest(out)
+        assert digests["2"] != digests["3"]
+        assert digests[None] == config_digest(doc)
 
 
 class TestEvolve:
@@ -191,19 +203,32 @@ class TestEvolve:
             blobs.append((out / "generations.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_multi_run_summary_byte_identical_any_threads(self, tmp_path):
+    def test_multi_run_summary_byte_identical_three_runs(self, tmp_path):
         doc = self.evolve_config(runs=3, max_generations=3, dominance_threshold=1.0)
         doc["genes"][1]["source"] = {"type": "synth", "size": 16, "families": [
             {"family": "bernoulli"}, {"family": "reciprocator"}, {"family": "grim"}]}
         config = write_json(tmp_path / "cfg.json", doc)
         blobs = []
-        for name, threads in (("a", "1"), ("b", "2"), ("c", "1")):
+        for name in ("a", "b", "c"):
             out = tmp_path / name
-            assert main([
-                "evolve", "--config", str(config), "--out", str(out), "--threads", threads,
-            ]) == 0
+            assert main(["evolve", "--config", str(config), "--out", str(out)]) == 0
             blobs.append([(out / f).read_bytes() for f in ("summary.json", "summary.csv")])
         assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_zero_runs_exits_one_before_writing(self, tmp_path, capsys):
+        config = write_json(tmp_path / "cfg.json", self.evolve_config(runs=0))
+        out = tmp_path / "run"
+        assert main(["evolve", "--config", str(config), "--out", str(out)]) == 1
+        assert "error: runs must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_threads_flag_is_rejected(self, tmp_path, capsys):
+        config = write_json(tmp_path / "cfg.json", self.evolve_config())
+        with pytest.raises(SystemExit) as info:
+            main(["evolve", "--config", str(config), "--out", str(tmp_path / "o"),
+                  "--threads", "2"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 class TestFingerprintCmd:
@@ -259,24 +284,14 @@ class TestFingerprintCmd:
             digests.append({e["path"]: e["sha256"] for e in manifest["outputs"]})
         assert digests[0] == digests[1]
 
-
-    def test_threads_do_not_change_data_files(self, tmp_path):
+    def test_zero_rollouts_exits_one_before_writing(self, tmp_path, capsys):
         config = self.fingerprint_config()
-        config["include_references"] = True
-        config["pools"][0]["source"] = {
-            "type": "synth", "size": 6,
-            "families": [{"family": "reciprocator"}, {"family": "bernoulli"}],
-        }
+        config["rollouts"] = 0
         path = write_json(tmp_path / "cfg.json", config)
-        digests = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"t{threads}"
-            assert main([
-                "fingerprint", "--config", str(path), "--out", str(out), "--threads", threads,
-            ]) == 0
-            manifest = json.loads((out / "manifest.json").read_text())
-            digests.append({e["path"]: e["sha256"] for e in manifest["outputs"]})
-        assert digests[0] == digests[1]
+        out = tmp_path / "fp"
+        assert main(["fingerprint", "--config", str(path), "--out", str(out)]) == 1
+        assert "error: rollouts must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerifyCmd:

@@ -29,7 +29,7 @@ from ndilemma.evolution import (
     write_generations_csv,
 )
 from ndilemma.pools import FamilySpec, synth_pool
-from ndilemma.seeding import rng_for
+from ndilemma.seeding import derive_seed, rng_for
 
 G_D = Gene("base", Attitude.EXPLOITATIVE)
 G_C = Gene("base", Attitude.COLLECTIVE)
@@ -331,12 +331,26 @@ class TestBatchRuns:
         assert summary.threshold_reached == 5
         assert summary.average_generations == 0.0
 
-    def test_thread_count_does_not_change_results(self):
-        config = two_gene_config(max_generations=3)
-        a = batch_runs(config, 6, threads=1)
-        b = batch_runs(config, 6, threads=2)
-        assert a.winners == b.winners
-        assert [r.generations for r in a.runs] == [r.generations for r in b.runs]
+    def test_each_run_is_a_lone_run_on_its_derived_seed(self):
+        """A run's record depends only on its address (master seed, run)."""
+        config = two_gene_config(
+            pools={
+                G_D: synth_pool([FamilySpec("bernoulli"), FamilySpec("endgame")],
+                                32, 1, "base", Attitude.EXPLOITATIVE),
+                G_C: synth_pool([FamilySpec("bernoulli"), FamilySpec("reciprocator")],
+                                32, 2, "base", Attitude.COLLECTIVE),
+            },
+            max_generations=6,
+            master_seed=17,
+        )
+        summary = batch_runs(config, 4)
+        assert [rec.run for rec in summary.runs] == [0, 1, 2, 3]
+        for rec in summary.runs:
+            lone = run_evolution(replace(config, master_seed=derive_seed(17, rec.run)))
+            assert rec.winner == lone.winner
+            assert rec.terminated_by == lone.terminated_by
+            assert rec.generations == lone.generations_run
+            assert rec.final_welfare_efficiency == lone.history[-1].welfare_efficiency
 
 
 def test_generations_csv_layout(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ndilemma import (
+    Action,
     GameKind,
     GameParams,
     StrategyFault,
@@ -22,6 +23,8 @@ from ndilemma import (
 )
 from ndilemma.kernels import kernel_strategy
 from ndilemma.policy import Predicate, PolicyRule, PolicySpec, policy_strategy
+from ndilemma.seeding import derive_seed, rng_for
+from ndilemma.strategies import Strategy
 
 # the package exports the function under the module's name
 fingerprint_module = importlib.import_module("ndilemma.fingerprint")
@@ -209,6 +212,104 @@ class TestStackedFingerprint:
             fingerprint(policy_strategy(LATE_DIVIDER), KIND, PARAMS, NODES, 20, seed=11)
         assert info.value.round_index == 2
         assert info.value.detail.endswith("(at fingerprint node 1.0)")
+
+
+def _fault_key(fault, node_name):
+    return (fault.label, fault.player, fault.round_index, fault.reason, node_name)
+
+
+def _driver_or_fault(strategy, kind, rollouts):
+    try:
+        return fingerprint(strategy, kind, PARAMS, NODES, rollouts, seed=11), None
+    except StrategyFault as fault:
+        node_name = fault.detail.rsplit("(at fingerprint node ", 1)[1].rstrip(")")
+        return None, _fault_key(fault, node_name)
+
+
+def _reference_or_fault(strategy, kind, rollouts):
+    """The per-decision reference, node by node on one stream."""
+    rng = rng_for(11)
+    values = np.empty(len(NODES))
+    for i, node in enumerate(NODES):
+        try:
+            values[i] = fingerprint_module._fingerprint_node_scalar(
+                strategy, kind, PARAMS, node, rollouts, rng
+            )
+        except StrategyFault as fault:
+            return None, _fault_key(fault, node.column_name())
+    return values, None
+
+
+def _probe(obs, rng):
+    """Cooperates in round 0, then iff it cooperated itself and opponent 1
+    did last round, and (common-pool game) the stock is at least 9.5."""
+    if obs.round_index == 0:
+        return Action.C
+    last = obs.history[-1].actions
+    assert len(last) == obs.params.n
+    keep = last[0] is Action.C and last[1] is Action.C
+    if obs.current_stock is not None:
+        keep = keep and obs.current_stock >= 9.5
+    return Action.C if keep else Action.D
+
+
+def _probe_value(counts, kind):
+    """The probe's closed form: every forced count is at least 1 and, in the
+    common-pool game, the stock after each round is at least 9.5, with the
+    subject cooperating alongside the forced opponents."""
+    n, capacity = PARAMS.n, PARAMS.capacity
+    stock = capacity
+    for count in counts:
+        if count < 1:
+            return 0.0
+        if kind is GameKind.COMMON_POOL:
+            remaining = stock * (1 + count) / (2 * n)
+            stock = min(capacity, remaining + 2.0 * remaining * (1.0 - remaining / capacity))
+            if stock < 9.5:
+                return 0.0
+    return 1.0
+
+
+class TestOneDriver:
+    @pytest.mark.parametrize("with_kernel", [True, False], ids=["kernel", "callable"])
+    @pytest.mark.parametrize("kind", list(GameKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize(
+        "strategy", DETERMINISTIC_MEMBERS + [policy_strategy(LATE_DIVIDER)], ids=lambda s: s.label
+    )
+    def test_driver_matches_the_per_decision_reference(self, strategy, kind, with_kernel):
+        if not with_kernel:
+            strategy = strategy.without_kernel()
+        values, fault = _driver_or_fault(strategy, kind, rollouts=2)
+        expected, expected_fault = _reference_or_fault(strategy, kind, rollouts=2)
+        assert fault == expected_fault
+        if fault is None:
+            assert np.array_equal(values, expected)
+        elif strategy.label == "late-divider":
+            assert fault == ("late-divider", 0, 2, "exception", "1.0")
+        else:
+            assert fault[:2] == ("stock_guardian(0.6)", 0) and fault[4] == "root"
+
+    @pytest.mark.parametrize("kind", list(GameKind), ids=lambda k: k.value)
+    def test_plain_function_sees_the_forced_history_and_stock(self, kind):
+        probe = Strategy("probe", "test", _probe)
+        values = fingerprint(probe, kind, PARAMS, NODES, 2, seed=0)
+        expected = [_probe_value(node.counts, kind) for node in NODES]
+        assert values.tolist() == expected
+        assert 0 < sum(expected) < len(NODES)
+
+    def test_each_row_is_a_lone_fingerprint_on_its_derived_seed(self):
+        members = [
+            make_reference("rnd", p=0.4),
+            kernel_strategy("reciprocator", 0.5, 0.2),
+            kernel_strategy("bernoulli", 0.7).without_kernel(),
+            kernel_strategy("grim", 0.34),
+            make_reference("rnd", p=0.6).without_kernel(),
+        ]
+        matrix = fingerprint_many(members, KIND, PARAMS, NODES, 10, seed=9)
+        assert matrix.shape == (len(members), len(NODES))
+        for i, strategy in enumerate(members):
+            lone = fingerprint(strategy, KIND, PARAMS, NODES, 10, derive_seed(9, i))
+            assert np.array_equal(matrix[i], lone)
 
 
 class TestPca:
