@@ -89,6 +89,16 @@ def _load_config(path: str) -> dict:
     return data
 
 
+def _cast(value, to: type, key: str):
+    """``to(value)`` for the config value at ``key``; a value that does not
+    cast raises ``ConfigError`` naming the key."""
+    try:
+        return to(value)
+    except (TypeError, ValueError):
+        expected = "an integer" if to is int else "a number"
+        raise ConfigError(f"{key} must be {expected}, got {value!r}") from None
+
+
 def _game_params(game: dict, n: int | None = None) -> tuple[GameKind, GameParams]:
     if not isinstance(game, dict) or "kind" not in game:
         raise ConfigError("config needs a game object with a 'kind' field")
@@ -97,15 +107,15 @@ def _game_params(game: dict, n: int | None = None) -> tuple[GameKind, GameParams
     if n is not None:
         fields["n"] = n
     elif "n" in game:
-        fields["n"] = int(game["n"])
+        fields["n"] = _cast(game["n"], int, "game.n")
     else:
         raise ConfigError("game config needs a player count 'n'")
     for key in ("rounds", "m"):
         if key in game:
-            fields[key] = int(game[key])
+            fields[key] = _cast(game[key], int, f"game.{key}")
     for key in ("k", "capacity"):
         if key in game:
-            fields[key] = float(game[key])
+            fields[key] = _cast(game[key], float, f"game.{key}")
     params = GameParams(**fields)
     params.validate_for(kind)
     return kind, params
@@ -114,9 +124,9 @@ def _game_params(game: dict, n: int | None = None) -> tuple[GameKind, GameParams
 def _reference_member(spec: dict, index: int) -> Strategy:
     kind = str(spec.get("kind", "")).lower()
     if kind == "rnd":
-        strat = make_reference("rnd", p=float(spec.get("p", 0.5)))
+        strat = make_reference("rnd", p=_cast(spec.get("p", 0.5), float, "members.p"))
     elif kind in ("cc", "cd"):
-        strat = make_reference(kind, t=int(spec.get("t", 1)))
+        strat = make_reference(kind, t=_cast(spec.get("t", 1), int, "members.t"))
     elif kind in ("allc", "alld"):
         strat = make_reference(kind)
     else:
@@ -143,20 +153,20 @@ def load_pool_source(spec: dict, master_seed: int, pool_index: int) -> StrategyP
         families = [
             FamilySpec(
                 family=fam["family"],
-                weight=float(fam.get("weight", 1.0)),
+                weight=_cast(fam.get("weight", 1.0), float, f"pools[{pool_index}].weight"),
                 params=fam.get("params", {}),
             )
             for fam in source.get("families", [])
         ]
         if not families:
             raise ConfigError(f"pools[{pool_index}]: synth source needs families")
-        size = int(source.get("size", 512))
+        size = _cast(source.get("size", 512), int, f"pools[{pool_index}].size")
         return synth_pool(families, size, derive_seed(master_seed, 900, pool_index),
                           gene_tag, attitude)
     if stype == "reference":
         members = []
         for raw in source.get("members", []):
-            count = int(raw.get("count", 1))
+            count = _cast(raw.get("count", 1), int, f"pools[{pool_index}].count")
             members.extend(_reference_member(raw, len(members) + i) for i in range(count))
         if not members:
             raise ConfigError(f"pools[{pool_index}]: reference source needs members")
@@ -173,7 +183,7 @@ def _prepare_out(out: str) -> Path:
 def _seed_from(config: dict, override: int | None) -> int:
     if override is not None:
         return override
-    return int(config.get("seed", 0))
+    return _cast(config.get("seed", 0), int, "seed")
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +195,7 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     seed = _seed_from(config, args.seed)
     kind, params = _game_params(config.get("game", {}))
-    rollouts = int(config.get("rollouts", 50))
+    rollouts = _cast(config.get("rollouts", 50), int, "rollouts")
     if rollouts < 1:
         raise ConfigError(f"rollouts must be >= 1, got {rollouts}")
     pool_specs = config.get("pools", [])
@@ -276,16 +286,19 @@ def cmd_selfplay(args: argparse.Namespace) -> int:
     kind = GameKind.parse(str(game["kind"]))
     if "pool_e" not in config or "pool_c" not in config:
         raise ConfigError("selfplay config needs pool_e and pool_c")
+    group_sizes = config.get("group_sizes", (4, 16, 64, 256))
+    if not isinstance(group_sizes, (list, tuple)):
+        raise ConfigError(f"group_sizes must be a list of integers, got {group_sizes!r}")
     pool_e = load_pool_source(config["pool_e"], seed, 0)
     pool_c = load_pool_source(config["pool_c"], seed, 1)
     grid = MixGridConfig(
         kind=kind,
         pool_e=pool_e,
         pool_c=pool_c,
-        k=float(game.get("k", 2.0)),
-        rounds=int(game.get("rounds", 20)),
-        group_sizes=tuple(int(n) for n in config.get("group_sizes", (4, 16, 64, 256))),
-        samples_per_cell=int(config.get("samples_per_cell", 200)),
+        k=_cast(game.get("k", 2.0), float, "game.k"),
+        rounds=_cast(game.get("rounds", 20), int, "game.rounds"),
+        group_sizes=tuple(_cast(n, int, "group_sizes") for n in group_sizes),
+        samples_per_cell=_cast(config.get("samples_per_cell", 200), int, "samples_per_cell"),
         master_seed=derive_seed(seed, 3),
     )
     try:
@@ -307,7 +320,7 @@ def cmd_selfplay(args: argparse.Namespace) -> int:
 def cmd_evolve(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     seed = _seed_from(config, args.seed)
-    group_size = int(config.get("group_size", 4))
+    group_size = _cast(config.get("group_size", 4), int, "group_size")
     kind, params = _game_params(config.get("game", {}), n=group_size)
     gene_specs = config.get("genes", [])
     if not gene_specs:
@@ -326,20 +339,22 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         params=params,
         genes=tuple(genes),
         pools=pools,
-        population=int(config.get("population", 512)),
+        population=_cast(config.get("population", 512), int, "population"),
         group_size=group_size,
-        games_per_agent=int(config.get("games_per_agent", 4)),
-        elites=int(config.get("elites", 64)),
-        mutation_rate=float(config.get("mutation_rate", 0.10)),
-        dominance_threshold=float(config.get("dominance_threshold", 0.75)),
-        max_generations=int(config.get("max_generations", 200)),
+        games_per_agent=_cast(config.get("games_per_agent", 4), int, "games_per_agent"),
+        elites=_cast(config.get("elites", 64), int, "elites"),
+        mutation_rate=_cast(config.get("mutation_rate", 0.10), float, "mutation_rate"),
+        dominance_threshold=_cast(
+            config.get("dominance_threshold", 0.75), float, "dominance_threshold"
+        ),
+        max_generations=_cast(config.get("max_generations", 200), int, "max_generations"),
         master_seed=derive_seed(seed, 4),
     )
     try:
         evo.validate()
     except ValueError as exc:
         raise ConfigError(str(exc))
-    runs = int(config.get("runs", 1))
+    runs = _cast(config.get("runs", 1), int, "runs")
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
     out_dir = _prepare_out(args.out)

@@ -172,6 +172,7 @@ class CallableFamily(KernelFamily):
 
     name = "callable"
     param_names = ("strategy",)
+    reads = ("slots", "last")
 
     def stack(self, rows):
         return np.array(rows, dtype=object)[:, None]
@@ -279,10 +280,9 @@ def build_groups(members: np.ndarray, table: MemberTable) -> list[KernelGroup]:
     random-stream consumption is reproducible.
     """
     codes = table.family[members]
-    present, first = np.unique(codes, return_index=True)
+    found = [(code, np.flatnonzero(codes == code)) for code in range(len(table.families))]
     groups = []
-    for code in present[np.argsort(first)]:
-        slots = np.flatnonzero(codes == code)
+    for code, slots in sorted((f for f in found if len(f[1])), key=lambda f: f[1][0]):
         picked = members[slots]
         family = table.families[code]
         params = table.params[code][table.row[picked]]
@@ -327,9 +327,11 @@ def simulate_batch(
     S = n_games
     is_cpr = kind is GameKind.COMMON_POOL
     rng = rng_for(seed)
-    col = np.tile(np.arange(n, dtype=np.int64), S)
+    reads = set().union(*(group.family.reads for group in groups))
+    whole = len(groups) == 1 and len(groups[0].slots) == S * n
+    col = np.tile(np.arange(n, dtype=np.int64), S) if "col" in reads else None
     prev: np.ndarray | None = None  # bool (S, n)
-    coop_cum = np.zeros((S, n), dtype=np.int64)
+    coop_cum = np.zeros((S, n), dtype=np.int64) if "opp_rate" in reads else None
     stock = np.full(S, params.capacity, dtype=float) if is_cpr else None
     totals = np.zeros((S, n), dtype=float)
     rec_coop = np.empty((r, S, n), dtype=bool) if record else None
@@ -339,36 +341,36 @@ def simulate_batch(
         rec_stock[0] = stock
 
     for t in range(r):
-        if t == 0:
-            prev_flat = opp_coop_flat = opp_rate_flat = None
-        else:
-            coop_tot_prev = prev.sum(axis=1)
-            opp_coop_flat = (coop_tot_prev[:, None] - prev).ravel().astype(float)
-            rate = (coop_cum.sum(axis=1)[:, None] - coop_cum) / ((n - 1) * t)
-            opp_rate_flat = rate.ravel()
-            prev_flat = prev.ravel()
-        stock_frac_flat = np.repeat(stock / params.capacity, n) if is_cpr else None
+        # the round's observables over the whole stack, only those some group reads
+        flat = {} if col is None else {"col": col}
+        if t > 0:
+            if "opp_coop" in reads:
+                flat["opp_coop"] = (prev.sum(axis=1)[:, None] - prev).ravel().astype(float)
+            if "opp_rate" in reads:
+                rate = (coop_cum.sum(axis=1)[:, None] - coop_cum) / ((n - 1) * t)
+                flat["opp_rate"] = rate.ravel()
+            if "prev_c" in reads:
+                flat["prev_c"] = prev.ravel()
+        if is_cpr and "stock_frac" in reads:
+            flat["stock_frac"] = np.repeat(stock / params.capacity, n)
 
         acts_flat = np.empty(S * n, dtype=bool)
         faults = []
         for group in groups:
             idx = group.slots
-            view = SlotView(
-                t=t,
-                rounds=r,
-                n=n,
-                col=col[idx],
-                prev_c=None if prev_flat is None else prev_flat[idx],
-                opp_coop=None if opp_coop_flat is None else opp_coop_flat[idx],
-                opp_rate=None if opp_rate_flat is None else opp_rate_flat[idx],
-                stock_frac=None if stock_frac_flat is None else stock_frac_flat[idx],
-                kind=kind,
-                params=params,
-                slots=idx,
-                last=prev,
-            )
+            # a group that holds every slot reads and writes whole arrays
+            at = slice(None) if whole else idx
+            fields = {}
+            for name in group.family.reads:
+                if name == "slots":
+                    fields[name] = idx
+                elif name == "last":
+                    fields[name] = prev
+                elif name in flat:
+                    fields[name] = flat[name][at]
+            view = SlotView(t=t, rounds=r, n=n, kind=kind, params=params, **fields)
             try:
-                acts_flat[idx] = decide_group(group.family, group.params, group.state, view, rng)
+                acts_flat[at] = decide_group(group.family, group.params, group.state, view, rng)
             except SlotFault as fault:
                 faults.append((int(idx[fault.slot]), group.labels[fault.slot], fault))
         if faults:
@@ -381,7 +383,8 @@ def simulate_batch(
         coop = acts_flat.reshape(S, n)
         payoffs, next_stock = batch_round_payoffs(kind, params, coop, stock)
         totals += payoffs
-        coop_cum += coop
+        if coop_cum is not None:
+            coop_cum += coop
         prev = coop
         if record:
             rec_coop[t] = coop

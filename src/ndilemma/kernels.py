@@ -53,9 +53,11 @@ class SlotView:
     """Per-round observables for a set of (game, player) slots.
 
     Arrays are aligned with the slots a family was asked to decide for.
+    The engine fills only the observables the family names in its
+    ``reads``; the rest stay None. ``col`` is each slot's player index;
     ``prev_c``, ``opp_coop`` and ``opp_rate`` are None in round 0;
     ``stock_frac`` is None outside the common-pool game. The engine's
-    ``callable`` family also reads the whole stack: ``slots`` holds each
+    ``callable`` family reads the whole stack instead: ``slots`` holds each
     slot's flat ``game * n + player`` index and ``last`` the previous
     round's (games, n) actions, None in round 0.
     """
@@ -63,13 +65,13 @@ class SlotView:
     t: int
     rounds: int
     n: int
-    col: np.ndarray
-    prev_c: np.ndarray | None
-    opp_coop: np.ndarray | None
-    opp_rate: np.ndarray | None
-    stock_frac: np.ndarray | None
-    kind: GameKind | None = None
-    params: GameParams | None = None
+    kind: GameKind
+    params: GameParams
+    col: np.ndarray | None = None
+    prev_c: np.ndarray | None = None
+    opp_coop: np.ndarray | None = None
+    opp_rate: np.ndarray | None = None
+    stock_frac: np.ndarray | None = None
     slots: np.ndarray | None = None
     last: np.ndarray | None = None
 
@@ -78,6 +80,8 @@ class KernelFamily:
     name: str = ""
     param_names: tuple[str, ...] = ()
     stochastic: bool = False
+    # the SlotView observables decide_batch reads
+    reads: tuple[str, ...] = ()
 
     def validate(self, params: tuple[float, ...]) -> None:
         if len(params) != len(self.param_names):
@@ -149,6 +153,7 @@ class ThresholdTrigger(KernelFamily):
 
     name = "threshold_trigger"
     param_names = ("first_c", "threshold", "sense")
+    reads = ("opp_coop",)
 
     def validate(self, params):
         super().validate(params)
@@ -176,6 +181,7 @@ class Reciprocator(KernelFamily):
 
     name = "reciprocator"
     param_names = ("threshold_frac", "forgive_prob")
+    reads = ("opp_coop",)
     stochastic = True
 
     def validate(self, params):
@@ -203,6 +209,7 @@ class Grim(KernelFamily):
 
     name = "grim"
     param_names = ("tolerance_frac",)
+    reads = ("opp_coop",)
 
     def validate(self, params):
         super().validate(params)
@@ -234,6 +241,7 @@ class Endgame(KernelFamily):
 
     name = "endgame"
     param_names = ("horizon", "threshold_frac")
+    reads = ("opp_coop",)
 
     def validate(self, params):
         super().validate(params)
@@ -266,6 +274,7 @@ class StockGuardian(KernelFamily):
 
     name = "stock_guardian"
     param_names = ("guard_frac",)
+    reads = ("stock_frac",)
 
     def validate(self, params):
         super().validate(params)
@@ -292,6 +301,7 @@ class Rota(KernelFamily):
 
     name = "rota"
     param_names = ("period", "phase", "punish")
+    reads = ("col", "opp_coop")
 
     def validate(self, params):
         super().validate(params)
@@ -377,6 +387,7 @@ class PolicyTable(KernelFamily):
 
     name = "policy"
     param_names = ("step_budget", "default_prob", "n_rules")
+    reads = ("opp_coop", "opp_rate", "prev_c", "stock_frac")
     RULE_LAYOUT = ("lhs", "den", "cmp", "value", "cooperate_prob", "touches_stock")
     FIELDS = (
         "one", "round", "rounds_left", "rounds_left_after",

@@ -3,8 +3,8 @@
 Every random decision in the package flows from a single master seed. Child
 streams are derived with ``numpy.random.SeedSequence`` spawn keys, so a task's
 stream depends only on the master seed and the task's address (for example
-``(group_size, cell, sample)`` or a run index), never on the order in which
-tasks are played.
+a grid cell's ``(group_size, n_e)`` or a run index), never on the order in
+which tasks are played.
 """
 
 from __future__ import annotations

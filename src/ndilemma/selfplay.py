@@ -2,9 +2,13 @@
 
 For every group size and every split ``(n_e, n_c)`` with ``n_e + n_c = n``,
 each sample draws ``n_e`` members from the first pool and ``n_c`` from the
-second without replacement (a fresh draw per sample), plays one game, and
-records its mean normalised reward. A cell reports the mean and standard
-error over its samples, alongside the welfare bounds for the group size.
+second without replacement, plays one game, and records its mean normalised
+reward. A cell draws all of its samples in one vectorised call on its own
+stream, so its lineups depend only on its address ``(n, n_e)``. The cells of
+one group size play as a few large stacks of whole cells, split at a memory
+budget sized from the compiled member table. A cell reports the mean and
+standard error over its samples, alongside the welfare bounds for the group
+size.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import cached_bounds
-from .engine import MemberTable, play_many
+from .bounds import WelfareBounds, cached_bounds
+from .engine import CALLABLE, MemberTable, play_many
 from .games import GameKind, GameParams
 from .seeding import derive_seed, rng_for
 from .strategies import StrategyPool
@@ -85,51 +89,88 @@ class MixGridRow:
         return self.n - self.n_e
 
 
-def _draw_cell_sample(config: MixGridConfig, n: int, n_e: int, sample: int) -> np.ndarray:
-    """Member indices of one sample's lineup in ``config.pool_e`` then
-    ``config.pool_c`` order (the latter offset by ``len(config.pool_e)``)."""
-    rng = rng_for(config.master_seed, n, n_e, sample, 0)
-    picked_e = config.pool_e.sample_without_replacement(n_e, rng)
-    picked_c = config.pool_c.sample_without_replacement(n - n_e, rng)
-    return np.concatenate([picked_e, len(config.pool_e) + picked_c])
+def _smallest(keys: np.ndarray, count: int) -> np.ndarray:
+    """Per row, the columns of the ``count`` smallest keys, in key order."""
+    if count == 0:
+        return np.empty((len(keys), 0), dtype=np.int64)
+    part = np.argpartition(keys, count - 1, axis=1)[:, :count]
+    order = np.argsort(np.take_along_axis(keys, part, axis=1), axis=1)
+    return np.take_along_axis(part, order, axis=1)
 
 
-def _run_cell(config: MixGridConfig, table: MemberTable, n: int, n_e: int) -> np.ndarray:
-    """Mean welfare of each sample in one cell, played as one stack."""
-    lineups = np.stack(
-        [_draw_cell_sample(config, n, n_e, s) for s in range(config.samples_per_cell)]
+def _draw_cell(config: MixGridConfig, n: int, n_e: int) -> np.ndarray:
+    """(samples, n) member indices of one cell's lineups, ``config.pool_e``
+    members then ``config.pool_c`` members (offset by ``len(config.pool_e)``).
+
+    One stream per cell: every row gives each member of a pool a uniform
+    key and takes the members with the smallest keys, in key order, which is
+    a uniform draw without replacement.
+    """
+    rng = rng_for(config.master_seed, n, n_e, 0)
+    samples = config.samples_per_cell
+    keys_e = rng.random((samples, len(config.pool_e)))
+    keys_c = rng.random((samples, len(config.pool_c)))
+    return np.concatenate(
+        [_smallest(keys_e, n_e), len(config.pool_e) + _smallest(keys_c, n - n_e)], axis=1
     )
-    seed = derive_seed(config.master_seed, n, n_e, 1)
-    return play_many(config.kind, config.params_for(n), lineups, table, seed)[1]
+
+
+# Memory budget of one stack, in 8-byte words; a stack holds whole cells.
+_STACK_WORDS = 1 << 17
+
+
+def _slot_words(table: MemberTable, rounds: int) -> int:
+    """Words one slot of a stack holds: the engine's per-slot arrays and the
+    widest parameter row. A game that holds a member without a kernel keeps
+    its history as Python objects, about five words per player per round
+    (an action and a boxed payoff), so such tables weigh that too."""
+    words = 8 + max(P.shape[1] for P in table.params)
+    if CALLABLE in table.families:
+        words += 5 * rounds
+    return words
+
+
+def _cell_row(
+    config: MixGridConfig, n: int, n_e: int, welfare: np.ndarray, limits: WelfareBounds
+) -> MixGridRow:
+    std_error = (
+        float(welfare.std(ddof=1) / np.sqrt(len(welfare))) if len(welfare) > 1 else 0.0
+    )
+    return MixGridRow(
+        game=config.kind.value,
+        n=n,
+        n_e=n_e,
+        mean_welfare=float(welfare.mean()),
+        std_error=std_error,
+        welfare_min=limits.min_mean,
+        welfare_max=limits.max_mean,
+        samples=len(welfare),
+    )
 
 
 def run_mix_grid(config: MixGridConfig) -> list[MixGridRow]:
-    """All cells for all group sizes; deterministic given the master seed."""
+    """All cells for all group sizes; deterministic given the master seed.
+
+    The cells of one group size play as few stacks as the memory budget
+    allows, each of whole cells in ``n_e`` order, on the kernel seed of its
+    first cell.
+    """
     config.validate()
     table = MemberTable.compile(config.pool_e.members + config.pool_c.members)
+    samples = config.samples_per_cell
+    slot_words = _slot_words(table, config.rounds)
     out: list[MixGridRow] = []
     for n in config.group_sizes:
         params = config.params_for(n)
         limits = cached_bounds(config.kind, params)
-        for n_e in range(n + 1):
-            welfare = _run_cell(config, table, n, n_e)
-            std_error = (
-                float(welfare.std(ddof=1) / np.sqrt(len(welfare)))
-                if len(welfare) > 1
-                else 0.0
-            )
-            out.append(
-                MixGridRow(
-                    game=config.kind.value,
-                    n=n,
-                    n_e=n_e,
-                    mean_welfare=float(welfare.mean()),
-                    std_error=std_error,
-                    welfare_min=limits.min_mean,
-                    welfare_max=limits.max_mean,
-                    samples=len(welfare),
-                )
-            )
+        per_stack = max(1, _STACK_WORDS // (slot_words * samples * n))
+        for first in range(0, n + 1, per_stack):
+            cells = range(first, min(first + per_stack, n + 1))
+            lineups = np.concatenate([_draw_cell(config, n, n_e) for n_e in cells])
+            seed = derive_seed(config.master_seed, n, first, 1)
+            welfare = play_many(config.kind, params, lineups, table, seed)[1]
+            for n_e, cell in zip(cells, welfare.reshape(len(cells), samples)):
+                out.append(_cell_row(config, n, n_e, cell, limits))
     return out
 
 

@@ -294,6 +294,50 @@ class TestFingerprintCmd:
         assert not out.exists()
 
 
+def _with_game(doc: dict, **game) -> dict:
+    return {**doc, "game": {**doc["game"], **game}}
+
+
+class TestNonNumericConfig:
+    """A config value that does not cast exits 1 naming its key, before the
+    output directory is created."""
+
+    CASES = [
+        ("evolve", lambda: TestEvolve().evolve_config(runs="two"), "runs"),
+        ("evolve", lambda: TestEvolve().evolve_config(population="many"), "population"),
+        ("evolve", lambda: TestEvolve().evolve_config(group_size="four"), "group_size"),
+        ("evolve", lambda: _with_game(TestEvolve().evolve_config(), rounds="ten"), "game.rounds"),
+        ("evolve", lambda: _with_game(TestEvolve().evolve_config(), k=[2]), "game.k"),
+        ("selfplay", lambda: selfplay_config(samples_per_cell="many"), "samples_per_cell"),
+        ("selfplay", lambda: selfplay_config(group_sizes=["four"]), "group_sizes"),
+        ("selfplay", lambda: selfplay_config(group_sizes=4), "group_sizes"),
+        ("fingerprint", lambda: {**TestFingerprintCmd().fingerprint_config(), "rollouts": "ten"},
+         "rollouts"),
+        ("fingerprint", lambda: _with_game(TestFingerprintCmd().fingerprint_config(), n="4"),
+         None),
+        ("fingerprint", lambda: _with_game(TestFingerprintCmd().fingerprint_config(), n="four"),
+         "game.n"),
+        ("fingerprint", lambda: _with_game(TestFingerprintCmd().fingerprint_config(),
+                                           capacity="full"), "game.capacity"),
+    ]
+
+    @pytest.mark.parametrize(
+        "command, doc, key", CASES, ids=[f"{c}-{k or 'numeric-string'}" for c, _, k in CASES]
+    )
+    def test_exits_one_naming_the_key(self, tmp_path, capsys, command, doc, key):
+        config = write_json(tmp_path / "cfg.json", doc())
+        out = tmp_path / "out"
+        code = main([command, "--config", str(config), "--out", str(out)])
+        if key is None:  # a numeric string casts as before
+            assert code == 0
+            return
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestVerifyCmd:
     def run_selfplay(self, tmp_path) -> Path:
         config = write_json(tmp_path / "cfg.json", selfplay_config())
