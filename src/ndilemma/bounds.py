@@ -1,15 +1,25 @@
 """Bounds on mean welfare over all joint action sequences.
 
 Public-goods and collective-risk payoffs are round-separable, so their
-bounds come from an exact scan over the per-round cooperator count. The
-common-pool game carries state (the stock), but payoffs and the stock
-recursion depend on actions only through the cooperator count, so the search
-space is the count sequences. Those are enumerated exhaustively while
-``(n + 1) ** rounds`` fits the budget; above it a width-capped search over
-count sequences runs the exact stock recursion round by round, pruning
-states that are dominated in (welfare so far, stock). Domination pruning is
-sound because future welfare is monotone in the current stock; results from
-this path are still labelled approximate because the width cap can bite.
+bounds come from an exact scan over the per-round cooperator count.
+
+The common-pool game has exact closed-form bounds. Write ``c`` for the
+capacity, ``n`` for the players and ``r`` for the rounds. In round t the
+stock is S_t (S_1 = c). With ``n_c`` cooperators the stock left after
+extraction is x_t = S_t * n_c / 2n, which lies in [0, S_t / 2]; the round's
+payoff sum is S_t - x_t, and S_{t+1} = min(f(x_t), c) with
+f(x) = 3x - 2x^2 / c.
+
+* Upper bound. Sum_t (S_t - x_t) = S_1 - x_r + Sum_{t<r} (S_{t+1} - x_t),
+  which is at most c + (r - 1) * max_x (f(x) - x) = c + (r - 1) * c / 2.
+  Everyone cooperating for r - 1 rounds and then defecting reaches it,
+  because f(c / 2) = c.
+* Lower bound. On [0, c / 2], f(x) >= 2x, so S_2 >= 2 * x_1 and the first
+  two harvests are at least (c - x_1) + S_2 / 2 >= c. Everyone defecting in
+  round 1 reaches c, because the stock is then 0. With r = 1 the only
+  harvest is at least c / 2, and everyone cooperating reaches it.
+
+Dividing the payoff sums by ``n * r`` gives the mean-welfare bounds.
 """
 
 from __future__ import annotations
@@ -17,12 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from .games import GameKind, GameParams, cpr_next_stock, crd_payoff_pair, pgg_payoff_pair
-
-DEFAULT_EXHAUSTIVE_BUDGET = 200_000
-DEFAULT_BEAM_WIDTH = 4096
+from .games import GameKind, GameParams, crd_payoff_pair, pgg_payoff_pair
 
 
 @dataclass(frozen=True)
@@ -31,7 +36,6 @@ class WelfareBounds:
 
     min_mean: float
     max_mean: float
-    approximate: bool
     method: str
 
     def span(self) -> float:
@@ -48,84 +52,20 @@ def _round_mean_welfare(kind: GameKind, params: GameParams, n_c: int) -> float:
     return (n_c * pay_c + (n - n_c) * pay_d) / n
 
 
-def welfare_bounds(
-    kind: GameKind,
-    params: GameParams,
-    exhaustive_budget: int = DEFAULT_EXHAUSTIVE_BUDGET,
-    beam_width: int = DEFAULT_BEAM_WIDTH,
-) -> WelfareBounds:
+def welfare_bounds(kind: GameKind, params: GameParams) -> WelfareBounds:
     """Bounds on ``mean_welfare`` over every possible way to play the game."""
     params.validate_for(kind)
     if kind in (GameKind.PUBLIC_GOODS, GameKind.COLLECTIVE_RISK):
         per_round = [_round_mean_welfare(kind, params, n_c) for n_c in range(params.n + 1)]
-        return WelfareBounds(min(per_round), max(per_round), False, "scan")
-    return _cpr_bounds(params, exhaustive_budget, beam_width)
-
-
-def _cpr_round_sums(stock: np.ndarray, params: GameParams) -> np.ndarray:
-    """Total round payoff for each cooperator count: shape (states, n + 1).
-
-    With ``n_c`` cooperators and stock S, the round's payoff sum is
-    ``S * (2n - n_c) / 2n``.
-    """
-    n = params.n
-    counts = np.arange(n + 1)
-    return stock[:, None] * (2 * n - counts) / (2 * n)
-
-
-def _prune(welfare: np.ndarray, stock: np.ndarray, maximise: bool, width: int):
-    """Drop states dominated in (welfare, stock); cap survivors at ``width``.
-
-    For the maximum, a state is dominated if another has at least its stock
-    and at least its welfare; future welfare is monotone in stock, so the
-    dominating state can only end better. The minimum case mirrors with both
-    inequalities flipped.
-
-    The survivors form a frontier ordered from the preferred stock to the
-    preferred welfare. The width cap keeps evenly spaced states along it,
-    both ends included: keeping only the best welfare so far would drop the
-    full-stock states that an optimum sustaining the stock passes through.
-    """
-    sign = 1.0 if maximise else -1.0
-    order = np.lexsort((sign * -welfare, sign * -stock))
-    w = welfare[order]
-    s = stock[order]
-    # sweep in order of preferred stock; keep states that strictly improve
-    # the best welfare seen so far, which also drops duplicates
-    key = sign * w
-    best = np.maximum.accumulate(key)
-    keep = np.empty(len(w), dtype=bool)
-    keep[0] = True
-    keep[1:] = key[1:] > best[:-1]
-    w, s = w[keep], s[keep]
-    if len(w) > width:
-        spread = np.linspace(0, len(w) - 1, width).round().astype(np.int64)
-        w, s = w[spread], s[spread]
-    return w, s
-
-
-def _cpr_bounds(params: GameParams, exhaustive_budget: int, beam_width: int) -> WelfareBounds:
-    n, r = params.n, params.rounds
-    exhaustive = (n + 1) ** r <= exhaustive_budget
-    results = []
-    for maximise in (False, True):
-        welfare = np.zeros(1)
-        stock = np.array([params.capacity])
-        for _ in range(r):
-            new_welfare = (welfare[:, None] + _cpr_round_sums(stock, params)).ravel()
-            # next stock for each cooperator count: shape (states, n + 1)
-            new_stock = cpr_next_stock(stock[:, None], np.arange(n + 1), params).ravel()
-            if exhaustive:
-                welfare, stock = new_welfare, new_stock
-            else:
-                welfare, stock = _prune(new_welfare, new_stock, maximise, beam_width)
-        best = welfare.max() if maximise else welfare.min()
-        results.append(float(best) / (n * r))
-    method = "exhaustive" if exhaustive else "beam"
-    return WelfareBounds(results[0], results[1], not exhaustive, method)
+        return WelfareBounds(min(per_round), max(per_round), "scan")
+    c, n, r = params.capacity, params.n, params.rounds
+    min_mean = c / (n * r) if r >= 2 else c / (2 * n)
+    max_mean = (c + (r - 1) * c / 2) / (n * r)
+    return WelfareBounds(min_mean, max_mean, "closed_form")
 
 
 @lru_cache(maxsize=128)
 def cached_bounds(kind: GameKind, params: GameParams) -> WelfareBounds:
-    """Memoised bounds; the CPR search is worth computing once per setup."""
+    """Memoised bounds: the self-play grid and every evolution generation ask
+    for the same few setups again and again."""
     return welfare_bounds(kind, params)

@@ -135,12 +135,26 @@ def _reference_member(spec: dict, index: int) -> Strategy:
 
 
 def load_pool_source(spec: dict, master_seed: int, pool_index: int) -> StrategyPool:
-    """Build a pool from one config entry: file, synth, or reference."""
+    """Build a pool from one config entry: file, synth, or reference.
+
+    A malformed or out-of-range entry raises ``ConfigError`` naming it.
+    """
+    try:
+        return _pool_from_source(spec, master_seed, pool_index)
+    except (ConfigError, SchemaError):
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"pools[{pool_index}]: {exc}") from None
+
+
+def _pool_from_source(spec: dict, master_seed: int, pool_index: int) -> StrategyPool:
     source = spec.get("source")
     if not isinstance(source, dict) or "type" not in source:
         raise ConfigError(f"pools[{pool_index}]: needs a source object with a 'type'")
     stype = source["type"]
     if stype == "file":
+        if "path" not in source:
+            raise ConfigError(f"pools[{pool_index}]: file source needs a 'path'")
         pool = load_pool(source["path"])
         gene_tag = spec.get("gene_tag", pool.gene_tag)
         attitude = Attitude.parse(spec["attitude"]) if "attitude" in spec else pool.attitude
@@ -150,16 +164,19 @@ def load_pool_source(spec: dict, master_seed: int, pool_index: int) -> StrategyP
         raise ConfigError(f"pools[{pool_index}]: {stype} pools need a gene_tag")
     attitude = Attitude.parse(str(spec.get("attitude", "collective")))
     if stype == "synth":
+        entries = source.get("families", [])
+        if not entries:
+            raise ConfigError(f"pools[{pool_index}]: synth source needs families")
+        if not all(isinstance(fam, dict) and "family" in fam for fam in entries):
+            raise ConfigError(f"pools[{pool_index}]: every synth family needs a 'family' name")
         families = [
             FamilySpec(
                 family=fam["family"],
                 weight=_cast(fam.get("weight", 1.0), float, f"pools[{pool_index}].weight"),
                 params=fam.get("params", {}),
             )
-            for fam in source.get("families", [])
+            for fam in entries
         ]
-        if not families:
-            raise ConfigError(f"pools[{pool_index}]: synth source needs families")
         size = _cast(source.get("size", 512), int, f"pools[{pool_index}].size")
         return synth_pool(families, size, derive_seed(master_seed, 900, pool_index),
                           gene_tag, attitude)
@@ -454,9 +471,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         fields["capacity"] = args.capacity
     params = GameParams(**fields)
     limits = welfare_bounds(kind, params)
-    note = " (approximate)" if limits.approximate else ""
     print(f"min_mean_welfare {limits.min_mean!r}")
-    print(f"max_mean_welfare {limits.max_mean!r}{note}")
+    print(f"max_mean_welfare {limits.max_mean!r}")
     if args.out:
         out_dir = _prepare_out(args.out)
         (out_dir / "bounds.json").write_text(
@@ -467,7 +483,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                     "rounds": params.rounds,
                     "min_mean_welfare": limits.min_mean,
                     "max_mean_welfare": limits.max_mean,
-                    "approximate": limits.approximate,
                     "method": limits.method,
                 },
                 indent=2,

@@ -155,18 +155,12 @@ def welfare_efficiency(
     kind: GameKind,
     params: GameParams,
 ) -> float:
-    """Fraction of the min-to-max welfare gap captured by a set of games.
-
-    Clamped to [0, 1] only when the bounds themselves are approximate.
-    """
+    """Fraction of the min-to-max welfare gap captured by a set of games."""
     limits = cached_bounds(kind, params)
     span = limits.span()
     if span == 0:
         raise ValueError("welfare bounds are degenerate (max equals min)")
-    value = (float(np.mean(game_welfares)) - limits.min_mean) / span
-    if limits.approximate:
-        value = min(max(value, 0.0), 1.0)
-    return value
+    return (float(np.mean(game_welfares)) - limits.min_mean) / span
 
 
 def initial_population(config: EvolutionConfig, rng: np.random.Generator) -> Population:

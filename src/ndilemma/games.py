@@ -127,8 +127,10 @@ def _check_actions(actions: Sequence[Action], n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Payoff cores. Each game's arithmetic lives in exactly one place; the public
-# per-action functions and the batched engine both call into these.
+# Payoff cores. The public per-action functions call into these;
+# ``batch_round_payoffs`` is their vectorised form (calling the cores per game
+# is several times slower on a large stack) and tests/test_games.py checks the
+# two agree.
 # ---------------------------------------------------------------------------
 
 
@@ -236,8 +238,8 @@ def batch_round_payoffs(
     """Payoffs for one round of S parallel games.
 
     ``coop`` is a bool array of shape (S, n); ``stock`` is shape (S,) for the
-    common-pool game, None otherwise. Uses the same payoff cores as the
-    scalar functions, vectorised.
+    common-pool game, None otherwise. The payoff cores' arithmetic,
+    vectorised; the stock regrows through ``cpr_next_stock``.
     """
     n = params.n
     defect = ~coop

@@ -49,9 +49,17 @@ class TestBounds:
         assert "min_mean_welfare 1.0" in out
         assert "max_mean_welfare 2.0" in out
 
-    def test_cpr_beam_marked_approximate(self, capsys):
-        assert main(["bounds", "cpr", "--n", "16", "--rounds", "20"]) == 0
-        assert "approximate" in capsys.readouterr().out
+    def test_cpr_bounds_are_exact(self, tmp_path, capsys):
+        out = tmp_path / "bounds"
+        assert main(["bounds", "cpr", "--n", "16", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "min_mean_welfare 0.2\n" in printed
+        assert "max_mean_welfare 2.1\n" in printed
+        assert "approximate" not in printed
+        written = json.loads((out / "bounds.json").read_text())
+        assert written["method"] == "closed_form"
+        assert "approximate" not in written
+        assert verify_manifest(out) == []
 
     def test_bad_game_name(self, capsys):
         assert main(["bounds", "tictactoe", "--n", "4"]) == 1
@@ -334,6 +342,36 @@ class TestNonNumericConfig:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+def _with_gene_zero(**changes) -> dict:
+    doc = TestEvolve().evolve_config()
+    doc["genes"][0].update(changes)
+    return doc
+
+
+class TestPoolSourceErrors:
+    """A bad pool entry exits 1 naming it, before the output directory is
+    created."""
+
+    CASES = {
+        "attitude": _with_gene_zero(attitude="greedy"),
+        "synth-family": _with_gene_zero(source={"type": "synth", "families": [{"family": "nope"}]}),
+        "synth-no-family": _with_gene_zero(source={"type": "synth", "families": [{"weight": 1}]}),
+        "file-no-path": _with_gene_zero(source={"type": "file"}),
+        "reference-probability": _with_gene_zero(
+            source={"type": "reference", "members": [{"kind": "rnd", "p": 5}]}),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_exits_one_naming_the_pool(self, tmp_path, capsys, name):
+        config = write_json(tmp_path / "cfg.json", self.CASES[name])
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: pools[0]: ")
         assert "Traceback" not in err
         assert not out.exists()
 

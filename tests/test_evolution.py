@@ -306,7 +306,7 @@ class TestWelfareEfficiency:
 
         monkeypatch.setattr(
             "ndilemma.evolution.cached_bounds",
-            lambda kind, params: WelfareBounds(1.0, 1.0, False, "scan"),
+            lambda kind, params: WelfareBounds(1.0, 1.0, "scan"),
         )
         with pytest.raises(ValueError, match="degenerate"):
             welfare_efficiency([1.0], GameKind.PUBLIC_GOODS, GameParams(n=4, rounds=1, k=2.0))
