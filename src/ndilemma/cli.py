@@ -134,61 +134,66 @@ def _reference_member(spec: dict, index: int) -> Strategy:
     return Strategy(f"{strat.label}#{index:03d}", strat.origin, strat.decide, strat.kernel)
 
 
-def load_pool_source(spec: dict, master_seed: int, pool_index: int) -> StrategyPool:
+def load_pool_source(
+    spec: dict, master_seed: int, pool_index: int, key: str | None = None
+) -> StrategyPool:
     """Build a pool from one config entry: file, synth, or reference.
 
-    A malformed or out-of-range entry raises ``ConfigError`` naming it.
+    ``pool_index`` seeds a synth pool; ``key`` is the entry's place in the
+    config (default ``pools[pool_index]``). A malformed or out-of-range
+    entry raises ``ConfigError`` naming it.
     """
+    key = f"pools[{pool_index}]" if key is None else key
     try:
-        return _pool_from_source(spec, master_seed, pool_index)
+        return _pool_from_source(spec, master_seed, pool_index, key)
     except (ConfigError, SchemaError):
         raise
     except ValueError as exc:
-        raise ConfigError(f"pools[{pool_index}]: {exc}") from None
+        raise ConfigError(f"{key}: {exc}") from None
 
 
-def _pool_from_source(spec: dict, master_seed: int, pool_index: int) -> StrategyPool:
+def _pool_from_source(spec: dict, master_seed: int, pool_index: int, key: str) -> StrategyPool:
     source = spec.get("source")
     if not isinstance(source, dict) or "type" not in source:
-        raise ConfigError(f"pools[{pool_index}]: needs a source object with a 'type'")
+        raise ConfigError(f"{key}: needs a source object with a 'type'")
     stype = source["type"]
     if stype == "file":
         if "path" not in source:
-            raise ConfigError(f"pools[{pool_index}]: file source needs a 'path'")
+            raise ConfigError(f"{key}: file source needs a 'path'")
         pool = load_pool(source["path"])
         gene_tag = spec.get("gene_tag", pool.gene_tag)
         attitude = Attitude.parse(spec["attitude"]) if "attitude" in spec else pool.attitude
         return StrategyPool(gene_tag, attitude, pool.members)
     gene_tag = spec.get("gene_tag")
     if not gene_tag:
-        raise ConfigError(f"pools[{pool_index}]: {stype} pools need a gene_tag")
+        raise ConfigError(f"{key}: {stype} pools need a gene_tag")
     attitude = Attitude.parse(str(spec.get("attitude", "collective")))
     if stype == "synth":
         entries = source.get("families", [])
         if not entries:
-            raise ConfigError(f"pools[{pool_index}]: synth source needs families")
+            raise ConfigError(f"{key}: synth source needs families")
         if not all(isinstance(fam, dict) and "family" in fam for fam in entries):
-            raise ConfigError(f"pools[{pool_index}]: every synth family needs a 'family' name")
+            raise ConfigError(f"{key}: every synth family needs a 'family' name")
         families = [
             FamilySpec(
                 family=fam["family"],
-                weight=_cast(fam.get("weight", 1.0), float, f"pools[{pool_index}].weight"),
+                weight=_cast(fam.get("weight", 1.0), float, f"{key}.weight"),
                 params=fam.get("params", {}),
             )
             for fam in entries
         ]
-        size = _cast(source.get("size", 512), int, f"pools[{pool_index}].size")
+        size = _cast(source.get("size", 512), int, f"{key}.size")
         return synth_pool(families, size, derive_seed(master_seed, 900, pool_index),
                           gene_tag, attitude)
     if stype == "reference":
         members = []
         for raw in source.get("members", []):
-            count = _cast(raw.get("count", 1), int, f"pools[{pool_index}].count")
+            count = _cast(raw.get("count", 1), int, f"{key}.count")
             members.extend(_reference_member(raw, len(members) + i) for i in range(count))
         if not members:
-            raise ConfigError(f"pools[{pool_index}]: reference source needs members")
+            raise ConfigError(f"{key}: reference source needs members")
         return StrategyPool(gene_tag, attitude, tuple(members))
-    raise ConfigError(f"pools[{pool_index}]: unknown source type {stype!r}")
+    raise ConfigError(f"{key}: unknown source type {stype!r}")
 
 
 def _prepare_out(out: str) -> Path:
@@ -306,8 +311,8 @@ def cmd_selfplay(args: argparse.Namespace) -> int:
     group_sizes = config.get("group_sizes", (4, 16, 64, 256))
     if not isinstance(group_sizes, (list, tuple)):
         raise ConfigError(f"group_sizes must be a list of integers, got {group_sizes!r}")
-    pool_e = load_pool_source(config["pool_e"], seed, 0)
-    pool_c = load_pool_source(config["pool_c"], seed, 1)
+    pool_e = load_pool_source(config["pool_e"], seed, 0, "pool_e")
+    pool_c = load_pool_source(config["pool_c"], seed, 1, "pool_c")
     grid = MixGridConfig(
         kind=kind,
         pool_e=pool_e,
@@ -345,7 +350,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     genes = []
     pools = {}
     for i, spec in enumerate(gene_specs):
-        pool = load_pool_source(spec, seed, i)
+        pool = load_pool_source(spec, seed, i, f"genes[{i}]")
         gene = Gene(pool.gene_tag, pool.attitude)
         if gene in pools:
             raise ConfigError(f"genes[{i}]: duplicate gene {gene.label}")

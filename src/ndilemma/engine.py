@@ -12,6 +12,10 @@ the per-decision cost. A kernel strategy's own ``decide`` (a family's
 ``without_kernel()`` copy plays; deterministic strategies give identical
 games either way (asserted by the test suite).
 
+A stack may hold independent blocks of games, each on its own kernel seed:
+families that draw random numbers form one group per block, so a block
+plays exactly as it would in a stack of its own.
+
 A strategy that raises, exceeds its step budget, or returns a non-action
 aborts the game with a ``StrategyFault`` naming the offender.
 """
@@ -38,17 +42,39 @@ class StrategyFault(RuntimeError):
 
     ``reason`` is one of ``invalid_action``, ``exception`` (which covers
     trapped rule evaluation) or ``step_budget``.
+
+    A fault raised by ``simulate_batch`` also says where it happened:
+    ``game`` indexes the game within its block of the stack, ``block`` the
+    block (None when the stack is one block), and ``detail`` is ``cause``,
+    the strategy's own error, plus that place.
     """
 
-    def __init__(self, label: str, player: int, round_index: int, reason: str, detail: str):
+    def __init__(
+        self,
+        label: str,
+        player: int,
+        round_index: int,
+        reason: str,
+        cause: str,
+        game: int | None = None,
+        block: int | None = None,
+    ):
         self.label = label
         self.player = player
         self.round_index = round_index
         self.reason = reason
-        self.detail = detail
+        self.cause = cause
+        self.game = game
+        self.block = block
+        if game is None:
+            self.detail = cause
+        elif block is None:
+            self.detail = f"{cause} (game {game} of batch)"
+        else:
+            self.detail = f"{cause} (game {game} of block {block})"
         super().__init__(
             f"strategy {label!r} (player {player}, round {round_index}) "
-            f"{reason}: {detail}"
+            f"{reason}: {self.detail}"
         )
 
 
@@ -166,12 +192,13 @@ class CallableFamily(KernelFamily):
     A parameter row holds the strategy itself. Each game that holds a slot
     of this family keeps one ``HistoryAccumulator``, so every slot's
     ``decide`` sees the ``Observation`` a per-decision loop would build. It
-    is called through ``decide_checked``, slot by slot in slot order on the
-    stack's stream, and a fault is raised at the slot that made it.
+    is called through ``decide_checked``, slot by slot in slot order on its
+    block's stream, and a fault is raised at the slot that made it.
     """
 
     name = "callable"
     param_names = ("strategy",)
+    stochastic = True  # decide receives the block's stream
     reads = ("slots", "last")
 
     def stack(self, rows):
@@ -210,13 +237,19 @@ CALLABLE = CallableFamily()
 
 @dataclass
 class KernelGroup:
-    """All slots of one kernel family within a batch, with stacked params."""
+    """Slots of one kernel family within a stack, with stacked params.
+
+    ``members`` holds each slot's row of ``table``, whose labels name a
+    faulting slot. A group draws on the stream of stack block ``block``.
+    """
 
     family: KernelFamily
     params: np.ndarray  # (n_slots, n_params)
     slots: np.ndarray  # flat indices into the (S * n) slot space
-    labels: np.ndarray  # (n_slots,) strategy labels
+    members: np.ndarray  # (n_slots,) rows of ``table``
+    table: MemberTable
     state: object = None
+    block: int = 0
 
 
 @dataclass(frozen=True)
@@ -272,30 +305,66 @@ class MemberTable:
         )
 
 
-def build_groups(members: np.ndarray, table: MemberTable) -> list[KernelGroup]:
-    """Gather a flat slot-major lineup of member indices into one kernel
-    group per family present.
+def build_groups(members: np.ndarray, table: MemberTable, blocks: int = 1) -> list[KernelGroup]:
+    """Gather a flat slot-major lineup of member indices into kernel groups.
 
-    Group order follows each family's first appearance among the slots so
-    random-stream consumption is reproducible.
+    The lineup is ``blocks`` equal blocks of consecutive slots, each of
+    which ``simulate_batch`` plays on its own stream. A stochastic family
+    gets one group per block it appears in; any other family, which never
+    draws, one group over all blocks. Groups are ordered by first slot, so
+    each block's stochastic groups draw on its stream in the order they
+    would in a stack of that block alone.
     """
     codes = table.family[members]
-    found = [(code, np.flatnonzero(codes == code)) for code in range(len(table.families))]
+    block_slots = len(members) // blocks
+    found = []
+    for code, family in enumerate(table.families):
+        slots = np.flatnonzero(codes == code)
+        if not len(slots):
+            continue
+        if family.stochastic and blocks > 1:
+            block_of = slots // block_slots
+            parts = np.split(slots, np.flatnonzero(np.diff(block_of)) + 1)
+            found += [(code, part, int(part[0]) // block_slots) for part in parts]
+        else:
+            found.append((code, slots, 0))
     groups = []
-    for code, slots in sorted((f for f in found if len(f[1])), key=lambda f: f[1][0]):
+    for code, slots, block in sorted(found, key=lambda f: f[1][0]):
         picked = members[slots]
         family = table.families[code]
         params = table.params[code][table.row[picked]]
-        groups.append(
-            KernelGroup(
-                family=family,
-                params=params,
-                slots=slots,
-                labels=table.labels[picked],
-                state=family.new_state(params),
-            )
-        )
+        groups.append(KernelGroup(
+            family=family,
+            params=params,
+            slots=slots,
+            members=picked,
+            table=table,
+            state=family.new_state(params),
+            block=block,
+        ))
     return groups
+
+
+# Memory budget of one stack, in 8-byte words; callers split their stacks
+# in whole units (grid cells, evolution runs) to stay within it.
+STACK_WORDS = 1 << 17
+
+
+def slot_words(table: MemberTable, rounds: int) -> int:
+    """Words one slot of a stack holds: the engine's per-slot arrays and the
+    widest parameter row. A game that holds a member without a kernel keeps
+    its history as Python objects, about five words per player per round
+    (an action and a boxed payoff), so such tables weigh that too."""
+    words = 8 + max(P.shape[1] for P in table.params)
+    if CALLABLE in table.families:
+        words += 5 * rounds
+    return words
+
+
+def units_per_stack(table: MemberTable, rounds: int, unit_slots: int) -> int:
+    """How many whole units of ``unit_slots`` slots one stack holds within
+    ``STACK_WORDS``; at least one."""
+    return max(1, STACK_WORDS // (slot_words(table, rounds) * unit_slots))
 
 
 @dataclass
@@ -314,19 +383,25 @@ def simulate_batch(
     params: GameParams,
     groups: list[KernelGroup],
     n_games: int,
-    seed: int,
+    seed: int | Sequence[int],
     record: bool = False,
 ) -> BatchResult:
     """Run S games of identical shape in lockstep via kernel families.
 
-    ``groups`` must come fresh from ``build_groups``: stateful families
+    ``seed`` is one kernel seed per block of consecutive games, the blocks
+    of equal size; a single int makes the stack one block. ``groups`` must
+    come fresh from ``build_groups`` over as many blocks: stateful families
     (grim) consume their group state during the run.
     """
     params.validate_for(kind)
     n, r = params.n, params.rounds
     S = n_games
     is_cpr = kind is GameKind.COMMON_POOL
-    rng = rng_for(seed)
+    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
+    if S % len(seeds):
+        raise ValueError(f"{S} games do not split into {len(seeds)} equal blocks")
+    block_games = S // len(seeds)
+    rngs = [rng_for(s) for s in seeds]
     reads = set().union(*(group.family.reads for group in groups))
     whole = len(groups) == 1 and len(groups[0].slots) == S * n
     col = np.tile(np.arange(n, dtype=np.int64), S) if "col" in reads else None
@@ -370,15 +445,20 @@ def simulate_batch(
                     fields[name] = flat[name][at]
             view = SlotView(t=t, rounds=r, n=n, kind=kind, params=params, **fields)
             try:
-                acts_flat[at] = decide_group(group.family, group.params, group.state, view, rng)
+                acts_flat[at] = decide_group(
+                    group.family, group.params, group.state, view, rngs[group.block]
+                )
             except SlotFault as fault:
-                faults.append((int(idx[fault.slot]), group.labels[fault.slot], fault))
+                faults.append((int(idx[fault.slot]), group, fault))
         if faults:
             # the lowest (game, player) faults first, as in a per-decision replay
-            slot, label, fault = min(faults, key=lambda item: item[0])
+            slot, group, fault = min(faults, key=lambda item: item[0])
+            label = group.table.labels[group.members[fault.slot]]
             game, player = divmod(slot, n)
+            block, game = divmod(game, block_games)
             raise StrategyFault(
-                label, player, t, fault.reason, f"{fault.detail} (game {game} of batch)"
+                label, player, t, fault.reason, fault.detail,
+                game=game, block=None if len(seeds) == 1 else block,
             )
         coop = acts_flat.reshape(S, n)
         payoffs, next_stock = batch_round_payoffs(kind, params, coop, stock)
@@ -402,14 +482,16 @@ def play_many(
     params: GameParams,
     lineups: np.ndarray,
     table: MemberTable,
-    seed: int,
+    seed: int | Sequence[int],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Play a stack of same-shaped games; returns (totals, mean_welfare).
 
     ``lineups`` is an (S, n) array of ``table`` member indices, one row per
-    game, played as one ``simulate_batch`` stack.
+    game, played as one ``simulate_batch`` stack; ``seed`` is one kernel
+    seed, or one per block of consecutive games as ``simulate_batch`` takes.
     """
-    result = simulate_batch(kind, params, build_groups(lineups.ravel(), table), len(lineups), seed)
+    groups = build_groups(lineups.ravel(), table, 1 if np.ndim(seed) == 0 else len(seed))
+    result = simulate_batch(kind, params, groups, len(lineups), seed)
     return result.totals, result.mean_welfare
 
 

@@ -2,24 +2,29 @@
 
 Each agent carries a gene, the (pool tag, attitude) pair naming a registered
 strategy pool, plus a member of that pool. A population is two aligned
-integer arrays, gene index and member index; every pool of a run is compiled
-once into a member table, so a generation never loops over agents. A
-generation partitions the population into groups ``games_per_agent`` times so
-every agent plays exactly that many games, plays all waves as one stack on
-one kernel seed, scores each agent by its mean normalised payoff, carries the
-top ``elites`` agents over unchanged, and refills the remaining slots by
+integer arrays, gene index and member index; every pool is compiled once
+into a member table, so a generation never loops over agents. A generation
+partitions the population into groups ``games_per_agent`` times so every
+agent plays exactly that many games, plays all waves on one kernel seed,
+scores each agent by its mean normalised payoff, carries the top ``elites``
+agents over unchanged, and refills the remaining slots by
 fitness-proportional copying of genes with mutation and one vectorised draw
 of fresh members. The process stops when one gene reaches the dominance
 threshold or after a fixed number of generations, and reports the plurality
 gene as the equilibrium.
-"""
+
+Independent runs advance in lockstep on one member table: each generation,
+the games of every live run play as a few large stacks, one block of games
+per run on that run's kernel seed, and a run that reaches the threshold
+drops out. Every run draws from its own streams in the order a lone run
+does, so batch and lone runs give the same results."""
 
 from __future__ import annotations
 
 import csv
 import json
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -27,7 +32,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .bounds import cached_bounds
-from .engine import MemberTable, play_many
+from .engine import MemberTable, StrategyFault, play_many, units_per_stack
 from .games import GameKind, GameParams
 from .seeding import SEED_SPACE, derive_seed, rng_for
 from .strategies import Attitude, StrategyPool
@@ -184,29 +189,54 @@ def sample_partitions(
 
 
 def evaluate_fitness(
-    population: Population,
+    populations: Sequence[Population],
     config: EvolutionConfig,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Play every wave as one stack; returns (fitness, per-game welfare,
-    partitions).
+    rngs: Sequence[np.random.Generator],
+    runs: Sequence[int] | None = None,
+) -> list[tuple[np.ndarray, np.ndarray, list[np.ndarray]]]:
+    """Play one generation of every population in lockstep; returns one
+    (fitness, per-game welfare, partitions) triple per population.
 
-    Fitness is the agent's mean normalised payoff over its
-    ``games_per_agent`` games; per-game welfare is in wave order.
+    Each population draws its partitions, then its kernel seed, from its own
+    stream in ``rngs``. Its games are one block of a stack, on that kernel
+    seed, and the stacks hold as many whole populations as the engine's
+    memory budget allows, so a triple does not depend on what plays beside
+    it. Fitness is the agent's mean normalised payoff over its
+    ``games_per_agent`` games; per-game welfare is in wave order. A
+    ``StrategyFault`` names the population's entry of ``runs`` (by default
+    its position) and the game's index within its generation.
     """
-    pop_size = len(population)
-    partitions = sample_partitions(pop_size, config.group_size, config.games_per_agent, rng)
-    agents = np.concatenate(partitions)  # (waves * groups, group_size)
-    rows = config.pool_starts[population.gene] + population.member
-    totals, welfare = play_many(
-        config.kind, config.params, rows[agents], config.member_table,
-        int(rng.integers(SEED_SPACE)),
-    )
-    # every agent appears once per wave, so sum with bincount, not fancy +=
-    fitness_sum = np.bincount(
-        agents.ravel(), weights=(totals / config.params.rounds).ravel(), minlength=pop_size
-    )
-    return fitness_sum / config.games_per_agent, welfare, partitions
+    pop_size, waves, rounds = config.population, config.games_per_agent, config.params.rounds
+    drawn = []
+    for population, rng in zip(populations, rngs):
+        partitions = sample_partitions(pop_size, config.group_size, waves, rng)
+        agents = np.concatenate(partitions)  # (waves * groups, group_size)
+        rows = config.pool_starts[population.gene] + population.member
+        drawn.append((partitions, agents, rows[agents], int(rng.integers(SEED_SPACE))))
+    runs = range(len(drawn)) if runs is None else runs
+    games = pop_size * waves // config.group_size
+    per_stack = units_per_stack(config.member_table, rounds, pop_size * waves)
+    played = []
+    for first in range(0, len(drawn), per_stack):
+        partitions, agents, lineups, seeds = zip(*drawn[first : first + per_stack])
+        try:
+            totals, welfare = play_many(
+                config.kind, config.params, np.concatenate(lineups), config.member_table, seeds
+            )
+        except StrategyFault as fault:
+            run = runs[first + (fault.block or 0)]
+            raise StrategyFault(
+                fault.label, fault.player, fault.round_index, fault.reason,
+                f"{fault.cause} (run {run}, game {fault.game} of its generation)",
+            ) from fault
+        for i, (waves_of_run, agents_of_run) in enumerate(zip(partitions, agents)):
+            at = slice(i * games, (i + 1) * games)
+            # every agent appears once per wave, so sum with bincount, not fancy +=
+            fitness_sum = np.bincount(
+                agents_of_run.ravel(), weights=(totals[at] / rounds).ravel(), minlength=pop_size
+            )
+            played.append((fitness_sum / waves, welfare[at], waves_of_run))
+    return played
 
 
 def next_population(
@@ -256,7 +286,20 @@ def run_generation(
     generation: int = 0,
 ) -> GenerationOutcome:
     """One full generation: play, score, select, refill."""
-    fitness, game_welfares, partitions = evaluate_fitness(population, config, rng)
+    [played] = evaluate_fitness([population], config, [rng])
+    return _select(population, config, rng, generation, *played)
+
+
+def _select(
+    population: Population,
+    config: EvolutionConfig,
+    rng: np.random.Generator,
+    generation: int,
+    fitness: np.ndarray,
+    game_welfares: np.ndarray,
+    partitions: list[np.ndarray],
+) -> GenerationOutcome:
+    """Record a played generation and select the next on the same stream."""
     stats = GenerationStats(
         generation=generation,
         gene_frequencies=gene_frequencies(population, config),
@@ -277,6 +320,51 @@ def _plurality(frequencies: dict[Gene, int], config: EvolutionConfig) -> Gene:
     return max(config.genes, key=lambda gene: frequencies[gene])
 
 
+def _evolve(
+    config: EvolutionConfig,
+    seeds: Sequence[int],
+    on_generation: Callable[[GenerationOutcome], None] | None = None,
+) -> list[EvolutionResult]:
+    """Advance one run per master seed in lockstep, each until dominance or
+    the generation cap.
+
+    Run ``r`` starts from ``rng_for(seeds[r], 0)`` and plays generation
+    ``g`` on ``rng_for(seeds[r], 1, g)``, drawing partitions, kernel seed
+    and selection in that order, so its result is that of a lone run on its
+    seed. Dominance is checked on the initial population and after every
+    selection step; a run that reaches it drops out of later stacks.
+    ``on_generation`` sees every outcome, runs in order within a generation.
+    """
+    config.validate()
+    populations = [initial_population(config, rng_for(seed, 0)) for seed in seeds]
+    frequencies = [gene_frequencies(population, config) for population in populations]
+    histories: list[list[GenerationStats]] = [[] for _ in seeds]
+    live = [r for r, freq in enumerate(frequencies) if not _dominant(freq, config)]
+    for generation in range(1, config.max_generations + 1):
+        if not live:
+            break
+        rngs = [rng_for(seeds[r], 1, generation) for r in live]
+        played = evaluate_fitness([populations[r] for r in live], config, rngs, live)
+        for r, rng, scored in zip(live, rngs, played):
+            outcome = _select(populations[r], config, rng, generation, *scored)
+            histories[r].append(outcome.stats)
+            if on_generation is not None:
+                on_generation(outcome)
+            populations[r] = outcome.population
+            frequencies[r] = gene_frequencies(outcome.population, config)
+        live = [r for r in live if not _dominant(frequencies[r], config)]
+    return [
+        EvolutionResult(
+            winner=_plurality(freq, config),
+            terminated_by="threshold" if _dominant(freq, config) else "max_generations",
+            generations_run=len(history),
+            history=history,
+            final_frequencies=freq,
+        )
+        for freq, history in zip(frequencies, histories)
+    ]
+
+
 def run_evolution(
     config: EvolutionConfig,
     on_generation: Callable[[GenerationOutcome], None] | None = None,
@@ -286,38 +374,7 @@ def run_evolution(
     Dominance is checked on the initial population and after every
     selection step. Deterministic given ``config.master_seed``.
     """
-    config.validate()
-    population = initial_population(config, rng_for(config.master_seed, 0))
-    history: list[GenerationStats] = []
-    frequencies = gene_frequencies(population, config)
-    if _dominant(frequencies, config):
-        return EvolutionResult(
-            winner=_plurality(frequencies, config),
-            terminated_by="threshold",
-            generations_run=0,
-            history=history,
-            final_frequencies=frequencies,
-        )
-    terminated_by = "max_generations"
-    for generation in range(1, config.max_generations + 1):
-        outcome = run_generation(
-            population, config, rng_for(config.master_seed, 1, generation), generation
-        )
-        history.append(outcome.stats)
-        if on_generation is not None:
-            on_generation(outcome)
-        population = outcome.population
-        frequencies = gene_frequencies(population, config)
-        if _dominant(frequencies, config):
-            terminated_by = "threshold"
-            break
-    return EvolutionResult(
-        winner=_plurality(frequencies, config),
-        terminated_by=terminated_by,
-        generations_run=len(history),
-        history=history,
-        final_frequencies=frequencies,
-    )
+    return _evolve(config, [config.master_seed], on_generation)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +407,13 @@ def batch_runs(config: EvolutionConfig, run_count: int) -> BatchRunsSummary:
 
     Run ``r`` is ``run_evolution`` on master seed
     ``derive_seed(config.master_seed, r)``, so its record depends only on
-    that address.
+    that address; the runs advance in lockstep on one member table.
     """
     if run_count < 1:
         raise ValueError(f"run_count must be >= 1, got {run_count}")
-    config.validate()
+    results = _evolve(config, [derive_seed(config.master_seed, run) for run in range(run_count)])
     records = []
-    for run in range(run_count):
-        result = run_evolution(replace(config, master_seed=derive_seed(config.master_seed, run)))
+    for run, result in enumerate(results):
         final_eff = result.history[-1].welfare_efficiency if result.history else float("nan")
         records.append(RunRecord(
             run=run,

@@ -79,6 +79,8 @@ class SlotView:
 class KernelFamily:
     name: str = ""
     param_names: tuple[str, ...] = ()
+    # whether decide_batch may draw on its generator; a family that never
+    # draws shares one group across the blocks of a stack
     stochastic: bool = False
     # the SlotView observables decide_batch reads
     reads: tuple[str, ...] = ()
@@ -387,6 +389,7 @@ class PolicyTable(KernelFamily):
 
     name = "policy"
     param_names = ("step_budget", "default_prob", "n_rules")
+    stochastic = True
     reads = ("opp_coop", "opp_rate", "prev_c", "stock_frac")
     RULE_LAYOUT = ("lhs", "den", "cmp", "value", "cooperate_prob", "touches_stock")
     FIELDS = (

@@ -5,10 +5,10 @@ each sample draws ``n_e`` members from the first pool and ``n_c`` from the
 second without replacement, plays one game, and records its mean normalised
 reward. A cell draws all of its samples in one vectorised call on its own
 stream, so its lineups depend only on its address ``(n, n_e)``. The cells of
-one group size play as a few large stacks of whole cells, split at a memory
-budget sized from the compiled member table. A cell reports the mean and
-standard error over its samples, alongside the welfare bounds for the group
-size.
+one group size play as a few large stacks of whole cells, split at the
+engine's memory budget for the compiled member table. A cell reports the
+mean and standard error over its samples, alongside the welfare bounds for
+the group size.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import WelfareBounds, cached_bounds
-from .engine import CALLABLE, MemberTable, play_many
+from .engine import MemberTable, play_many, units_per_stack
 from .games import GameKind, GameParams
 from .seeding import derive_seed, rng_for
 from .strategies import StrategyPool
@@ -115,21 +115,6 @@ def _draw_cell(config: MixGridConfig, n: int, n_e: int) -> np.ndarray:
     )
 
 
-# Memory budget of one stack, in 8-byte words; a stack holds whole cells.
-_STACK_WORDS = 1 << 17
-
-
-def _slot_words(table: MemberTable, rounds: int) -> int:
-    """Words one slot of a stack holds: the engine's per-slot arrays and the
-    widest parameter row. A game that holds a member without a kernel keeps
-    its history as Python objects, about five words per player per round
-    (an action and a boxed payoff), so such tables weigh that too."""
-    words = 8 + max(P.shape[1] for P in table.params)
-    if CALLABLE in table.families:
-        words += 5 * rounds
-    return words
-
-
 def _cell_row(
     config: MixGridConfig, n: int, n_e: int, welfare: np.ndarray, limits: WelfareBounds
 ) -> MixGridRow:
@@ -158,12 +143,11 @@ def run_mix_grid(config: MixGridConfig) -> list[MixGridRow]:
     config.validate()
     table = MemberTable.compile(config.pool_e.members + config.pool_c.members)
     samples = config.samples_per_cell
-    slot_words = _slot_words(table, config.rounds)
     out: list[MixGridRow] = []
     for n in config.group_sizes:
         params = config.params_for(n)
         limits = cached_bounds(config.kind, params)
-        per_stack = max(1, _STACK_WORDS // (slot_words * samples * n))
+        per_stack = units_per_stack(table, config.rounds, samples * n)
         for first in range(0, n + 1, per_stack):
             cells = range(first, min(first + per_stack, n + 1))
             lineups = np.concatenate([_draw_cell(config, n, n_e) for n_e in cells])

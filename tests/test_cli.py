@@ -346,32 +346,44 @@ class TestNonNumericConfig:
         assert not out.exists()
 
 
-def _with_gene_zero(**changes) -> dict:
+def _with_gene(index: int, **changes) -> dict:
     doc = TestEvolve().evolve_config()
-    doc["genes"][0].update(changes)
+    doc["genes"][index].update(changes)
+    return doc
+
+
+def _with_pool_c(**changes) -> dict:
+    doc = selfplay_config()
+    doc["pool_c"] = {**doc["pool_c"], **changes}
     return doc
 
 
 class TestPoolSourceErrors:
-    """A bad pool entry exits 1 naming it, before the output directory is
-    created."""
+    """A bad pool entry exits 1 naming its config key, before the output
+    directory is created."""
 
+    UNKNOWN_FAMILY = {"type": "synth", "families": [{"family": "nope"}]}
+    UNNAMED_FAMILY = {"type": "synth", "families": [{"weight": 1}]}
+    BAD_PROBABILITY = {"type": "reference", "members": [{"kind": "rnd", "p": 5}]}
+    # name -> (command, config, the key the error names)
     CASES = {
-        "attitude": _with_gene_zero(attitude="greedy"),
-        "synth-family": _with_gene_zero(source={"type": "synth", "families": [{"family": "nope"}]}),
-        "synth-no-family": _with_gene_zero(source={"type": "synth", "families": [{"weight": 1}]}),
-        "file-no-path": _with_gene_zero(source={"type": "file"}),
-        "reference-probability": _with_gene_zero(
-            source={"type": "reference", "members": [{"kind": "rnd", "p": 5}]}),
+        "attitude": ("evolve", _with_gene(0, attitude="greedy"), "genes[0]"),
+        "synth-family": ("evolve", _with_gene(0, source=UNKNOWN_FAMILY), "genes[0]"),
+        "synth-no-family": ("evolve", _with_gene(0, source=UNNAMED_FAMILY), "genes[0]"),
+        "file-no-path": ("evolve", _with_gene(0, source={"type": "file"}), "genes[0]"),
+        "reference-probability": ("evolve", _with_gene(0, source=BAD_PROBABILITY), "genes[0]"),
+        "pool_c": ("selfplay", _with_pool_c(attitude="greedy"), "pool_c"),
+        "genes-1": ("evolve", _with_gene(1, source=UNKNOWN_FAMILY), "genes[1]"),
     }
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_exits_one_naming_the_pool(self, tmp_path, capsys, name):
-        config = write_json(tmp_path / "cfg.json", self.CASES[name])
+        command, doc, key = self.CASES[name]
+        config = write_json(tmp_path / "cfg.json", doc)
         out = tmp_path / "out"
-        assert main(["evolve", "--config", str(config), "--out", str(out)]) == 1
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: pools[0]: ")
+        assert err.startswith(f"error: {key}: ")
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -206,19 +206,21 @@ TABLE_MEMBERS = [
 
 def _stacked_one_by_one(lineup: list[Strategy]) -> list[KernelGroup]:
     """Group a strategy lineup slot by slot, stacking each family's picked
-    rows on their own."""
-    by_family: dict[str, tuple[list, list, list]] = {}
+    rows on their own; slot ``s`` plays member ``s`` of a table of the
+    lineup."""
+    table = MemberTable.compile(lineup)
+    by_family: dict[str, tuple[list, list]] = {}
     for slot, strategy in enumerate(lineup):
         name, vec = strategy.kernel
-        rows, slots, labels = by_family.setdefault(name, ([], [], []))
+        rows, slots = by_family.setdefault(name, ([], []))
         rows.append(vec)
         slots.append(slot)
-        labels.append(strategy.label)
     groups = []
-    for name, (rows, slots, labels) in by_family.items():
+    for name, (rows, slots) in by_family.items():
         family = FAMILIES[name]
         P = family.stack(rows)
-        groups.append(KernelGroup(family, P, np.array(slots), labels, family.new_state(P)))
+        slots = np.array(slots)
+        groups.append(KernelGroup(family, P, slots, slots, table, family.new_state(P)))
     return groups
 
 
@@ -240,7 +242,7 @@ def test_gathered_groups_match_groups_stacked_one_by_one(kind, n, games, data):
     assert [g.family.name for g in gathered] == [g.family.name for g in reference]
     for got, want in zip(gathered, reference):
         assert np.array_equal(got.slots, want.slots)
-        assert list(got.labels) == want.labels
+        assert list(table.labels[got.members]) == list(want.table.labels[want.members])
         width = want.params.shape[1]
         assert np.array_equal(got.params[:, :width], want.params, equal_nan=True)
         extra = got.params[:, width:]
@@ -265,7 +267,7 @@ def test_kernel_less_members_form_their_own_group():
     assert (kernel.family.name, callable_.family.name) == ("constant", "callable")
     assert kernel.slots.tolist() == [0, 2]
     assert callable_.slots.tolist() == [1, 3]
-    assert list(callable_.labels) == ["AllD", "AllD"]
+    assert list(table.labels[callable_.members]) == ["AllD", "AllD"]
     assert all(s is bare for s in callable_.params[:, 0])
 
 

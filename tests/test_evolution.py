@@ -8,26 +8,32 @@ import pytest
 from conftest import reference_pool
 
 from ndilemma import (
+    Action,
     Attitude,
     EvolutionConfig,
     GameKind,
     GameParams,
     Gene,
+    Strategy,
+    StrategyFault,
     StrategyPool,
     batch_runs,
     run_evolution,
     run_generation,
     welfare_efficiency,
 )
+from ndilemma import engine, evolution
 from ndilemma.engine import play_many
 from ndilemma.evolution import (
     Population,
+    RunRecord,
     evaluate_fitness,
     gene_frequencies,
     initial_population,
     sample_partitions,
     write_generations_csv,
 )
+from ndilemma.policy import PolicyRule, PolicySpec, Predicate, policy_strategy
 from ndilemma.pools import FamilySpec, synth_pool
 from ndilemma.seeding import derive_seed, rng_for
 
@@ -187,7 +193,7 @@ class TestOneStackPerGeneration:
     def test_one_stack_matches_playing_each_wave(self, kind):
         config = deterministic_config(kind)
         population = initial_population(config, rng_for(30))
-        fitness, welfare, partitions = evaluate_fitness(population, config, rng_for(31))
+        [(fitness, welfare, partitions)] = evaluate_fitness([population], config, [rng_for(31)])
         rows = config.pool_starts[population.gene] + population.member
         fitness_sum = np.zeros(len(population))
         welfares = []
@@ -331,26 +337,97 @@ class TestBatchRuns:
         assert summary.threshold_reached == 5
         assert summary.average_generations == 0.0
 
-    def test_each_run_is_a_lone_run_on_its_derived_seed(self):
-        """A run's record depends only on its address (master seed, run)."""
-        config = two_gene_config(
-            pools={
-                G_D: synth_pool([FamilySpec("bernoulli"), FamilySpec("endgame")],
-                                32, 1, "base", Attitude.EXPLOITATIVE),
-                G_C: synth_pool([FamilySpec("bernoulli"), FamilySpec("reciprocator")],
-                                32, 2, "base", Attitude.COLLECTIVE),
-            },
-            max_generations=6,
-            master_seed=17,
+    def test_each_run_is_a_lone_run_on_its_derived_seed(self, monkeypatch):
+        """A run's record and history depend only on its address (master
+        seed, run), whatever the runs beside it in a stack: stochastic
+        families, policy members with rule probabilities inside (0, 1) and a
+        kernel-less coin all draw on the run's own stream, runs end at
+        different generations, and the runs span several stacks."""
+        config = lockstep_config()
+        seeds = [derive_seed(17, run) for run in range(5)]
+        lone = [run_evolution(replace(config, master_seed=seed)) for seed in seeds]
+        # room for two runs per stack
+        monkeypatch.setattr(engine, "STACK_WORDS", engine.slot_words(
+            config.member_table, config.params.rounds) * config.population * 4 * 2)
+        blocks = _record_blocks(monkeypatch)
+        summary = batch_runs(config, 5)
+        assert blocks[:3] == [2, 2, 1]  # generation 1
+        assert summary.runs == [
+            RunRecord(run, result.winner, result.terminated_by, result.generations_run,
+                      result.history[-1].welfare_efficiency)
+            for run, result in enumerate(lone)
+        ]
+        assert evolution._evolve(config, seeds) == lone
+        assert len({result.generations_run for result in lone}) > 1
+        assert {result.terminated_by for result in lone} == {"threshold", "max_generations"}
+
+    def test_a_fault_names_its_run_as_a_lone_run_would(self):
+        """A member that faults at random first faults in run 2 of 3; the
+        batch reports the fault a lone run on run 2's seed raises, naming
+        run 2."""
+        def flaky(obs, rng):
+            if rng.random() < 0.002:
+                raise RuntimeError("flaked")
+            return Action.D
+
+        config = lockstep_config(extra=Strategy("flaky", "file", flaky), master_seed=FLAKY_SEED)
+        with pytest.raises(StrategyFault) as batch:
+            batch_runs(config, 3)
+        with pytest.raises(StrategyFault) as lone:
+            run_evolution(replace(config, master_seed=derive_seed(FLAKY_SEED, 2)))
+        fault, alone = batch.value, lone.value
+        assert (fault.label, fault.player, fault.round_index, fault.reason) == (
+            alone.label, alone.player, alone.round_index, alone.reason,
         )
-        summary = batch_runs(config, 4)
-        assert [rec.run for rec in summary.runs] == [0, 1, 2, 3]
-        for rec in summary.runs:
-            lone = run_evolution(replace(config, master_seed=derive_seed(17, rec.run)))
-            assert rec.winner == lone.winner
-            assert rec.terminated_by == lone.terminated_by
-            assert rec.generations == lone.generations_run
-            assert rec.final_welfare_efficiency == lone.history[-1].welfare_efficiency
+        assert fault.label == "flaky" and "RuntimeError: flaked" in fault.detail
+        assert fault.detail.endswith(" of its generation)") and "(run 2, game " in fault.detail
+        assert fault.detail == alone.detail.replace("(run 0, ", "(run 2, ")
+
+
+# a master seed at which the flaky member of three runs faults first in run 2
+FLAKY_SEED = 5
+
+
+def lockstep_config(extra: Strategy | None = None, **overrides):
+    """Three genes: stochastic synth members, and policy members with rule
+    probabilities inside (0, 1) beside a kernel-less coin (and ``extra``)."""
+    def coin(obs, rng):
+        return Action.C if rng.random() < 0.6 else Action.D
+
+    rules = [
+        PolicySpec(f"rules{i}", (
+            PolicyRule(Predicate("coop_rate_ge", value=0.25 * i), 0.8),
+            PolicyRule(Predicate("my_last_is", value="D"), 0.3),
+        ), 0.4)
+        for i in range(4)
+    ]
+    members = tuple(policy_strategy(spec) for spec in rules) + (Strategy("coin", "file", coin),)
+    if extra is not None:
+        members += (extra,)
+    g_p = Gene("rules", Attitude.COLLECTIVE)
+    pools = {
+        G_D: synth_pool([FamilySpec("bernoulli"), FamilySpec("endgame")],
+                        16, 1, "base", Attitude.EXPLOITATIVE),
+        G_C: synth_pool([FamilySpec("reciprocator"), FamilySpec("grim")],
+                        16, 2, "base", Attitude.COLLECTIVE),
+        g_p: StrategyPool("rules", Attitude.COLLECTIVE, members),
+    }
+    settings = dict(genes=(G_D, G_C, g_p), pools=pools, population=32, elites=4,
+                    dominance_threshold=0.6, max_generations=8, master_seed=17)
+    return two_gene_config(**{**settings, **overrides})
+
+
+def _record_blocks(monkeypatch) -> list[int]:
+    """The number of runs in each stack evolution plays, in order."""
+    blocks = []
+    real = evolution.play_many
+
+    def recording(kind, params, lineups, table, seed):
+        blocks.append(len(seed))
+        return real(kind, params, lineups, table, seed)
+
+    monkeypatch.setattr(evolution, "play_many", recording)
+    return blocks
 
 
 def test_generations_csv_layout(tmp_path):

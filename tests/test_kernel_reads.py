@@ -1,9 +1,14 @@
-"""Each family reads only the observables it declares in ``reads``.
+"""Each family reads only the observables it declares in ``reads``, and a
+family not marked ``stochastic`` never draws from its generator.
 
 The engine fills a group's ``SlotView`` with just those fields, so a family
 that reads an undeclared one would see None. Every family is played over
 forced histories twice, once on a full view and once on a view that keeps
 only its declared fields; both must decide alike, or fault alike.
+
+The engine gives a family that is not ``stochastic`` one group across the
+independent blocks of a stack, on the first block's stream, so a draw there
+would shift that block's stream.
 """
 
 import dataclasses
@@ -104,6 +109,7 @@ def _full_views(kind: GameKind, params: GameParams, history: np.ndarray):
 
 
 def _decisions(family, P, views, seed):
+    """``seed`` is a seed or the generator to decide on."""
     out = []
     state, rng = family.new_state(P), np.random.default_rng(seed)
     for view in views:
@@ -145,3 +151,31 @@ def test_an_undeclared_read_is_caught(monkeypatch):
     monkeypatch.setattr(type(FAMILIES["grim"]), "reads", ())
     with pytest.raises(AssertionError):
         assert_reads_suffice(*case)
+
+
+def assert_draws_only_if_stochastic(name, kind, params, rows, history, seed):
+    family = ALL_FAMILIES[name]
+    if family.stochastic:
+        return
+    P = family.stack(rows)
+    rng = np.random.default_rng(seed)
+    before = rng.bit_generator.state
+    _decisions(family, P, _full_views(kind, params, history), rng)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("name", sorted(n for n, f in FAMILIES.items() if not f.stochastic))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_family_draws_only_if_stochastic(name, data):
+    assert_draws_only_if_stochastic(*data.draw(cases(name)))
+
+
+def test_an_unmarked_draw_is_caught(monkeypatch):
+    """Bernoulli not marked ``stochastic`` fails the check."""
+    kind, params = GameKind.PUBLIC_GOODS, GameParams(n=3, rounds=2, k=2.0)
+    case = ("bernoulli", kind, params, [(0.5,)] * 3, np.zeros((2, 1, 3), dtype=bool), 0)
+    assert_draws_only_if_stochastic(*case)
+    monkeypatch.setattr(type(FAMILIES["bernoulli"]), "stochastic", False)
+    with pytest.raises(AssertionError):
+        assert_draws_only_if_stochastic(*case)

@@ -17,7 +17,7 @@ from ndilemma import (
     read_grid_csv,
     run_mix_grid,
 )
-from ndilemma import selfplay
+from ndilemma import engine, selfplay
 from ndilemma.engine import MemberTable, play_many
 from ndilemma.policy import PolicyRule, PolicySpec, Predicate, policy_strategy
 
@@ -134,8 +134,8 @@ def test_stacks_split_in_whole_cells(small_pools, monkeypatch):
                         samples_per_cell=6)
     whole = run_mix_grid(config)
     # room for 2.5 cells of n=4 and 1.25 of n=8: the budget never splits a cell
-    words = selfplay._slot_words(MemberTable.compile(pool_e.members + pool_c.members), 10)
-    monkeypatch.setattr(selfplay, "_STACK_WORDS", words * 6 * 10)
+    words = engine.slot_words(MemberTable.compile(pool_e.members + pool_c.members), 10)
+    monkeypatch.setattr(engine, "STACK_WORDS", words * 6 * 10)
     stacks.clear()
     split = run_mix_grid(config)
     assert [(n, len(lineups)) for n, lineups, _ in stacks] == (
@@ -148,10 +148,10 @@ def test_kernel_less_members_weigh_their_history():
     pool = reference_pool("allc", 4, "t", Attitude.COLLECTIVE)
     kernel = MemberTable.compile(pool.members)
     bare = MemberTable.compile(_bare(pool).members + pool.members, warn=False)
-    assert selfplay._slot_words(kernel, 20) == 8 + 1
-    assert selfplay._slot_words(bare, 20) == 8 + 1 + 5 * 20
+    assert engine.slot_words(kernel, 20) == 8 + 1
+    assert engine.slot_words(bare, 20) == 8 + 1 + 5 * 20
     # a 200-sample cell of kernel-less members fills a stack on its own
-    assert selfplay._STACK_WORDS // (selfplay._slot_words(bare, 20) * 200 * 4) <= 1
+    assert engine.units_per_stack(bare, 20, 200 * 4) == 1
 
 
 def _mixed_pool(kind, tag, attitude, count, seed):
@@ -189,9 +189,9 @@ def test_stacking_is_invisible_to_deterministic_grids(kind, monkeypatch):
     pool_e = _mixed_pool(kind, "e", Attitude.EXPLOITATIVE, 16, seed=1)
     pool_c = _mixed_pool(kind, "c", Attitude.COLLECTIVE, 16, seed=2)
     config = small_grid(kind, pool_e, pool_c, group_sizes=(3, 6), samples_per_cell=5)
-    words = selfplay._slot_words(MemberTable.compile(pool_e.members + pool_c.members), 10)
-    for budget in (selfplay._STACK_WORDS, words * 5 * 6 * 3):
-        monkeypatch.setattr(selfplay, "_STACK_WORDS", budget)
+    words = engine.slot_words(MemberTable.compile(pool_e.members + pool_c.members), 10)
+    for budget in (engine.STACK_WORDS, words * 5 * 6 * 3):
+        monkeypatch.setattr(engine, "STACK_WORDS", budget)
         stacks = _record_stacks(monkeypatch)
         rows = iter(run_mix_grid(config))
         table = MemberTable.compile(pool_e.members + pool_c.members)
@@ -242,7 +242,7 @@ def test_a_cells_draw_does_not_depend_on_its_stack(small_pools, monkeypatch):
     stacks.clear()
     run_mix_grid(beside)
     together = _lineups_by_cell(stacks, 4)
-    monkeypatch.setattr(selfplay, "_STACK_WORDS", 1)  # one cell per stack
+    monkeypatch.setattr(engine, "STACK_WORDS", 1)  # one cell per stack
     stacks.clear()
     run_mix_grid(beside)
     split = _lineups_by_cell(stacks, 4)
