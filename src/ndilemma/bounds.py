@@ -1,7 +1,9 @@
 """Bounds on mean welfare over all joint action sequences.
 
 Public-goods and collective-risk payoffs are round-separable, so their
-bounds come from an exact scan over the per-round cooperator count.
+bounds come from an exact scan over the per-round cooperator count: one
+``batch_round_payoffs`` call on the n + 1 rows in which the first ``n_c``
+players cooperate.
 
 The common-pool game has exact closed-form bounds. Write ``c`` for the
 capacity, ``n`` for the players and ``r`` for the rounds. In round t the
@@ -27,7 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .games import GameKind, GameParams, crd_payoff_pair, pgg_payoff_pair
+import numpy as np
+
+from .games import GameKind, GameParams, batch_round_payoffs
 
 
 @dataclass(frozen=True)
@@ -42,22 +46,19 @@ class WelfareBounds:
         return self.max_mean - self.min_mean
 
 
-def _round_mean_welfare(kind: GameKind, params: GameParams, n_c: int) -> float:
-    """Mean per-player payoff of a single round with ``n_c`` cooperators."""
-    n = params.n
-    if kind is GameKind.PUBLIC_GOODS:
-        pay_c, pay_d = pgg_payoff_pair(n_c, params)
-    else:
-        pay_c, pay_d = crd_payoff_pair(n_c, params)
-    return (n_c * pay_c + (n - n_c) * pay_d) / n
-
-
 def welfare_bounds(kind: GameKind, params: GameParams) -> WelfareBounds:
     """Bounds on ``mean_welfare`` over every possible way to play the game."""
     params.validate_for(kind)
     if kind in (GameKind.PUBLIC_GOODS, GameKind.COLLECTIVE_RISK):
-        per_round = [_round_mean_welfare(kind, params, n_c) for n_c in range(params.n + 1)]
-        return WelfareBounds(min(per_round), max(per_round), "scan")
+        n = params.n
+        pay, _ = batch_round_payoffs(kind, params, np.tri(n + 1, n, -1, dtype=bool), None)
+        # row n_c: player 0 holds the cooperator payoff and player n - 1 the
+        # defector payoff wherever that side has members; weighting the two
+        # by count, rather than taking a row mean, fixes the rounding of the
+        # bounds that grid.csv records with repr
+        n_c = np.arange(n + 1)
+        per_round = (n_c * pay[:, 0] + (n - n_c) * pay[:, -1]) / n
+        return WelfareBounds(float(per_round.min()), float(per_round.max()), "scan")
     c, n, r = params.capacity, params.n, params.rounds
     min_mean = c / (n * r) if r >= 2 else c / (2 * n)
     max_mean = (c + (r - 1) * c / 2) / (n * r)

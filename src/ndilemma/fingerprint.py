@@ -37,9 +37,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import CALLABLE, HistoryAccumulator, StrategyFault, decide_checked, decide_group
+from .engine import (
+    CALLABLE,
+    HistoryAccumulator,
+    MemberTable,
+    StrategyFault,
+    decide_checked,
+    decide_group,
+)
 from .games import Action, GameKind, GameParams, cpr_next_stock
-from .kernels import FAMILIES, SlotFault, SlotView
+from .kernels import SlotFault, SlotView
 from .seeding import derive_seed, rng_for
 from .strategies import Strategy
 
@@ -142,12 +149,8 @@ def fingerprint(
     for node in nodes:
         if any(not 0 <= c <= params.n - 1 for c in node.counts):
             raise ValueError(f"node {node.counts} has counts outside 0..{params.n - 1}")
-    if strategy.kernel is None:
-        family, row = CALLABLE, CALLABLE.stack([strategy])
-    else:
-        family_name, vec = strategy.kernel
-        family = FAMILIES[family_name]
-        row = family.stack([vec])
+    table = MemberTable.compile([strategy], warn=False)
+    family, row = table.families[0], table.params[0]
     per_decision = family is CALLABLE
     rng = rng_for(seed)
     n, r = params.n, params.rounds

@@ -5,6 +5,11 @@ symmetric in the players. Payoffs are short rational expressions of the
 cooperator count, so they are computed in double precision and, for the
 parameter grids used in tests, often exactly.
 
+``batch_round_payoffs`` is the one implementation of the payoffs, over a
+stack of games. The engine plays it; the per-action worked examples
+``pgg_payoffs``, ``crd_payoffs`` and ``cpr_round`` and the welfare-bound
+scan in ``bounds`` call it on their own rows.
+
 Games:
   * public goods: contributions are scaled by ``k`` and shared equally;
     defectors additionally keep their endowment.
@@ -114,42 +119,12 @@ class RoundRecord:
         return sum(1 for a in self.actions if a is Action.C)
 
 
-def _check_actions(actions: Sequence[Action], n: int) -> int:
+def _check_actions(actions: Sequence[Action], n: int) -> None:
     if len(actions) != n:
         raise GameConfigError(f"expected {n} actions, got {len(actions)}")
-    n_c = 0
     for a in actions:
         if not isinstance(a, Action):
             raise GameConfigError(f"invalid action {a!r}")
-        if a is Action.C:
-            n_c += 1
-    return n_c
-
-
-# ---------------------------------------------------------------------------
-# Payoff cores. The public per-action functions call into these;
-# ``batch_round_payoffs`` is their vectorised form (calling the cores per game
-# is several times slower on a large stack) and tests/test_games.py checks the
-# two agree.
-# ---------------------------------------------------------------------------
-
-
-def pgg_payoff_pair(n_c: int, params: GameParams) -> tuple[float, float]:
-    """(cooperator payoff, defector payoff) for a public-goods round."""
-    share = (n_c * params.k) / params.n
-    return share, share + 1.0
-
-
-def crd_payoff_pair(n_c: int, params: GameParams) -> tuple[float, float]:
-    """(cooperator payoff, defector payoff) for a collective-risk round."""
-    benefit = params.k if n_c >= params.m else 0.0
-    return benefit, benefit + 1.0
-
-
-def cpr_payoff_pair(stock: float, params: GameParams) -> tuple[float, float]:
-    """(cooperator payoff, defector payoff) for a common-pool round."""
-    share = stock / (2 * params.n)
-    return share, 2.0 * share
 
 
 def cpr_next_stock(
@@ -169,63 +144,7 @@ def cpr_next_stock(
 
 
 # ---------------------------------------------------------------------------
-# Public per-action payoff operations.
-# ---------------------------------------------------------------------------
-
-
-def pgg_payoffs(actions: Sequence[Action], params: GameParams) -> list[float]:
-    """Public-goods payoffs: everyone gets ``n_c * k / n``, defectors +1."""
-    params.validate_for(GameKind.PUBLIC_GOODS)
-    n_c = _check_actions(actions, params.n)
-    coop, defect = pgg_payoff_pair(n_c, params)
-    return [coop if a is Action.C else defect for a in actions]
-
-
-def crd_payoffs(actions: Sequence[Action], params: GameParams) -> list[float]:
-    """Collective-risk payoffs: benefit ``k`` iff ``n_c >= m``, defectors +1."""
-    params.validate_for(GameKind.COLLECTIVE_RISK)
-    n_c = _check_actions(actions, params.n)
-    coop, defect = crd_payoff_pair(n_c, params)
-    return [coop if a is Action.C else defect for a in actions]
-
-
-def cpr_round(
-    actions: Sequence[Action], stock: float, params: GameParams
-) -> tuple[list[float], float]:
-    """Common-pool payoffs for one round plus the regrown stock.
-
-    Cooperators extract ``stock / 2n``, defectors twice that. The stock left
-    after extraction is ``stock * n_c / 2n`` and regrows logistically, capped
-    at the carrying capacity.
-    """
-    params.validate_for(GameKind.COMMON_POOL)
-    if not 0.0 <= stock <= params.capacity:
-        raise GameConfigError(
-            f"stock {stock} outside [0, {params.capacity}]"
-        )
-    n_c = _check_actions(actions, params.n)
-    coop, defect = cpr_payoff_pair(stock, params)
-    payoffs = [coop if a is Action.C else defect for a in actions]
-    return payoffs, cpr_next_stock(stock, n_c, params)
-
-
-def round_payoffs(
-    kind: GameKind,
-    params: GameParams,
-    actions: Sequence[Action],
-    stock: float | None,
-) -> tuple[list[float], float | None]:
-    """Dispatch one round of any game; returns (payoffs, next stock or None)."""
-    if kind is GameKind.PUBLIC_GOODS:
-        return pgg_payoffs(actions, params), None
-    if kind is GameKind.COLLECTIVE_RISK:
-        return crd_payoffs(actions, params), None
-    assert stock is not None
-    return cpr_round(actions, stock, params)
-
-
-# ---------------------------------------------------------------------------
-# Batched payoffs over a stack of games (bool cooperation matrices).
+# The payoff arithmetic, over a stack of games (bool cooperation matrices).
 # ---------------------------------------------------------------------------
 
 
@@ -238,8 +157,10 @@ def batch_round_payoffs(
     """Payoffs for one round of S parallel games.
 
     ``coop`` is a bool array of shape (S, n); ``stock`` is shape (S,) for the
-    common-pool game, None otherwise. The payoff cores' arithmetic,
-    vectorised; the stock regrows through ``cpr_next_stock``.
+    common-pool game, None otherwise. This is the one implementation of the
+    payoffs: the engine plays it, and the per-action functions below and the
+    welfare-bound scan call it on their rows. The stock regrows through
+    ``cpr_next_stock``.
     """
     n = params.n
     defect = ~coop
@@ -253,6 +174,49 @@ def batch_round_payoffs(
     share = stock / (2 * n)
     payoffs = share[:, None] * (1.0 + defect)
     return payoffs, cpr_next_stock(stock, coop.sum(axis=1), params)
+
+
+# ---------------------------------------------------------------------------
+# Public per-action payoff operations: one-row calls of the batch form.
+# ---------------------------------------------------------------------------
+
+
+def _one_round(
+    kind: GameKind, params: GameParams, actions: Sequence[Action], stock: float | None = None
+) -> tuple[list[float], float | None]:
+    """Check one round's inputs and play it as a one-row stack; returns the
+    payoffs as Python floats and the next stock as a float (None outside the
+    common-pool game)."""
+    params.validate_for(kind)
+    if stock is not None and not 0.0 <= stock <= params.capacity:
+        raise GameConfigError(f"stock {stock} outside [0, {params.capacity}]")
+    _check_actions(actions, params.n)
+    row = np.array([[a is Action.C for a in actions]])
+    stocks = None if stock is None else np.array([stock], dtype=float)
+    payoffs, next_stock = batch_round_payoffs(kind, params, row, stocks)
+    return payoffs[0].astype(float).tolist(), None if next_stock is None else float(next_stock[0])
+
+
+def pgg_payoffs(actions: Sequence[Action], params: GameParams) -> list[float]:
+    """Public-goods payoffs: everyone gets ``n_c * k / n``, defectors +1."""
+    return _one_round(GameKind.PUBLIC_GOODS, params, actions)[0]
+
+
+def crd_payoffs(actions: Sequence[Action], params: GameParams) -> list[float]:
+    """Collective-risk payoffs: benefit ``k`` iff ``n_c >= m``, defectors +1."""
+    return _one_round(GameKind.COLLECTIVE_RISK, params, actions)[0]
+
+
+def cpr_round(
+    actions: Sequence[Action], stock: float, params: GameParams
+) -> tuple[list[float], float]:
+    """Common-pool payoffs for one round plus the regrown stock.
+
+    Cooperators extract ``stock / 2n``, defectors twice that. The stock left
+    after extraction is ``stock * n_c / 2n`` and regrows logistically, capped
+    at the carrying capacity.
+    """
+    return _one_round(GameKind.COMMON_POOL, params, actions, stock)
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +244,8 @@ class GameResult:
     stocks: np.ndarray | None  # float (rounds + 1,) for CPR, else None
     # round-by-round accumulated player totals; the engine fills this so that
     # a game played alone and inside a stack aggregates in the same order
-    player_totals: np.ndarray | None = None
+    player_totals: np.ndarray
     _rounds: list[RoundRecord] | None = field(default=None, repr=False)
-
-    def _totals_vector(self) -> np.ndarray:
-        if self.player_totals is None:
-            acc = np.zeros(self.params.n)
-            for row in self.payoffs:
-                acc += row
-            self.player_totals = acc
-        return self.player_totals
 
     @property
     def rounds_list(self) -> list[RoundRecord]:
@@ -308,16 +264,16 @@ class GameResult:
 
     @property
     def totals(self) -> tuple[float, ...]:
-        return tuple(float(x) for x in self._totals_vector())
+        return tuple(float(x) for x in self.player_totals)
 
     @property
     def normalized(self) -> tuple[float, ...]:
         r = self.params.rounds
-        return tuple(float(x) / r for x in self._totals_vector())
+        return tuple(float(x) / r for x in self.player_totals)
 
     @property
     def mean_welfare(self) -> float:
-        return float(self._totals_vector().sum()) / (self.params.n * self.params.rounds)
+        return float(self.player_totals.sum()) / (self.params.n * self.params.rounds)
 
     def to_dict(self) -> dict:
         """JSON-ready document; see docs/formats.md for the schema."""

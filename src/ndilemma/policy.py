@@ -75,24 +75,6 @@ RATIO_FIELDS = (
     "stock_frac",
 )
 
-PREDICATE_OPS = (
-    "always",
-    "round_is",
-    "round_lt",
-    "round_ge",
-    "rounds_left_le",
-    "rounds_left_ge",
-    "last_coop_ge",
-    "last_coop_le",
-    "coop_rate_ge",
-    "coop_rate_le",
-    "my_last_is",
-    "stock_frac_ge",
-    "stock_frac_le",
-    "ratio_ge",
-)
-
-
 def _field_value(obs: Observation, field: str) -> float | None:
     if field == "round":
         return float(obs.round_index)
@@ -209,6 +191,8 @@ _OP_TERMS = {
     "stock_frac_ge": ("stock_frac", "ge", None),
     "stock_frac_le": ("stock_frac", "le", None),
 }
+
+PREDICATE_OPS = (*_OP_TERMS, "ratio_ge")
 
 
 def _rule_terms(rule: PolicyRule) -> tuple:

@@ -2,13 +2,12 @@
 
 import json
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ndilemma import Action, GameConfigError, GameKind, GameParams, cpr_round, crd_payoffs, pgg_payoffs
-from ndilemma.games import batch_round_payoffs, cpr_next_stock, round_payoffs
+from ndilemma.games import batch_round_payoffs, cpr_next_stock
 
 C, D = Action.C, Action.D
 
@@ -50,6 +49,11 @@ class TestCrdPayoffs:
         params = GameParams(n=4, m=2, k=2.0)
         assert crd_payoffs([C] * 4, params) == [2.0] * 4
 
+    def test_integer_k_gives_python_floats(self):
+        payoffs = crd_payoffs([C, C, D, D], GameParams(n=4, m=2, k=2))
+        assert payoffs == [2.0, 2.0, 3.0, 3.0]
+        assert all(type(p) is float for p in payoffs)
+
     def test_default_threshold_is_half(self):
         assert GameParams(n=4).m == 2
         assert GameParams(n=7).m == 3  # floor for odd n
@@ -75,6 +79,7 @@ class TestCprRound:
         payoffs, nxt = cpr_round([C, D], 8.0, params)
         assert payoffs == [2.0, 4.0]
         assert nxt == 5.0
+        assert all(type(x) is float for x in payoffs + [nxt])
 
     def test_stock_out_of_range(self):
         params = GameParams(n=2, capacity=8.0)
@@ -105,11 +110,15 @@ def test_payoff_symmetry_under_permutation(n, data):
     """Permuting players permutes payoffs identically, in all three games."""
     actions = data.draw(st.lists(st.sampled_from([C, D]), min_size=n, max_size=n))
     perm = data.draw(st.permutations(range(n)))
-    for kind in GameKind:
-        params = GameParams(n=n, k=1.5)
-        stock = params.capacity * 0.7 if kind is GameKind.COMMON_POOL else None
-        base, _ = round_payoffs(kind, params, actions, stock)
-        permuted, _ = round_payoffs(kind, params, [actions[p] for p in perm], stock)
+    params = GameParams(n=n, k=1.5)
+    stock = params.capacity * 0.7
+    for play in (
+        lambda acts: pgg_payoffs(acts, params),
+        lambda acts: crd_payoffs(acts, params),
+        lambda acts: cpr_round(acts, stock, params)[0],
+    ):
+        base = play(actions)
+        permuted = play([actions[p] for p in perm])
         assert permuted == [base[p] for p in perm]
 
 
@@ -126,24 +135,30 @@ def test_payoff_ranges(n, data):
     assert all(p >= 0 for p in pgg + crd)
 
 
-def test_batch_payoffs_match_scalar(rng):
-    """The vectorised payoff path reproduces the scalar one bit-for-bit."""
-    for kind in GameKind:
-        params = GameParams(n=5, k=2.5)
-        for _ in range(20):
-            coop = rng.random(5) < 0.5
-            actions = [C if c else D for c in coop]
-            stock = float(rng.uniform(0, params.capacity))
-            scalar, scalar_next = round_payoffs(
-                kind, params, actions, stock if kind is GameKind.COMMON_POOL else None
-            )
-            batch, batch_next = batch_round_payoffs(
-                kind, params, coop[None, :],
-                np.array([stock]) if kind is GameKind.COMMON_POOL else None,
-            )
-            assert batch[0].tolist() == scalar
-            if kind is GameKind.COMMON_POOL:
-                assert float(batch_next[0]) == scalar_next
+def test_batch_payoffs_match_hand_formulas(rng):
+    """Random stacks of rounds against the payoff formulas written out."""
+    n, k, m = 5, 2.5, 3
+    params = GameParams(n=n, k=k, m=m)
+    coop = rng.random((40, n)) < 0.5
+    n_c = coop.sum(axis=1)
+    for kind in (GameKind.PUBLIC_GOODS, GameKind.COLLECTIVE_RISK):
+        payoffs, next_stock = batch_round_payoffs(kind, params, coop, None)
+        assert next_stock is None
+        for g in range(len(coop)):
+            if kind is GameKind.PUBLIC_GOODS:
+                share = n_c[g] * k / n
+            else:
+                share = k if n_c[g] >= m else 0.0
+            expected = [share if c else share + 1.0 for c in coop[g]]
+            assert payoffs[g].tolist() == expected
+    stock = rng.uniform(0, params.capacity, len(coop))
+    payoffs, next_stock = batch_round_payoffs(GameKind.COMMON_POOL, params, coop, stock)
+    for g in range(len(coop)):
+        take = float(stock[g]) / (2 * n)
+        assert payoffs[g].tolist() == [take if c else float(stock[g]) / n for c in coop[g]]
+        left = float(stock[g]) * int(n_c[g]) / (2 * n)
+        regrown = left + 2.0 * left * (1.0 - left / params.capacity)
+        assert float(next_stock[g]) == min(regrown, params.capacity)
 
 
 def test_game_result_round_trip(tmp_path):

@@ -138,6 +138,14 @@ class TestFamilies:
         lineup = [guardian, make_reference("allc")]
         with pytest.raises(StrategyFault):
             play_game(GameKind.PUBLIC_GOODS, GameParams(n=2, rounds=2, k=1.5), lineup, seed=0)
+        # the fault lands on the guardian group's first slot, not on slot 0
+        allc = make_reference("allc")
+        lineup = [allc, allc, guardian, guardian]
+        with pytest.raises(StrategyFault) as caught:
+            play_game(GameKind.PUBLIC_GOODS, GameParams(n=4, rounds=2, k=1.5), lineup, seed=0)
+        fault = caught.value
+        assert (fault.reason, fault.player, fault.round_index) == ("exception", 2, 0)
+        assert "KernelError: stock_guardian requires a common-pool game" in str(fault)
 
     def test_every_family_has_scalar_and_batch(self):
         for family in FAMILIES.values():
