@@ -105,6 +105,8 @@ def _game_params(game: dict, n: int | None = None) -> tuple[GameKind, GameParams
     kind = GameKind.parse(str(game["kind"]))
     fields = {}
     if n is not None:
+        if "n" in game and _cast(game["n"], int, "game.n") != n:
+            raise ConfigError(f"game.n is {game['n']!r} but group_size is {n}")
         fields["n"] = n
     elif "n" in game:
         fields["n"] = _cast(game["n"], int, "game.n")
@@ -306,6 +308,12 @@ def cmd_selfplay(args: argparse.Namespace) -> int:
     if "kind" not in game:
         raise ConfigError("selfplay config needs game.kind")
     kind = GameKind.parse(str(game["kind"]))
+    for key in ("n", "m", "capacity"):
+        if key in game:
+            raise ConfigError(
+                f"selfplay does not read game.{key}: each group size n plays with "
+                "m = n // 2 and capacity 4n"
+            )
     if "pool_e" not in config or "pool_c" not in config:
         raise ConfigError("selfplay config needs pool_e and pool_c")
     group_sizes = config.get("group_sizes", (4, 16, 64, 256))

@@ -13,8 +13,8 @@ the per-decision cost. A kernel strategy's own ``decide`` (a family's
 games either way (asserted by the test suite).
 
 A stack may hold independent blocks of games, each on its own kernel seed:
-families that draw random numbers form one group per block, so a block
-plays exactly as it would in a stack of its own.
+families that read ``rng`` form one group per block, so a block plays
+exactly as it would in a stack of its own.
 
 A strategy that raises, exceeds its step budget, or returns a non-action
 aborts the game with a ``StrategyFault`` naming the offender.
@@ -165,9 +165,7 @@ def decide_checked(
     return action
 
 
-def decide_group(
-    family: KernelFamily, P: np.ndarray, state, view: SlotView, rng: np.random.Generator
-) -> np.ndarray:
+def decide_group(family: KernelFamily, P: np.ndarray, state, view: SlotView) -> np.ndarray:
     """Run ``family.decide_batch`` with every misbehaviour pinned to a slot.
 
     Raises ``SlotFault``: the family's own, one at slot 0 for any other
@@ -175,7 +173,7 @@ def decide_group(
     array with one entry per row of ``P``.
     """
     try:
-        acts = family.decide_batch(P, state, view, rng)
+        acts = family.decide_batch(P, state, view)
     except SlotFault:
         raise
     except Exception as exc:  # noqa: BLE001 - any strategy error aborts the game
@@ -198,8 +196,7 @@ class CallableFamily(KernelFamily):
 
     name = "callable"
     param_names = ("strategy",)
-    stochastic = True  # decide receives the block's stream
-    reads = ("slots", "last")
+    reads = ("slots", "last", "rng")  # decide receives the block's stream
 
     def stack(self, rows):
         return np.array(rows, dtype=object)[:, None]
@@ -207,8 +204,8 @@ class CallableFamily(KernelFamily):
     def new_state(self, P):
         return {}  # game index -> HistoryAccumulator, filled in round 0
 
-    def decide_batch(self, P, state, view, rng):
-        games, players = np.divmod(view.slots, view.n)
+    def decide_batch(self, P, state, view):
+        games, players = np.divmod(view.slots, view.params.n)
         if view.t == 0:
             for game in set(games.tolist()):
                 state[game] = HistoryAccumulator(view.kind, view.params)
@@ -220,7 +217,8 @@ class CallableFamily(KernelFamily):
             zip(P[:, 0], games.tolist(), players.tolist())
         ):
             try:
-                action = decide_checked(strategy, state[game].observation_for(player), rng, player)
+                obs = state[game].observation_for(player)
+                action = decide_checked(strategy, obs, view.rng, player)
             except StrategyFault as fault:
                 raise SlotFault(i, fault.reason, fault.detail) from fault
             acts[i] = action is Action.C
@@ -309,11 +307,11 @@ def build_groups(members: np.ndarray, table: MemberTable, blocks: int = 1) -> li
     """Gather a flat slot-major lineup of member indices into kernel groups.
 
     The lineup is ``blocks`` equal blocks of consecutive slots, each of
-    which ``simulate_batch`` plays on its own stream. A stochastic family
-    gets one group per block it appears in; any other family, which never
-    draws, one group over all blocks. Groups are ordered by first slot, so
-    each block's stochastic groups draw on its stream in the order they
-    would in a stack of that block alone.
+    which ``simulate_batch`` plays on its own stream. A family that reads
+    ``rng`` gets one group per block it appears in; any other family, which
+    never draws, one group over all blocks. Groups are ordered by first
+    slot, so each block's drawing groups draw on its stream in the order
+    they would in a stack of that block alone.
     """
     codes = table.family[members]
     block_slots = len(members) // blocks
@@ -322,7 +320,7 @@ def build_groups(members: np.ndarray, table: MemberTable, blocks: int = 1) -> li
         slots = np.flatnonzero(codes == code)
         if not len(slots):
             continue
-        if family.stochastic and blocks > 1:
+        if "rng" in family.reads and blocks > 1:
             block_of = slots // block_slots
             parts = np.split(slots, np.flatnonzero(np.diff(block_of)) + 1)
             found += [(code, part, int(part[0]) // block_slots) for part in parts]
@@ -441,13 +439,13 @@ def simulate_batch(
                     fields[name] = idx
                 elif name == "last":
                     fields[name] = prev
+                elif name == "rng":
+                    fields[name] = rngs[group.block]
                 elif name in flat:
                     fields[name] = flat[name][at]
-            view = SlotView(t=t, rounds=r, n=n, kind=kind, params=params, **fields)
+            view = SlotView(t=t, kind=kind, params=params, **fields)
             try:
-                acts_flat[at] = decide_group(
-                    group.family, group.params, group.state, view, rngs[group.block]
-                )
+                acts_flat[at] = decide_group(group.family, group.params, group.state, view)
             except SlotFault as fault:
                 faults.append((int(idx[fault.slot]), group, fault))
         if faults:

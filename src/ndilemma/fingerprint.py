@@ -133,10 +133,11 @@ def fingerprint(
     order on one stream. Row ``i`` is game ``i`` with the subject as player
     0; opponent identities within a forced count are assigned to the lowest
     opponent indices. For the common-pool game the stock along a branch is
-    recomputed from the forced counts plus the subject's own actions. A
-    strategy without a kernel plays as the ``callable`` family, which alone
-    reads each row's slot and the previous round's (rows, n) actions: the
-    subject's own, then opponents 1..n-1, the first ``count`` cooperating.
+    recomputed from the forced counts plus the subject's own actions. Each
+    view holds only the fields the subject's family reads. A strategy
+    without a kernel plays as the ``callable`` family, which alone reads each
+    row's slot and the previous round's (rows, n) actions: the subject's
+    own, then opponents 1..n-1, the first ``count`` cooperating.
     """
     params.validate_for(kind)
     if rollouts < 1:
@@ -153,7 +154,7 @@ def fingerprint(
     family, row = table.families[0], table.params[0]
     per_decision = family is CALLABLE
     rng = rng_for(seed)
-    n, r = params.n, params.rounds
+    n = params.n
     is_cpr = kind is GameKind.COMMON_POOL
     by_depth: dict[int, list[int]] = {}
     for i, node in enumerate(nodes):
@@ -171,27 +172,31 @@ def fingerprint(
             state = family.new_state(P)
             col = np.zeros(slots, dtype=np.int64)
             stock = np.full(slots, params.capacity) if is_cpr else None
-            slot_index = np.arange(slots) * n if per_decision else None
-            acts = last = None
+            acts = None
             for t in range(depth + 1):
-                if per_decision and t > 0:
-                    last = np.column_stack((acts, np.arange(1, n) <= forced[:, t - 1, None]))
-                view = SlotView(
-                    t=t,
-                    rounds=r,
-                    n=n,
-                    col=col,
-                    prev_c=acts,
-                    opp_coop=None if t == 0 else forced[:, t - 1].astype(float),
-                    opp_rate=None if t == 0 else forced_sum[:, t - 1] / ((n - 1) * t),
-                    stock_frac=None if stock is None else stock / params.capacity,
-                    kind=kind,
-                    params=params,
-                    slots=slot_index,
-                    last=last,
-                )
+                view = SlotView(t=t, kind=kind, params=params)
+                for name in family.reads:
+                    if name == "rng":
+                        view.rng = rng
+                    elif name == "col":
+                        view.col = col
+                    elif name == "slots":
+                        view.slots = np.arange(slots) * n
+                    elif name == "stock_frac":
+                        view.stock_frac = None if stock is None else stock / params.capacity
+                    elif t == 0:
+                        continue  # the rest are undefined in round 0
+                    elif name == "prev_c":
+                        view.prev_c = acts
+                    elif name == "opp_coop":
+                        view.opp_coop = forced[:, t - 1].astype(float)
+                    elif name == "opp_rate":
+                        view.opp_rate = forced_sum[:, t - 1] / ((n - 1) * t)
+                    elif name == "last":
+                        opponents = np.arange(1, n) <= forced[:, t - 1, None]
+                        view.last = np.column_stack((acts, opponents))
                 try:
-                    acts = decide_group(family, P, state, view, rng)
+                    acts = decide_group(family, P, state, view)
                 except SlotFault as fault:
                     node = nodes[index[fault.slot // rollouts]]
                     detail = f"{fault.detail} (at fingerprint node {node.column_name()})"

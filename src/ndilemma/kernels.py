@@ -11,9 +11,9 @@ games both ways. The ``policy`` family is the exception: its rows are rule
 tables compiled from policy files, and its per-decision reference is the
 rule interpreter in ``policy``.
 
-Stochastic families consume their random stream differently in the two
-forms (batched draws versus lazy scalar draws); each is reproducible from
-its seed.
+A family that draws names ``rng`` in its ``reads``. The two forms consume
+that stream differently (batched draws versus lazy scalar draws); each is
+reproducible from its seed.
 """
 
 from __future__ import annotations
@@ -53,20 +53,20 @@ class SlotView:
     """Per-round observables for a set of (game, player) slots.
 
     Arrays are aligned with the slots a family was asked to decide for.
-    The engine fills only the observables the family names in its
-    ``reads``; the rest stay None. ``col`` is each slot's player index;
-    ``prev_c``, ``opp_coop`` and ``opp_rate`` are None in round 0;
-    ``stock_frac`` is None outside the common-pool game. The engine's
-    ``callable`` family reads the whole stack instead: ``slots`` holds each
-    slot's flat ``game * n + player`` index and ``last`` the previous
-    round's (games, n) actions, None in round 0.
+    The engine fills only the fields the family names in its ``reads``;
+    the rest stay None. ``rng`` is the generator of the slots' block.
+    ``col`` is each slot's player index; ``prev_c``, ``opp_coop`` and
+    ``opp_rate`` are None in round 0; ``stock_frac`` is None outside the
+    common-pool game. The engine's ``callable`` family reads the whole
+    stack instead: ``slots`` holds each slot's flat ``game * n + player``
+    index and ``last`` the previous round's (games, n) actions, None in
+    round 0.
     """
 
     t: int
-    rounds: int
-    n: int
     kind: GameKind
     params: GameParams
+    rng: np.random.Generator | None = None
     col: np.ndarray | None = None
     prev_c: np.ndarray | None = None
     opp_coop: np.ndarray | None = None
@@ -79,10 +79,7 @@ class SlotView:
 class KernelFamily:
     name: str = ""
     param_names: tuple[str, ...] = ()
-    # whether decide_batch may draw on its generator; a family that never
-    # draws shares one group across the blocks of a stack
-    stochastic: bool = False
-    # the SlotView observables decide_batch reads
+    # the SlotView fields decide_batch reads; "rng" marks a family that draws
     reads: tuple[str, ...] = ()
 
     def validate(self, params: tuple[float, ...]) -> None:
@@ -103,7 +100,7 @@ class KernelFamily:
     def decide_one(self, params: tuple[float, ...], obs: Observation, rng) -> Action:
         raise NotImplementedError
 
-    def decide_batch(self, P: np.ndarray, state, view: SlotView, rng) -> np.ndarray:
+    def decide_batch(self, P: np.ndarray, state, view: SlotView) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -121,7 +118,7 @@ class Constant(KernelFamily):
     def decide_one(self, params, obs, rng):
         return Action.C if params[0] >= 0.5 else Action.D
 
-    def decide_batch(self, P, state, view, rng):
+    def decide_batch(self, P, state, view):
         return P[:, 0] >= 0.5
 
 
@@ -130,7 +127,7 @@ class Bernoulli(KernelFamily):
 
     name = "bernoulli"
     param_names = ("p",)
-    stochastic = True
+    reads = ("rng",)
 
     def validate(self, params):
         super().validate(params)
@@ -140,8 +137,8 @@ class Bernoulli(KernelFamily):
     def decide_one(self, params, obs, rng):
         return Action.C if rng.random() < params[0] else Action.D
 
-    def decide_batch(self, P, state, view, rng):
-        return rng.random(len(P)) < P[:, 0]
+    def decide_batch(self, P, state, view):
+        return view.rng.random(len(P)) < P[:, 0]
 
 
 class ThresholdTrigger(KernelFamily):
@@ -170,7 +167,7 @@ class ThresholdTrigger(KernelFamily):
         meets = obs.opp_coop_last >= params[1]
         return Action.C if meets == (params[2] >= 0.5) else Action.D
 
-    def decide_batch(self, P, state, view, rng):
+    def decide_batch(self, P, state, view):
         if view.t == 0:
             return P[:, 0] >= 0.5
         meets = view.opp_coop >= P[:, 1]
@@ -183,8 +180,7 @@ class Reciprocator(KernelFamily):
 
     name = "reciprocator"
     param_names = ("threshold_frac", "forgive_prob")
-    reads = ("opp_coop",)
-    stochastic = True
+    reads = ("opp_coop", "rng")
 
     def validate(self, params):
         super().validate(params)
@@ -198,11 +194,11 @@ class Reciprocator(KernelFamily):
             return Action.C
         return Action.C if rng.random() < params[1] else Action.D
 
-    def decide_batch(self, P, state, view, rng):
+    def decide_batch(self, P, state, view):
         if view.t == 0:
             return np.ones(len(P), dtype=bool)
-        meets = view.opp_coop >= P[:, 0] * (view.n - 1) - _EPS
-        return meets | (rng.random(len(P)) < P[:, 1])
+        meets = view.opp_coop >= P[:, 0] * (view.params.n - 1) - _EPS
+        return meets | (view.rng.random(len(P)) < P[:, 1])
 
 
 class Grim(KernelFamily):
@@ -231,9 +227,9 @@ class Grim(KernelFamily):
     def new_state(self, P):
         return np.zeros(len(P), dtype=bool)
 
-    def decide_batch(self, P, state, view, rng):
+    def decide_batch(self, P, state, view):
         if view.t > 0:
-            n_opp = view.n - 1
+            n_opp = view.params.n - 1
             state |= (n_opp - view.opp_coop) > P[:, 0] * n_opp + _EPS
         return ~state
 
@@ -260,12 +256,12 @@ class Endgame(KernelFamily):
         meets = obs.opp_coop_last >= params[1] * (obs.n_players - 1) - _EPS
         return Action.C if meets else Action.D
 
-    def decide_batch(self, P, state, view, rng):
-        closing = (view.rounds - view.t) <= P[:, 0]
+    def decide_batch(self, P, state, view):
+        closing = (view.params.rounds - view.t) <= P[:, 0]
         if view.t == 0:
             base = np.ones(len(P), dtype=bool)
         else:
-            base = view.opp_coop >= P[:, 1] * (view.n - 1) - _EPS
+            base = view.opp_coop >= P[:, 1] * (view.params.n - 1) - _EPS
         return base & ~closing
 
 
@@ -289,7 +285,7 @@ class StockGuardian(KernelFamily):
             raise KernelError("stock_guardian requires a common-pool game")
         return Action.C if frac >= params[0] - _EPS else Action.D
 
-    def decide_batch(self, P, state, view, rng):
+    def decide_batch(self, P, state, view):
         if view.stock_frac is None:
             raise KernelError("stock_guardian requires a common-pool game")
         return view.stock_frac >= P[:, 0] - _EPS
@@ -334,7 +330,7 @@ class Rota(KernelFamily):
         on_duty = (obs.round_index + obs.my_index) % period == phase
         return Action.C if on_duty else Action.D
 
-    def decide_batch(self, P, state, view, rng):
+    def decide_batch(self, P, state, view):
         period = P[:, 0].astype(np.int64)
         phase = P[:, 1].astype(np.int64)
         on_duty = (view.t + view.col) % period == phase
@@ -342,7 +338,7 @@ class Rota(KernelFamily):
             return on_duty
         last = view.t - 1
         resid = (phase - last) % period
-        count_all = np.where(resid >= view.n, 0, (view.n - 1 - resid) // period + 1)
+        count_all = np.where(resid >= view.params.n, 0, (view.params.n - 1 - resid) // period + 1)
         own_sched = (last + view.col) % period == phase
         expected = count_all - own_sched
         punished = (P[:, 2] >= 0.5) & (view.opp_coop < expected)
@@ -389,8 +385,7 @@ class PolicyTable(KernelFamily):
 
     name = "policy"
     param_names = ("step_budget", "default_prob", "n_rules")
-    stochastic = True
-    reads = ("opp_coop", "opp_rate", "prev_c", "stock_frac")
+    reads = ("opp_coop", "opp_rate", "prev_c", "stock_frac", "rng")
     RULE_LAYOUT = ("lhs", "den", "cmp", "value", "cooperate_prob", "touches_stock")
     FIELDS = (
         "one", "round", "rounds_left", "rounds_left_after",
@@ -442,10 +437,10 @@ class PolicyTable(KernelFamily):
             over_budget=(index >= P[:, :1]) & (index < P[:, 2:3]),
         )
 
-    def decide_batch(self, P, state, view, rng):
+    def decide_batch(self, P, state, view):
         slots = len(P)
         X = np.empty((slots, len(self.FIELDS)))  # columns in FIELDS order
-        X[:, :4] = (1.0, view.t, view.rounds - view.t, view.rounds - view.t - 1)
+        X[:, :4] = (1.0, view.t, view.params.rounds - view.t, view.params.rounds - view.t - 1)
         if view.t == 0:
             X[:, 4:7] = np.nan
         else:
@@ -469,7 +464,7 @@ class PolicyTable(KernelFamily):
             slot = int(faulted.argmax())
             self._raise_fault(P, state, view, slot, int(first[slot]))
         prob = np.where(stop[rows, first], state.prob[rows, first], P[:, 1])
-        return rng.random(slots) < prob
+        return view.rng.random(slots) < prob
 
     @staticmethod
     def _raise_fault(P, state: _PolicyState, view: SlotView, slot: int, rule: int):

@@ -72,6 +72,10 @@ class FamilySpec:
             raise ValueError(f"unknown or unsynthesizable strategy family {self.family!r}")
         if self.weight <= 0:
             raise ValueError(f"family weight must be positive, got {self.weight}")
+        known = FAMILIES[self.family].param_names
+        for name in self.params:
+            if name not in known:
+                raise ValueError(f"{self.family} has no parameter {name!r}; it has {known}")
 
 
 def _draw_param(dist: Any, rng: np.random.Generator) -> float:
@@ -156,6 +160,14 @@ class ValidationReport:
         return self.action_ok and self.step_ok and self.deterministic
 
 
+def _note_fault(report: ValidationReport, fault: StrategyFault, where: str) -> None:
+    if fault.reason == "invalid_action":
+        report.action_ok = False
+    else:
+        report.step_ok = False
+    report.failures.append(f"{where}: {fault}")
+
+
 def validate_strategy(
     strategy: Strategy,
     kind: GameKind,
@@ -184,13 +196,15 @@ def validate_strategy(
         try:
             first = play_game(kind, params, lineup, game_seed)
         except StrategyFault as fault:
-            if fault.reason == "invalid_action":
-                report.action_ok = False
-            else:
-                report.step_ok = False
-            report.failures.append(f"trial {trial}: {fault}")
+            _note_fault(report, fault, f"trial {trial}")
             continue
-        replay = play_game(kind, params, lineup, game_seed)
+        try:
+            replay = play_game(kind, params, lineup, game_seed)
+        except StrategyFault as fault:
+            # the first play did not fault, so the replay differs from it
+            report.deterministic = False
+            _note_fault(report, fault, f"trial {trial}, replay")
+            continue
         if not np.array_equal(first.coop[:, me], replay.coop[:, me]):
             report.deterministic = False
             report.failures.append(

@@ -346,6 +346,36 @@ class TestNonNumericConfig:
         assert not out.exists()
 
 
+class TestUnreadGameKeys:
+    """A game key that a command would not read exits 1 naming it, before
+    the output directory is created."""
+
+    CASES = {
+        "selfplay-n": ("selfplay", _with_game(selfplay_config(), n=4), "game.n"),
+        "selfplay-m": ("selfplay", _with_game(selfplay_config(), kind="crd", m=1), "game.m"),
+        "selfplay-capacity": (
+            "selfplay", _with_game(selfplay_config(), kind="cpr", capacity=99), "game.capacity",
+        ),
+        "evolve-n": ("evolve", _with_game(TestEvolve().evolve_config(), n=5), "game.n"),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_exits_one_naming_the_key(self, tmp_path, capsys, name):
+        command, doc, key = self.CASES[name]
+        config = write_json(tmp_path / "cfg.json", doc)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_evolve_accepts_n_equal_to_group_size(self, tmp_path):
+        doc = _with_game(TestEvolve().evolve_config(), n=4)
+        config = write_json(tmp_path / "cfg.json", doc)
+        assert main(["evolve", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+
+
 def _with_gene(index: int, **changes) -> dict:
     doc = TestEvolve().evolve_config()
     doc["genes"][index].update(changes)
@@ -365,6 +395,9 @@ class TestPoolSourceErrors:
     UNKNOWN_FAMILY = {"type": "synth", "families": [{"family": "nope"}]}
     UNNAMED_FAMILY = {"type": "synth", "families": [{"weight": 1}]}
     BAD_PROBABILITY = {"type": "reference", "members": [{"kind": "rnd", "p": 5}]}
+    MISSPELLED_PARAM = {
+        "type": "synth", "families": [{"family": "reciprocator", "params": {"threshold": 0.9}}],
+    }
     # name -> (command, config, the key the error names)
     CASES = {
         "attitude": ("evolve", _with_gene(0, attitude="greedy"), "genes[0]"),
@@ -372,6 +405,7 @@ class TestPoolSourceErrors:
         "synth-no-family": ("evolve", _with_gene(0, source=UNNAMED_FAMILY), "genes[0]"),
         "file-no-path": ("evolve", _with_gene(0, source={"type": "file"}), "genes[0]"),
         "reference-probability": ("evolve", _with_gene(0, source=BAD_PROBABILITY), "genes[0]"),
+        "synth-param": ("evolve", _with_gene(0, source=MISSPELLED_PARAM), "genes[0]"),
         "pool_c": ("selfplay", _with_pool_c(attitude="greedy"), "pool_c"),
         "genes-1": ("evolve", _with_gene(1, source=UNKNOWN_FAMILY), "genes[1]"),
     }

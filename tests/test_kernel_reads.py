@@ -1,14 +1,12 @@
-"""Each family reads only the observables it declares in ``reads``, and a
-family not marked ``stochastic`` never draws from its generator.
+"""Each family reads only the ``SlotView`` fields it declares in ``reads``,
+its generator ``rng`` among them.
 
 The engine fills a group's ``SlotView`` with just those fields, so a family
 that reads an undeclared one would see None. Every family is played over
 forced histories twice, once on a full view and once on a view that keeps
-only its declared fields; both must decide alike, or fault alike.
-
-The engine gives a family that is not ``stochastic`` one group across the
-independent blocks of a stack, on the first block's stream, so a draw there
-would shift that block's stream.
+only its declared fields, each on its own generator from the same seed;
+both must decide alike, or fault alike. A family that draws without
+declaring ``rng`` faults on the lean view.
 """
 
 import dataclasses
@@ -23,7 +21,7 @@ from ndilemma.engine import CALLABLE, decide_group
 from ndilemma.games import batch_round_payoffs
 from ndilemma.kernels import FAMILIES, PolicyTable, SlotFault, SlotView, kernel_strategy
 
-SHAPE_FIELDS = ("t", "rounds", "n", "kind", "params")
+SHAPE_FIELDS = ("t", "kind", "params")
 OBSERVABLES = tuple(f.name for f in dataclasses.fields(SlotView) if f.name not in SHAPE_FIELDS)
 ALL_FAMILIES = {**FAMILIES, CALLABLE.name: CALLABLE}
 FRACTIONS = [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -85,14 +83,15 @@ def cases(draw, name):
     return name, kind, params, rows, history, draw(st.integers(0, 2**32 - 1))
 
 
-def _full_views(kind: GameKind, params: GameParams, history: np.ndarray):
+def _full_views(kind: GameKind, params: GameParams, history: np.ndarray, seed: int):
     """The view of every round of a forced (rounds, games, n) history, with
-    every observable filled in."""
+    every field filled in and one generator seeded with ``seed``."""
     rounds, games, n = history.shape
+    rng = np.random.default_rng(seed)
     stock = np.full(games, params.capacity) if kind is GameKind.COMMON_POOL else None
     for t in range(rounds):
         view = SlotView(
-            t=t, rounds=rounds, n=n, kind=kind, params=params,
+            t=t, kind=kind, params=params, rng=rng,
             col=np.tile(np.arange(n), games),
             stock_frac=None if stock is None else np.repeat(stock / params.capacity, n),
             slots=np.arange(games * n),
@@ -108,13 +107,12 @@ def _full_views(kind: GameKind, params: GameParams, history: np.ndarray):
         stock = batch_round_payoffs(kind, params, history[t], stock)[1]
 
 
-def _decisions(family, P, views, seed):
-    """``seed`` is a seed or the generator to decide on."""
+def _decisions(family, P, views):
     out = []
-    state, rng = family.new_state(P), np.random.default_rng(seed)
+    state = family.new_state(P)
     for view in views:
         try:
-            out.append(decide_group(family, P, state, view, rng).tolist())
+            out.append(decide_group(family, P, state, view).tolist())
         except SlotFault as fault:
             out.append((fault.slot, fault.reason, fault.detail))
             break
@@ -124,10 +122,11 @@ def _decisions(family, P, views, seed):
 def assert_reads_suffice(name, kind, params, rows, history, seed):
     family = ALL_FAMILIES[name]
     P = family.stack(rows)
-    full = list(_full_views(kind, params, history))
     undeclared = {field: None for field in OBSERVABLES if field not in family.reads}
-    lean = [dataclasses.replace(view, **undeclared) for view in full]
-    assert _decisions(family, P, lean, seed) == _decisions(family, P, full, seed)
+    full = _full_views(kind, params, history, seed)
+    lean = (dataclasses.replace(view, **undeclared)
+            for view in _full_views(kind, params, history, seed))
+    assert _decisions(family, P, lean) == _decisions(family, P, full)
 
 
 def test_declared_reads_are_observables():
@@ -153,29 +152,11 @@ def test_an_undeclared_read_is_caught(monkeypatch):
         assert_reads_suffice(*case)
 
 
-def assert_draws_only_if_stochastic(name, kind, params, rows, history, seed):
-    family = ALL_FAMILIES[name]
-    if family.stochastic:
-        return
-    P = family.stack(rows)
-    rng = np.random.default_rng(seed)
-    before = rng.bit_generator.state
-    _decisions(family, P, _full_views(kind, params, history), rng)
-    assert rng.bit_generator.state == before
-
-
-@pytest.mark.parametrize("name", sorted(n for n, f in FAMILIES.items() if not f.stochastic))
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_family_draws_only_if_stochastic(name, data):
-    assert_draws_only_if_stochastic(*data.draw(cases(name)))
-
-
-def test_an_unmarked_draw_is_caught(monkeypatch):
-    """Bernoulli not marked ``stochastic`` fails the check."""
+def test_an_undeclared_draw_is_caught(monkeypatch):
+    """Bernoulli without ``rng`` in its reads fails the check."""
     kind, params = GameKind.PUBLIC_GOODS, GameParams(n=3, rounds=2, k=2.0)
     case = ("bernoulli", kind, params, [(0.5,)] * 3, np.zeros((2, 1, 3), dtype=bool), 0)
-    assert_draws_only_if_stochastic(*case)
-    monkeypatch.setattr(type(FAMILIES["bernoulli"]), "stochastic", False)
+    assert_reads_suffice(*case)
+    monkeypatch.setattr(type(FAMILIES["bernoulli"]), "reads", ())
     with pytest.raises(AssertionError):
-        assert_draws_only_if_stochastic(*case)
+        assert_reads_suffice(*case)

@@ -208,7 +208,7 @@ class _Shapeless(KernelFamily):
     name = "shapeless"
     param_names = ("x",)
 
-    def decide_batch(self, P, state, view, rng):
+    def decide_batch(self, P, state, view):
         return np.ones(len(P) + 1, dtype=bool)
 
 

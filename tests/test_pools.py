@@ -133,6 +133,30 @@ class TestValidateStrategy:
         assert not report.deterministic
         assert not report.passed
 
+    def test_replay_fault_lands_in_the_report(self):
+        """A strategy that keeps state across games and raises from its
+        second game faults on the first trial's replay, and later trials."""
+        from ndilemma.strategies import Strategy
+
+        games = []
+
+        def wears_out(obs, rng):
+            if obs.round_index == 0:
+                games.append(obs)
+            if len(games) > 1:
+                raise RuntimeError("worn out")
+            return Action.C
+
+        worn = Strategy("wears-out", "file", wears_out)
+        report = validate_strategy(worn, GameKind.PUBLIC_GOODS, self.PARAMS, trials=3, seed=0)
+        assert not report.passed
+        assert not report.step_ok
+        assert not report.deterministic
+        assert report.action_ok
+        assert report.failures[0].startswith("trial 0, replay: ")
+        assert "RuntimeError: worn out" in report.failures[0]
+        assert [f.split(":")[0] for f in report.failures[1:]] == ["trial 1", "trial 2"]
+
     def test_admit_pool_filters_failures(self):
         spec = PolicySpec(
             label="divider",
