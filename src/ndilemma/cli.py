@@ -65,12 +65,43 @@ class ConfigError(ValueError):
     """Bad command configuration; maps to exit code 1."""
 
 
+# The keys docs/formats.md documents for each config object; any other key
+# is an error, not a silently ignored typo.
+CONFIG_KEYS = {
+    "fingerprint": ("game", "rollouts", "include_references", "pools"),
+    "selfplay": ("game", "group_sizes", "samples_per_cell", "pool_e", "pool_c"),
+    "evolve": (
+        "game", "population", "group_size", "games_per_agent", "elites", "mutation_rate",
+        "dominance_threshold", "max_generations", "runs", "genes",
+    ),
+}
+GAME_KEYS = ("kind", "n", "rounds", "k", "m", "capacity")
+POOL_KEYS = ("gene_tag", "attitude", "source")
+SOURCE_KEYS = {"file": ("path",), "synth": ("size", "families"), "reference": ("members",)}
+SYNTH_FAMILY_KEYS = ("family", "weight", "params")
+REFERENCE_MEMBER_KEYS = ("kind", "count", "p", "t")
+
+
 # ---------------------------------------------------------------------------
 # Config plumbing.
 # ---------------------------------------------------------------------------
 
 
-def _load_config(path: str) -> dict:
+def _check_keys(entry, allowed: tuple[str, ...], where: str) -> None:
+    """Raise ``ConfigError`` naming ``where`` unless ``entry`` is an object
+    whose keys are all in ``allowed``."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where} must be an object, got {entry!r}")
+    for key in entry:
+        if key not in allowed:
+            raise ConfigError(
+                f"{where}: unknown key {key!r}; expected one of {', '.join(allowed)}"
+            )
+
+
+def _load_config(path: str, command: str) -> dict:
+    """The config at ``path`` for ``command``, its top level and its game
+    object checked for unknown keys."""
     config_path = Path(path)
     if not config_path.exists():
         raise ConfigError(f"config file not found: {config_path}")
@@ -86,6 +117,9 @@ def _load_config(path: str) -> dict:
             f"{config_path}: unsupported schema_version {version!r}; "
             f"expected {CONFIG_SCHEMA_VERSION}"
         )
+    _check_keys(data, ("schema_version", "seed", *CONFIG_KEYS[command]), "config")
+    if "game" in data:
+        _check_keys(data["game"], GAME_KEYS, "game")
     return data
 
 
@@ -100,7 +134,7 @@ def _cast(value, to: type, key: str):
 
 
 def _game_params(game: dict, n: int | None = None) -> tuple[GameKind, GameParams]:
-    if not isinstance(game, dict) or "kind" not in game:
+    if "kind" not in game:
         raise ConfigError("config needs a game object with a 'kind' field")
     kind = GameKind.parse(str(game["kind"]))
     fields = {}
@@ -155,10 +189,14 @@ def load_pool_source(
 
 
 def _pool_from_source(spec: dict, master_seed: int, pool_index: int, key: str) -> StrategyPool:
+    _check_keys(spec, POOL_KEYS, key)
     source = spec.get("source")
     if not isinstance(source, dict) or "type" not in source:
         raise ConfigError(f"{key}: needs a source object with a 'type'")
     stype = source["type"]
+    if not isinstance(stype, str) or stype not in SOURCE_KEYS:
+        raise ConfigError(f"{key}: unknown source type {stype!r}")
+    _check_keys(source, ("type", *SOURCE_KEYS[stype]), f"{key}.source")
     if stype == "file":
         if "path" not in source:
             raise ConfigError(f"{key}: file source needs a 'path'")
@@ -174,7 +212,9 @@ def _pool_from_source(spec: dict, master_seed: int, pool_index: int, key: str) -
         entries = source.get("families", [])
         if not entries:
             raise ConfigError(f"{key}: synth source needs families")
-        if not all(isinstance(fam, dict) and "family" in fam for fam in entries):
+        for j, fam in enumerate(entries):
+            _check_keys(fam, SYNTH_FAMILY_KEYS, f"{key}.source.families[{j}]")
+        if not all("family" in fam for fam in entries):
             raise ConfigError(f"{key}: every synth family needs a 'family' name")
         families = [
             FamilySpec(
@@ -187,15 +227,14 @@ def _pool_from_source(spec: dict, master_seed: int, pool_index: int, key: str) -
         size = _cast(source.get("size", 512), int, f"{key}.size")
         return synth_pool(families, size, derive_seed(master_seed, 900, pool_index),
                           gene_tag, attitude)
-    if stype == "reference":
-        members = []
-        for raw in source.get("members", []):
-            count = _cast(raw.get("count", 1), int, f"{key}.count")
-            members.extend(_reference_member(raw, len(members) + i) for i in range(count))
-        if not members:
-            raise ConfigError(f"{key}: reference source needs members")
-        return StrategyPool(gene_tag, attitude, tuple(members))
-    raise ConfigError(f"{key}: unknown source type {stype!r}")
+    members = []
+    for j, raw in enumerate(source.get("members", [])):
+        _check_keys(raw, REFERENCE_MEMBER_KEYS, f"{key}.source.members[{j}]")
+        count = _cast(raw.get("count", 1), int, f"{key}.count")
+        members.extend(_reference_member(raw, len(members) + i) for i in range(count))
+    if not members:
+        raise ConfigError(f"{key}: reference source needs members")
+    return StrategyPool(gene_tag, attitude, tuple(members))
 
 
 def _prepare_out(out: str) -> Path:
@@ -216,7 +255,7 @@ def _seed_from(config: dict, override: int | None) -> int:
 
 
 def cmd_fingerprint(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, "fingerprint")
     seed = _seed_from(config, args.seed)
     kind, params = _game_params(config.get("game", {}))
     rollouts = _cast(config.get("rollouts", 50), int, "rollouts")
@@ -300,7 +339,7 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
 
 
 def cmd_selfplay(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, "selfplay")
     seed = _seed_from(config, args.seed)
     game = dict(config.get("game", {}))
     if args.k is not None:
@@ -348,7 +387,7 @@ def cmd_selfplay(args: argparse.Namespace) -> int:
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, "evolve")
     seed = _seed_from(config, args.seed)
     group_size = _cast(config.get("group_size", 4), int, "group_size")
     kind, params = _game_params(config.get("game", {}), n=group_size)

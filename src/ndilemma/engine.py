@@ -12,9 +12,9 @@ the per-decision cost. A kernel strategy's own ``decide`` (a family's
 ``without_kernel()`` copy plays; deterministic strategies give identical
 games either way (asserted by the test suite).
 
-A stack may hold independent blocks of games, each on its own kernel seed:
-families that read ``rng`` form one group per block, so a block plays
-exactly as it would in a stack of its own.
+A stack may hold independent blocks of games, each on its own kernel seed
+and drawing only from it, so a block plays exactly as it would in a stack of
+its own; a family never splits by block.
 
 A strategy that raises, exceeds its step budget, or returns a non-action
 aborts the game with a ``StrategyFault`` naming the offender.
@@ -191,12 +191,12 @@ class CallableFamily(KernelFamily):
     of this family keeps one ``HistoryAccumulator``, so every slot's
     ``decide`` sees the ``Observation`` a per-decision loop would build. It
     is called through ``decide_checked``, slot by slot in slot order on its
-    block's stream, and a fault is raised at the slot that made it.
+    block's generator, and a fault is raised at the slot that made it.
     """
 
     name = "callable"
     param_names = ("strategy",)
-    reads = ("slots", "last", "rng")  # decide receives the block's stream
+    reads = ("slots", "last", "rng")
 
     def stack(self, rows):
         return np.array(rows, dtype=object)[:, None]
@@ -213,12 +213,12 @@ class CallableFamily(KernelFamily):
             for game, acc in state.items():
                 acc.push_round(view.last[game])
         acts = np.empty(len(P), dtype=bool)
-        for i, (strategy, game, player) in enumerate(
-            zip(P[:, 0], games.tolist(), players.tolist())
+        for i, (strategy, game, player, rng) in enumerate(
+            zip(P[:, 0], games.tolist(), players.tolist(), view.rng)
         ):
             try:
                 obs = state[game].observation_for(player)
-                action = decide_checked(strategy, obs, view.rng, player)
+                action = decide_checked(strategy, obs, rng, player)
             except StrategyFault as fault:
                 raise SlotFault(i, fault.reason, fault.detail) from fault
             acts[i] = action is Action.C
@@ -235,11 +235,8 @@ CALLABLE = CallableFamily()
 
 @dataclass
 class KernelGroup:
-    """Slots of one kernel family within a stack, with stacked params.
-
-    ``members`` holds each slot's row of ``table``, whose labels name a
-    faulting slot. A group draws on the stream of stack block ``block``.
-    """
+    """Slots of one kernel family within a stack, with stacked params and
+    each slot's row of ``table`` (whose labels name a faulting slot)."""
 
     family: KernelFamily
     params: np.ndarray  # (n_slots, n_params)
@@ -247,7 +244,6 @@ class KernelGroup:
     members: np.ndarray  # (n_slots,) rows of ``table``
     table: MemberTable
     state: object = None
-    block: int = 0
 
 
 @dataclass(frozen=True)
@@ -303,31 +299,13 @@ class MemberTable:
         )
 
 
-def build_groups(members: np.ndarray, table: MemberTable, blocks: int = 1) -> list[KernelGroup]:
-    """Gather a flat slot-major lineup of member indices into kernel groups.
-
-    The lineup is ``blocks`` equal blocks of consecutive slots, each of
-    which ``simulate_batch`` plays on its own stream. A family that reads
-    ``rng`` gets one group per block it appears in; any other family, which
-    never draws, one group over all blocks. Groups are ordered by first
-    slot, so each block's drawing groups draw on its stream in the order
-    they would in a stack of that block alone.
-    """
+def build_groups(members: np.ndarray, table: MemberTable) -> list[KernelGroup]:
+    """Gather a flat slot-major lineup of member indices into kernel groups,
+    one per family present, ordered by first slot."""
     codes = table.family[members]
-    block_slots = len(members) // blocks
-    found = []
-    for code, family in enumerate(table.families):
-        slots = np.flatnonzero(codes == code)
-        if not len(slots):
-            continue
-        if "rng" in family.reads and blocks > 1:
-            block_of = slots // block_slots
-            parts = np.split(slots, np.flatnonzero(np.diff(block_of)) + 1)
-            found += [(code, part, int(part[0]) // block_slots) for part in parts]
-        else:
-            found.append((code, slots, 0))
+    found = [(np.flatnonzero(codes == code), code) for code in range(len(table.families))]
     groups = []
-    for code, slots, block in sorted(found, key=lambda f: f[1][0]):
+    for slots, code in sorted((f for f in found if len(f[0])), key=lambda f: f[0][0]):
         picked = members[slots]
         family = table.families[code]
         params = table.params[code][table.row[picked]]
@@ -338,7 +316,6 @@ def build_groups(members: np.ndarray, table: MemberTable, blocks: int = 1) -> li
             members=picked,
             table=table,
             state=family.new_state(params),
-            block=block,
         ))
     return groups
 
@@ -387,9 +364,10 @@ def simulate_batch(
     """Run S games of identical shape in lockstep via kernel families.
 
     ``seed`` is one kernel seed per block of consecutive games, the blocks
-    of equal size; a single int makes the stack one block. ``groups`` must
-    come fresh from ``build_groups`` over as many blocks: stateful families
-    (grim) consume their group state during the run.
+    of equal size; a single int makes the stack one block. Each round, a
+    block's generator draws the ``u`` of its slots that read it, in slot
+    order, before its ``callable`` slots draw. ``groups`` must come fresh
+    from ``build_groups``: stateful families (grim) consume their state.
     """
     params.validate_for(kind)
     n, r = params.n, params.rounds
@@ -399,8 +377,18 @@ def simulate_batch(
     if S % len(seeds):
         raise ValueError(f"{S} games do not split into {len(seeds)} equal blocks")
     block_games = S // len(seeds)
-    rngs = [rng_for(s) for s in seeds]
+    rngs = np.array([rng_for(s) for s in seeds], dtype=object)
     reads = set().union(*(group.family.reads for group in groups))
+    if "u" in reads:
+        # a round draws one uniform per drawing slot, in slot order: each
+        # block's span of the draws, and each drawing group's place in them
+        drawing = [i for i, g in enumerate(groups) if "u" in g.family.reads]
+        draws = np.zeros(S * n, dtype=bool)
+        for i in drawing:
+            draws[groups[i].slots] = True
+        ends = [0, *np.cumsum(draws.reshape(len(seeds), -1).sum(axis=1)).tolist()]
+        place = np.cumsum(draws) - 1
+        u_at = {i: place[groups[i].slots] if len(drawing) > 1 else slice(None) for i in drawing}
     whole = len(groups) == 1 and len(groups[0].slots) == S * n
     col = np.tile(np.arange(n, dtype=np.int64), S) if "col" in reads else None
     prev: np.ndarray | None = None  # bool (S, n)
@@ -426,10 +414,14 @@ def simulate_batch(
                 flat["prev_c"] = prev.ravel()
         if is_cpr and "stock_frac" in reads:
             flat["stock_frac"] = np.repeat(stock / params.capacity, n)
+        if "u" in reads:
+            u = np.empty(ends[-1])
+            for rng, start, end in zip(rngs, ends, ends[1:]):
+                rng.random(out=u[start:end])
 
         acts_flat = np.empty(S * n, dtype=bool)
         faults = []
-        for group in groups:
+        for i, group in enumerate(groups):
             idx = group.slots
             # a group that holds every slot reads and writes whole arrays
             at = slice(None) if whole else idx
@@ -439,8 +431,10 @@ def simulate_batch(
                     fields[name] = idx
                 elif name == "last":
                     fields[name] = prev
+                elif name == "u":
+                    fields[name] = u[u_at[i]]
                 elif name == "rng":
-                    fields[name] = rngs[group.block]
+                    fields[name] = rngs[idx // (block_games * n)]
                 elif name in flat:
                     fields[name] = flat[name][at]
             view = SlotView(t=t, kind=kind, params=params, **fields)
@@ -488,7 +482,7 @@ def play_many(
     game, played as one ``simulate_batch`` stack; ``seed`` is one kernel
     seed, or one per block of consecutive games as ``simulate_batch`` takes.
     """
-    groups = build_groups(lineups.ravel(), table, 1 if np.ndim(seed) == 0 else len(seed))
+    groups = build_groups(lineups.ravel(), table)
     result = simulate_batch(kind, params, groups, len(lineups), seed)
     return result.totals, result.mean_welfare
 

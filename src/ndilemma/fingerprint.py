@@ -134,10 +134,11 @@ def fingerprint(
     0; opponent identities within a forced count are assigned to the lowest
     opponent indices. For the common-pool game the stock along a branch is
     recomputed from the forced counts plus the subject's own actions. Each
-    view holds only the fields the subject's family reads. A strategy
-    without a kernel plays as the ``callable`` family, which alone reads each
-    row's slot and the previous round's (rows, n) actions: the subject's
-    own, then opponents 1..n-1, the first ``count`` cooperating.
+    view holds only the fields the subject's family reads: ``u`` is one
+    uniform per row each round from the stream. A strategy without a kernel
+    plays as the ``callable`` family, which alone reads each row's slot, the
+    stream (``rng``) and the previous round's (rows, n) actions: the
+    subject's own, then opponents 1..n-1, the first ``count`` cooperating.
     """
     params.validate_for(kind)
     if rollouts < 1:
@@ -176,8 +177,10 @@ def fingerprint(
             for t in range(depth + 1):
                 view = SlotView(t=t, kind=kind, params=params)
                 for name in family.reads:
-                    if name == "rng":
-                        view.rng = rng
+                    if name == "u":
+                        view.u = rng.random(slots)
+                    elif name == "rng":
+                        view.rng = [rng] * slots
                     elif name == "col":
                         view.col = col
                     elif name == "slots":

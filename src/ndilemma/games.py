@@ -21,7 +21,6 @@ Games:
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -224,9 +223,6 @@ def cpr_round(
 # ---------------------------------------------------------------------------
 
 
-ROUND_CSV_COLUMNS = ("round", "player", "action", "payoff", "stock_before", "stock_after")
-
-
 @dataclass
 class GameResult:
     """A completed iterated game.
@@ -304,14 +300,3 @@ class GameResult:
 
     def write_json(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-
-    def write_round_csv(self, path: str | Path) -> None:
-        """Per-round CSV: one row per (round, player)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(ROUND_CSV_COLUMNS)
-            for t, rec in enumerate(self.rounds_list):
-                for i, (a, p) in enumerate(zip(rec.actions, rec.payoffs)):
-                    sb = "" if rec.stock_before is None else repr(rec.stock_before)
-                    sa = "" if rec.stock_after is None else repr(rec.stock_after)
-                    writer.writerow([t, i, a.value, repr(p), sb, sa])

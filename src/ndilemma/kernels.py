@@ -11,14 +11,15 @@ games both ways. The ``policy`` family is the exception: its rows are rule
 tables compiled from policy files, and its per-decision reference is the
 rule interpreter in ``policy``.
 
-A family that draws names ``rng`` in its ``reads``. The two forms consume
-that stream differently (batched draws versus lazy scalar draws); each is
-reproducible from its seed.
+A family that draws names ``u`` in its ``reads``: one uniform per slot per
+round, drawn by the engine. Its ``decide_one`` draws at most once per
+decision, so handed the same uniform it decides alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -54,19 +55,19 @@ class SlotView:
 
     Arrays are aligned with the slots a family was asked to decide for.
     The engine fills only the fields the family names in its ``reads``;
-    the rest stay None. ``rng`` is the generator of the slots' block.
-    ``col`` is each slot's player index; ``prev_c``, ``opp_coop`` and
-    ``opp_rate`` are None in round 0; ``stock_frac`` is None outside the
-    common-pool game. The engine's ``callable`` family reads the whole
-    stack instead: ``slots`` holds each slot's flat ``game * n + player``
-    index and ``last`` the previous round's (games, n) actions, None in
-    round 0.
+    the rest stay None. ``u`` holds one fresh uniform in [0, 1) per slot
+    every round; ``col`` is each slot's player index; ``prev_c``,
+    ``opp_coop`` and ``opp_rate`` are None in round 0; ``stock_frac`` is
+    None outside the common-pool game. The engine's ``callable`` family
+    reads the whole stack instead: ``slots`` holds each slot's flat
+    ``game * n + player`` index, ``last`` the previous round's (games, n)
+    actions, None in round 0, and ``rng`` each slot's generator.
     """
 
     t: int
     kind: GameKind
     params: GameParams
-    rng: np.random.Generator | None = None
+    u: np.ndarray | None = None
     col: np.ndarray | None = None
     prev_c: np.ndarray | None = None
     opp_coop: np.ndarray | None = None
@@ -74,12 +75,13 @@ class SlotView:
     stock_frac: np.ndarray | None = None
     slots: np.ndarray | None = None
     last: np.ndarray | None = None
+    rng: Sequence[np.random.Generator] | None = None
 
 
 class KernelFamily:
     name: str = ""
     param_names: tuple[str, ...] = ()
-    # the SlotView fields decide_batch reads; "rng" marks a family that draws
+    # the SlotView fields decide_batch reads; "u" marks a family that draws
     reads: tuple[str, ...] = ()
 
     def validate(self, params: tuple[float, ...]) -> None:
@@ -127,7 +129,7 @@ class Bernoulli(KernelFamily):
 
     name = "bernoulli"
     param_names = ("p",)
-    reads = ("rng",)
+    reads = ("u",)
 
     def validate(self, params):
         super().validate(params)
@@ -138,7 +140,7 @@ class Bernoulli(KernelFamily):
         return Action.C if rng.random() < params[0] else Action.D
 
     def decide_batch(self, P, state, view):
-        return view.rng.random(len(P)) < P[:, 0]
+        return view.u < P[:, 0]
 
 
 class ThresholdTrigger(KernelFamily):
@@ -180,7 +182,7 @@ class Reciprocator(KernelFamily):
 
     name = "reciprocator"
     param_names = ("threshold_frac", "forgive_prob")
-    reads = ("opp_coop", "rng")
+    reads = ("opp_coop", "u")
 
     def validate(self, params):
         super().validate(params)
@@ -198,7 +200,7 @@ class Reciprocator(KernelFamily):
         if view.t == 0:
             return np.ones(len(P), dtype=bool)
         meets = view.opp_coop >= P[:, 0] * (view.params.n - 1) - _EPS
-        return meets | (view.rng.random(len(P)) < P[:, 1])
+        return meets | (view.u < P[:, 1])
 
 
 class Grim(KernelFamily):
@@ -379,13 +381,13 @@ class PolicyTable(KernelFamily):
     rule, exactly where the interpreter would raise: a rule index at or past
     the step budget (``step_budget``), a ``stock_frac`` rule outside the
     common-pool game, or a zero denominator with both ratio fields defined
-    (both ``exception``). One uniform is drawn per slot whatever its
+    (both ``exception``). Every slot reads its uniform whatever its
     probability, so 0 and 1 still decide deterministically.
     """
 
     name = "policy"
     param_names = ("step_budget", "default_prob", "n_rules")
-    reads = ("opp_coop", "opp_rate", "prev_c", "stock_frac", "rng")
+    reads = ("opp_coop", "opp_rate", "prev_c", "stock_frac", "u")
     RULE_LAYOUT = ("lhs", "den", "cmp", "value", "cooperate_prob", "touches_stock")
     FIELDS = (
         "one", "round", "rounds_left", "rounds_left_after",
@@ -464,7 +466,7 @@ class PolicyTable(KernelFamily):
             slot = int(faulted.argmax())
             self._raise_fault(P, state, view, slot, int(first[slot]))
         prob = np.where(stop[rows, first], state.prob[rows, first], P[:, 1])
-        return view.rng.random(slots) < prob
+        return view.u < prob
 
     @staticmethod
     def _raise_fault(P, state: _PolicyState, view: SlotView, slot: int, rule: int):

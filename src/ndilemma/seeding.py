@@ -26,6 +26,7 @@ def rng_for(master: int, *key: int) -> np.random.Generator:
 
 
 def derive_seed(master: int, *key: int) -> int:
-    """A plain integer seed derived from (master, key), for storage or logs."""
+    """A plain integer seed derived from (master, key), for storage or logs:
+    the stream's first two 32-bit state words, high word first."""
     state = seed_sequence(master, *key).generate_state(2, dtype=np.uint32)
-    return (int(state[0]) << 31 | int(state[1])) % SEED_SPACE
+    return (int(state[0]) << 32 | int(state[1])) % SEED_SPACE

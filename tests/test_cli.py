@@ -422,6 +422,90 @@ class TestPoolSourceErrors:
         assert not out.exists()
 
 
+def _with_source(index: int, source: dict) -> dict:
+    return _with_gene(index, source=source)
+
+
+RECIPROCATORS = {"type": "synth", "size": 8, "families": [{"family": "reciprocator"}]}
+
+
+class TestUnknownConfigKeys:
+    """A key that docs/formats.md does not document, or an entry that is not
+    an object, exits 1 naming where it is, before the output directory is
+    created."""
+
+    # name -> (command, config, the start of the error after "error: ")
+    CASES = {
+        "evolve-top": (
+            "evolve", TestEvolve().evolve_config(max_generation=1),
+            "config: unknown key 'max_generation'",
+        ),
+        "selfplay-top": (
+            "selfplay", selfplay_config(sample_per_cell=3), "config: unknown key 'sample_per_cell'",
+        ),
+        "fingerprint-top": (
+            "fingerprint", {**TestFingerprintCmd().fingerprint_config(), "rollout": 5},
+            "config: unknown key 'rollout'",
+        ),
+        "game": ("evolve", _with_game(TestEvolve().evolve_config(), rnds=5),
+                 "game: unknown key 'rnds'"),
+        "game-not-object": ("selfplay", selfplay_config(game="pgg"), "game must be an object"),
+        "pool-entry": ("evolve", _with_gene(0, tag="x"), "genes[0]: unknown key 'tag'"),
+        "pool-entry-not-object": (
+            "evolve", {**TestEvolve().evolve_config(), "genes": ["x"]}, "genes[0] must be an object",
+        ),
+        "pool_c-not-object": ("selfplay", selfplay_config(pool_c=[]), "pool_c must be an object"),
+        "source": (
+            "evolve", _with_source(1, {**RECIPROCATORS, "path": "pool.json"}),
+            "genes[1].source: unknown key 'path'",
+        ),
+        "synth-family": (
+            "evolve",
+            _with_source(0, {"type": "synth", "families": [
+                {"family": "bernoulli"}, {"family": "bernoulli", "param": {"p": 0.0}},
+            ]}),
+            "genes[0].source.families[1]: unknown key 'param'",
+        ),
+        "synth-family-not-object": (
+            "evolve", _with_source(0, {"type": "synth", "families": ["bernoulli"]}),
+            "genes[0].source.families[0] must be an object",
+        ),
+        "reference-member": (
+            "selfplay",
+            _with_pool_c(source={"type": "reference", "members": [{"kind": "rnd", "prob": 0.2}]}),
+            "pool_c.source.members[0]: unknown key 'prob'",
+        ),
+        "reference-member-not-object": (
+            "evolve", _with_source(0, {"type": "reference", "members": ["allc"]}),
+            "genes[0].source.members[0] must be an object",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_exits_one_naming_the_key(self, tmp_path, capsys, name):
+        command, doc, message = self.CASES[name]
+        config = write_json(tmp_path / "cfg.json", doc)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_the_documented_keys_run(self, tmp_path):
+        """Every documented key of an evolve config, each source type and
+        reference member key included, is accepted."""
+        doc = _with_game(TestEvolve().evolve_config(), n=4, m=2, capacity=16.0)
+        doc["genes"][0]["source"] = {"type": "reference", "members": [
+            {"kind": "rnd", "p": 0.5, "count": 8}, {"kind": "cc", "t": 1, "count": 8},
+        ]}
+        doc["genes"][1]["source"] = {"type": "synth", "size": 16, "families": [
+            {"family": "bernoulli", "weight": 2.0, "params": {"p": 0.5}},
+        ]}
+        config = write_json(tmp_path / "cfg.json", doc)
+        assert main(["evolve", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+
+
 class TestVerifyCmd:
     def run_selfplay(self, tmp_path) -> Path:
         config = write_json(tmp_path / "cfg.json", selfplay_config())

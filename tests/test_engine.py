@@ -161,6 +161,44 @@ def test_batch_stacks_are_independent():
         assert np.array_equal(solo.coop, batch.coop[:, g, :])
 
 
+def _coin(obs, rng):
+    return Action.C if rng.random() < 0.6 else Action.D
+
+
+# every drawing family, with probabilities inside (0, 1), a kernel-less coin
+# that draws lazily, and a deterministic trigger between them
+DRAWING_MEMBERS = [
+    kernel_strategy("bernoulli", 0.4),
+    kernel_strategy("reciprocator", 0.75, 0.3),
+    policy_strategy(PolicySpec("pol", (
+        PolicyRule(Predicate("last_coop_ge", value=2.0), 0.8),
+        PolicyRule(Predicate("my_last_is", value="D"), 0.3),
+    ), 0.6)),
+    Strategy("coin", "file", _coin),
+    make_reference("cc", t=1),
+]
+
+
+@pytest.mark.parametrize("kind", [GameKind.PUBLIC_GOODS, GameKind.COMMON_POOL])
+@pytest.mark.parametrize("blocks", [2, 3, 5])
+def test_each_block_of_a_stack_plays_as_it_does_alone(kind, blocks):
+    """Every game holds each drawing member once, in a shuffled seat; each
+    block of the stack gets the totals it gets as a stack of its own."""
+    table = MemberTable.compile(DRAWING_MEMBERS, warn=False)
+    n, games = len(DRAWING_MEMBERS), 3
+    rng = np.random.default_rng(blocks)
+    lineups = np.array([rng.permutation(n) for _ in range(blocks * games)])
+    seeds = [100 + b for b in range(blocks)]
+    params = GameParams(n=n, rounds=8, k=2.0)
+    totals, welfare = play_many(kind, params, lineups, table, seeds)
+    for b, seed in enumerate(seeds):
+        at = slice(b * games, (b + 1) * games)
+        alone_totals, alone_welfare = play_many(kind, params, lineups[at], table, seed)
+        assert np.array_equal(totals[at], alone_totals)
+        assert np.array_equal(welfare[at], alone_welfare)
+    assert len({totals[b * games].tobytes() for b in range(blocks)}) > 1
+
+
 def test_play_many_scalar_fallback_matches_kernel_path():
     """Stripping kernels forces the per-decision path; deterministic
     strategies give the same welfare either way."""

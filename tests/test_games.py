@@ -161,7 +161,7 @@ def test_batch_payoffs_match_hand_formulas(rng):
         assert float(next_stock[g]) == min(regrown, params.capacity)
 
 
-def test_game_result_round_trip(tmp_path):
+def test_game_result_round_trip():
     from ndilemma import make_reference, play_game
 
     params = GameParams(n=3, rounds=4)
@@ -175,9 +175,3 @@ def test_game_result_round_trip(tmp_path):
     assert len(doc["round_data"]) == 4
     assert doc["totals"] == list(game.totals)
     json.loads(json.dumps(doc))  # serialisable
-
-    csv_path = tmp_path / "rounds.csv"
-    game.write_round_csv(csv_path)
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "round,player,action,payoff,stock_before,stock_after"
-    assert len(lines) == 1 + 4 * 3

@@ -1,12 +1,12 @@
 """Each family reads only the ``SlotView`` fields it declares in ``reads``,
-its generator ``rng`` among them.
+its uniforms ``u`` among them.
 
 The engine fills a group's ``SlotView`` with just those fields, so a family
 that reads an undeclared one would see None. Every family is played over
 forced histories twice, once on a full view and once on a view that keeps
 only its declared fields, each on its own generator from the same seed;
 both must decide alike, or fault alike. A family that draws without
-declaring ``rng`` faults on the lean view.
+declaring ``u`` faults on the lean view.
 """
 
 import dataclasses
@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from conftest import forced_views
 
 from ndilemma import GameKind, GameParams
 from ndilemma.engine import CALLABLE, decide_group
-from ndilemma.games import batch_round_payoffs
 from ndilemma.kernels import FAMILIES, PolicyTable, SlotFault, SlotView, kernel_strategy
 
 SHAPE_FIELDS = ("t", "kind", "params")
@@ -83,30 +83,6 @@ def cases(draw, name):
     return name, kind, params, rows, history, draw(st.integers(0, 2**32 - 1))
 
 
-def _full_views(kind: GameKind, params: GameParams, history: np.ndarray, seed: int):
-    """The view of every round of a forced (rounds, games, n) history, with
-    every field filled in and one generator seeded with ``seed``."""
-    rounds, games, n = history.shape
-    rng = np.random.default_rng(seed)
-    stock = np.full(games, params.capacity) if kind is GameKind.COMMON_POOL else None
-    for t in range(rounds):
-        view = SlotView(
-            t=t, kind=kind, params=params, rng=rng,
-            col=np.tile(np.arange(n), games),
-            stock_frac=None if stock is None else np.repeat(stock / params.capacity, n),
-            slots=np.arange(games * n),
-        )
-        if t > 0:
-            last = history[t - 1]
-            cum = history[:t].sum(axis=0)
-            view.prev_c = last.ravel()
-            view.opp_coop = (last.sum(axis=1)[:, None] - last).ravel().astype(float)
-            view.opp_rate = ((cum.sum(axis=1)[:, None] - cum) / ((n - 1) * t)).ravel()
-            view.last = last
-        yield view
-        stock = batch_round_payoffs(kind, params, history[t], stock)[1]
-
-
 def _decisions(family, P, views):
     out = []
     state = family.new_state(P)
@@ -123,9 +99,9 @@ def assert_reads_suffice(name, kind, params, rows, history, seed):
     family = ALL_FAMILIES[name]
     P = family.stack(rows)
     undeclared = {field: None for field in OBSERVABLES if field not in family.reads}
-    full = _full_views(kind, params, history, seed)
+    full = forced_views(kind, params, history, seed)
     lean = (dataclasses.replace(view, **undeclared)
-            for view in _full_views(kind, params, history, seed))
+            for view in forced_views(kind, params, history, seed))
     assert _decisions(family, P, lean) == _decisions(family, P, full)
 
 
@@ -153,7 +129,7 @@ def test_an_undeclared_read_is_caught(monkeypatch):
 
 
 def test_an_undeclared_draw_is_caught(monkeypatch):
-    """Bernoulli without ``rng`` in its reads fails the check."""
+    """Bernoulli without ``u`` in its reads fails the check."""
     kind, params = GameKind.PUBLIC_GOODS, GameParams(n=3, rounds=2, k=2.0)
     case = ("bernoulli", kind, params, [(0.5,)] * 3, np.zeros((2, 1, 3), dtype=bool), 0)
     assert_reads_suffice(*case)
