@@ -79,7 +79,14 @@ GAME_KEYS = ("kind", "n", "rounds", "k", "m", "capacity")
 POOL_KEYS = ("gene_tag", "attitude", "source")
 SOURCE_KEYS = {"file": ("path",), "synth": ("size", "families"), "reference": ("members",)}
 SYNTH_FAMILY_KEYS = ("family", "weight", "params")
-REFERENCE_MEMBER_KEYS = ("kind", "count", "p", "t")
+# a reference member takes only the parameter its kind reads
+REFERENCE_MEMBER_KEYS = {
+    "allc": ("kind", "count"),
+    "alld": ("kind", "count"),
+    "rnd": ("kind", "count", "p"),
+    "cc": ("kind", "count", "t"),
+    "cd": ("kind", "count", "t"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -125,11 +132,15 @@ def _load_config(path: str, command: str) -> dict:
 
 def _cast(value, to: type, key: str):
     """``to(value)`` for the config value at ``key``; a value that does not
-    cast raises ``ConfigError`` naming the key."""
+    cast, a boolean, or a fractional number for an integer raises
+    ``ConfigError`` naming the key."""
+    expected = "an integer" if to is int else "a number"
+    fractional = to is int and isinstance(value, float) and not value.is_integer()
+    if isinstance(value, bool) or fractional:
+        raise ConfigError(f"{key} must be {expected}, got {value!r}")
     try:
         return to(value)
     except (TypeError, ValueError):
-        expected = "an integer" if to is int else "a number"
         raise ConfigError(f"{key} must be {expected}, got {value!r}") from None
 
 
@@ -157,16 +168,13 @@ def _game_params(game: dict, n: int | None = None) -> tuple[GameKind, GameParams
     return kind, params
 
 
-def _reference_member(spec: dict, index: int) -> Strategy:
-    kind = str(spec.get("kind", "")).lower()
+def _reference_member(spec: dict, kind: str, index: int) -> Strategy:
     if kind == "rnd":
         strat = make_reference("rnd", p=_cast(spec.get("p", 0.5), float, "members.p"))
     elif kind in ("cc", "cd"):
         strat = make_reference(kind, t=_cast(spec.get("t", 1), int, "members.t"))
-    elif kind in ("allc", "alld"):
-        strat = make_reference(kind)
     else:
-        raise ConfigError(f"unknown reference member kind {kind!r}")
+        strat = make_reference(kind)
     return Strategy(f"{strat.label}#{index:03d}", strat.origin, strat.decide, strat.kernel)
 
 
@@ -229,9 +237,13 @@ def _pool_from_source(spec: dict, master_seed: int, pool_index: int, key: str) -
                           gene_tag, attitude)
     members = []
     for j, raw in enumerate(source.get("members", [])):
-        _check_keys(raw, REFERENCE_MEMBER_KEYS, f"{key}.source.members[{j}]")
+        where = f"{key}.source.members[{j}]"
+        kind = str(raw.get("kind", "")).lower() if isinstance(raw, dict) else None
+        if kind is not None and kind not in REFERENCE_MEMBER_KEYS:
+            raise ConfigError(f"{where}: unknown reference member kind {kind!r}")
+        _check_keys(raw, REFERENCE_MEMBER_KEYS.get(kind, ()), where)
         count = _cast(raw.get("count", 1), int, f"{key}.count")
-        members.extend(_reference_member(raw, len(members) + i) for i in range(count))
+        members.extend(_reference_member(raw, kind, len(members) + i) for i in range(count))
     if not members:
         raise ConfigError(f"{key}: reference source needs members")
     return StrategyPool(gene_tag, attitude, tuple(members))
@@ -265,6 +277,9 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
     if not pool_specs:
         raise ConfigError("fingerprint config needs at least one pool")
     pools = [load_pool_source(spec, seed, i) for i, spec in enumerate(pool_specs)]
+    include_refs = config.get("include_references", True)
+    if not isinstance(include_refs, bool):
+        raise ConfigError(f"include_references must be true or false, got {include_refs!r}")
     nodes = enumerate_nodes(params.n, params.rounds)
     out_dir = _prepare_out(args.out)
     manifest = RunManifest("fingerprint", __version__, seed, config_digest(config))
@@ -284,7 +299,6 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
     matrix = fingerprint_many(strategies, kind, params, nodes, rollouts, derive_seed(seed, 1))
     analysis = pca(matrix)
 
-    include_refs = bool(config.get("include_references", True))
     ref_labels: list[str] = []
     ref_matrix = None
     if include_refs:

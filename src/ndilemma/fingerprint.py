@@ -10,16 +10,17 @@ forced, and the feature value is the fraction of replays in which the
 subject cooperates at the node's round. Stochastic strategies and strategies
 that condition on their own history make the replays non-trivial.
 
-One driver replays all nodes of one depth together, as one stack of
-``(nodes at that depth) x rollouts`` rows, node-major; very large depths are
-split into stacks of bounded size, in node order. It draws
-from one random stream per strategy, consumed depth by depth from the root
-down. A strategy with a kernel decides for the whole stack through its
-family; a strategy without one plays as the engine's ``callable`` family,
-one ``decide`` call per row on the ``Observation`` a per-decision replay
-would build. ``_fingerprint_node_scalar`` is that per-decision replay, kept
-as the reference: deterministic strategies give identical values on both,
-faults included.
+One driver fingerprints a list of strategies. The strategies of one kernel
+family share stacks: for each depth, from the root down, and each chunk of
+that depth's nodes (in node order, so that a stack stays bounded), a stack
+holds a batch of them, strategy-major, each strategy's ``(node, rollout)``
+rows node-major. Each strategy still draws from its own random stream, in
+the order it would alone: depth by depth, chunk by chunk, round by round. A
+strategy without a kernel plays as the engine's ``callable`` family, one
+``decide`` call per row on the ``Observation`` a per-decision replay would
+build. ``_fingerprint_node_scalar`` is that per-decision replay, kept as the
+reference: deterministic strategies give identical values on both, faults
+included.
 
 Variation within and between labelled sets of fingerprints is summarised by
 the normalised mean pairwise distance, Cohen's d between set centroids, and
@@ -46,7 +47,7 @@ from .engine import (
     decide_group,
 )
 from .games import Action, GameKind, GameParams, cpr_next_stock
-from .kernels import SlotFault, SlotView
+from .kernels import KernelFamily, SlotFault, SlotView
 from .seeding import derive_seed, rng_for
 from .strategies import Strategy
 
@@ -113,7 +114,8 @@ def _fingerprint_node_scalar(
 
 # Rows per stack; deeper levels of large games are split into several stacks,
 # in node order, so memory stays bounded. A row of a strategy without a kernel
-# keeps its own history (about 3.5 KB at n=8), so its stacks are smaller.
+# keeps its own history (about 3.5 KB at n=8), so its stacks are smaller. The
+# same bound caps the rows of all strategies that share a stack.
 _STACK_ROWS = 1 << 16
 _CALLABLE_STACK_ROWS = 1 << 12
 
@@ -128,86 +130,25 @@ def fingerprint(
 ) -> np.ndarray:
     """Cooperation rate at every node; entries in [0, 1].
 
-    Deterministic given the seed. The nodes of each depth are replayed
-    together, one row per (node, rollout), node-major, depths in increasing
-    order on one stream. Row ``i`` is game ``i`` with the subject as player
-    0; opponent identities within a forced count are assigned to the lowest
-    opponent indices. For the common-pool game the stock along a branch is
-    recomputed from the forced counts plus the subject's own actions. Each
-    view holds only the fields the subject's family reads: ``u`` is one
-    uniform per row each round from the stream. A strategy without a kernel
-    plays as the ``callable`` family, which alone reads each row's slot, the
-    stream (``rng``) and the previous round's (rows, n) actions: the
-    subject's own, then opponents 1..n-1, the first ``count`` cooperating.
+    Deterministic given the seed, which seeds the strategy's one stream.
+    The nodes of each depth are replayed together, one row per (node,
+    rollout), node-major, depths in increasing order; a depth with more rows
+    than a stack holds is split into chunks of nodes, in node order. Row
+    ``i`` is game ``i`` with the subject as player 0; opponent identities
+    within a forced count are assigned to the lowest opponent indices. For
+    the common-pool game the stock along a branch is recomputed from the
+    forced counts plus the subject's own actions. Each view holds only the
+    fields the subject's family reads: ``u`` is one uniform per row each
+    round from the stream. A strategy without a kernel plays as the
+    ``callable`` family, which alone reads each row's slot, the stream
+    (``rng``) and the previous round's (rows, n) actions: the subject's
+    own, then opponents 1..n-1, the first ``count`` cooperating.
+
+    This is ``fingerprint_many``'s driver on a list of one. There the
+    strategies of a family share stacks, and each keeps its own stream and
+    draw order, so its row is what this call returns.
     """
-    params.validate_for(kind)
-    if rollouts < 1:
-        raise ValueError(f"rollouts must be >= 1, got {rollouts}")
-    max_depth = max((node.depth for node in nodes), default=0)
-    if max_depth >= params.rounds:
-        raise ValueError(
-            f"nodes reach depth {max_depth} but the game has {params.rounds} rounds"
-        )
-    for node in nodes:
-        if any(not 0 <= c <= params.n - 1 for c in node.counts):
-            raise ValueError(f"node {node.counts} has counts outside 0..{params.n - 1}")
-    table = MemberTable.compile([strategy], warn=False)
-    family, row = table.families[0], table.params[0]
-    per_decision = family is CALLABLE
-    rng = rng_for(seed)
-    n = params.n
-    is_cpr = kind is GameKind.COMMON_POOL
-    by_depth: dict[int, list[int]] = {}
-    for i, node in enumerate(nodes):
-        by_depth.setdefault(node.depth, []).append(i)
-    per_stack = max(1, (_CALLABLE_STACK_ROWS if per_decision else _STACK_ROWS) // rollouts)
-    values = np.empty(len(nodes), dtype=float)
-    for depth in sorted(by_depth):
-        for start in range(0, len(by_depth[depth]), per_stack):
-            index = by_depth[depth][start : start + per_stack]
-            slots = len(index) * rollouts
-            counts = np.array([nodes[i].counts for i in index], dtype=np.int64)
-            forced = np.repeat(counts, rollouts, axis=0)  # (slots, depth)
-            forced_sum = np.cumsum(forced, axis=1)
-            P = np.repeat(row, slots, axis=0)
-            state = family.new_state(P)
-            col = np.zeros(slots, dtype=np.int64)
-            stock = np.full(slots, params.capacity) if is_cpr else None
-            acts = None
-            for t in range(depth + 1):
-                view = SlotView(t=t, kind=kind, params=params)
-                for name in family.reads:
-                    if name == "u":
-                        view.u = rng.random(slots)
-                    elif name == "rng":
-                        view.rng = [rng] * slots
-                    elif name == "col":
-                        view.col = col
-                    elif name == "slots":
-                        view.slots = np.arange(slots) * n
-                    elif name == "stock_frac":
-                        view.stock_frac = None if stock is None else stock / params.capacity
-                    elif t == 0:
-                        continue  # the rest are undefined in round 0
-                    elif name == "prev_c":
-                        view.prev_c = acts
-                    elif name == "opp_coop":
-                        view.opp_coop = forced[:, t - 1].astype(float)
-                    elif name == "opp_rate":
-                        view.opp_rate = forced_sum[:, t - 1] / ((n - 1) * t)
-                    elif name == "last":
-                        opponents = np.arange(1, n) <= forced[:, t - 1, None]
-                        view.last = np.column_stack((acts, opponents))
-                try:
-                    acts = decide_group(family, P, state, view)
-                except SlotFault as fault:
-                    node = nodes[index[fault.slot // rollouts]]
-                    detail = f"{fault.detail} (at fingerprint node {node.column_name()})"
-                    raise StrategyFault(strategy.label, 0, t, fault.reason, detail)
-                if is_cpr and t < depth:
-                    stock = cpr_next_stock(stock, forced[:, t] + acts, params)
-            values[index] = acts.reshape(len(index), rollouts).mean(axis=1)
-    return values
+    return _fingerprint_rows([strategy], [seed], kind, params, nodes, rollouts)[0]
 
 
 def fingerprint_many(
@@ -220,13 +161,173 @@ def fingerprint_many(
 ) -> np.ndarray:
     """Fingerprints for a list of strategies: shape (len(strategies), nodes).
 
-    Row ``i`` is ``fingerprint`` on seed ``derive_seed(seed, i)``.
+    Row ``i`` is ``fingerprint`` on seed ``derive_seed(seed, i)``, bit for
+    bit. A strategy that faults raises the ``StrategyFault`` its own
+    ``fingerprint`` call would; of several, the lowest-listed one's.
     """
-    rows = [
-        fingerprint(strategy, kind, params, nodes, rollouts, derive_seed(seed, i))
-        for i, strategy in enumerate(strategies)
-    ]
-    return np.vstack(rows) if rows else np.empty((0, len(nodes)))
+    seeds = [derive_seed(seed, i) for i in range(len(strategies))]
+    return _fingerprint_rows(strategies, seeds, kind, params, nodes, rollouts)
+
+
+def _fingerprint_rows(
+    strategies: Sequence[Strategy],
+    seeds: Sequence[int],
+    kind: GameKind,
+    params: GameParams,
+    nodes: Sequence[DecisionNode],
+    rollouts: int,
+) -> np.ndarray:
+    """The one driver: strategy ``i`` draws from ``rng_for(seeds[i])``.
+
+    For each family, depth and chunk of nodes, a stack holds a batch of
+    the family's strategies, strategy-major, within the family's stack
+    rows. Each round, ``u`` holds each strategy's ``rng.random(rows)`` in
+    turn, and a ``callable`` row draws from its own strategy's generator,
+    so every stream is drawn depth by depth, chunk by chunk, round by round,
+    as it would be alone.
+
+    When a strategy faults, it and every later-listed strategy are dropped;
+    the earlier ones of its stack go back to their streams' states at the
+    stack's start and play it again without them. The fault raised at the
+    end is the lowest-listed faulting strategy's first.
+    """
+    params.validate_for(kind)
+    if rollouts < 1:
+        raise ValueError(f"rollouts must be >= 1, got {rollouts}")
+    depths = np.array([node.depth for node in nodes], dtype=np.int64)
+    max_depth = int(depths.max(initial=0))
+    if max_depth >= params.rounds:
+        raise ValueError(
+            f"nodes reach depth {max_depth} but the game has {params.rounds} rounds"
+        )
+    counts = np.fromiter(itertools.chain.from_iterable(node.counts for node in nodes), np.int64)
+    bad = (counts < 0) | (counts > params.n - 1)
+    if bad.any():
+        node = nodes[np.repeat(np.arange(len(nodes)), depths)[bad.argmax()]]
+        raise ValueError(f"node {node.counts} has counts outside 0..{params.n - 1}")
+    by_depth: dict[int, list[int]] = {}
+    for i, node in enumerate(nodes):
+        by_depth.setdefault(node.depth, []).append(i)
+
+    table = MemberTable.compile(strategies, warn=False)
+    rngs = [rng_for(seed) for seed in seeds]
+    values = np.empty((len(strategies), len(nodes)), dtype=float)
+    fault: StrategyFault | None = None
+    live = len(strategies)  # strategies from this index on were dropped
+    for code, family in enumerate(table.families):
+        members = np.flatnonzero(table.family == code)
+        limit = _CALLABLE_STACK_ROWS if family is CALLABLE else _STACK_ROWS
+        per_stack = max(1, limit // rollouts)
+        for depth in sorted(by_depth):
+            for start in range(0, len(by_depth[depth]), per_stack):
+                index = by_depth[depth][start : start + per_stack]
+                forced = np.array([nodes[i].counts for i in index], dtype=np.int64)
+                chunk = _NodeChunk(forced, rollouts, kind, params)
+                per_batch = max(1, limit // chunk.rows)
+                for first in range(0, len(members), per_batch):
+                    batch = members[first : first + per_batch]
+                    batch = batch[batch < live]
+                    states = [rngs[m].bit_generator.state for m in batch]
+                    while len(batch):
+                        P = np.repeat(table.params[code][table.row[batch]], chunk.rows, axis=0)
+                        try:
+                            acts = chunk.play(family, P, [rngs[m] for m in batch])
+                            break
+                        except _StackFault as stop:
+                            at, row = divmod(stop.fault.slot, chunk.rows)
+                            node = nodes[index[row // rollouts]].column_name()
+                            detail = f"{stop.fault.detail} (at fingerprint node {node})"
+                            live = int(batch[at])
+                            fault = StrategyFault(
+                                table.labels[live], 0, stop.t, stop.fault.reason, detail
+                            )
+                        batch = batch[:at]
+                        for m, state in zip(batch, states):
+                            rngs[m].bit_generator.state = state
+                    if len(batch):
+                        values[batch[:, None], index] = acts.reshape(
+                            len(batch), len(index), rollouts
+                        ).mean(axis=2)
+    if fault is not None:
+        raise fault
+    return values
+
+
+class _StackFault(Exception):
+    """A slot fault of a fingerprint stack, with its round."""
+
+    def __init__(self, t: int, fault: SlotFault):
+        self.t = t
+        self.fault = fault
+
+
+class _NodeChunk:
+    """The forced histories of a chunk of nodes at one depth, built once
+    and shared by every stack that plays them: ``rows`` rows per strategy,
+    node-major with ``rollouts`` rows per node."""
+
+    def __init__(self, counts: np.ndarray, rollouts: int, kind: GameKind, params: GameParams):
+        self.counts = counts  # (nodes, depth)
+        self.opp_coop = counts.astype(float)
+        self.opp_rate = np.cumsum(counts, axis=1) / (
+            (params.n - 1) * np.arange(1, counts.shape[1] + 1)
+        )
+        self.rollouts = rollouts
+        self.rows = len(counts) * rollouts
+        self.kind = kind
+        self.params = params
+
+    def column(self, per_node: np.ndarray, t: int, strategies: int) -> np.ndarray:
+        """Round ``t``'s column of a per-node array, one entry per row of a
+        stack of ``strategies`` strategies."""
+        shape = (strategies, len(per_node), self.rollouts)
+        return np.broadcast_to(per_node[None, :, t, None], shape).ravel()
+
+    def play(
+        self, family: KernelFamily, P: np.ndarray, draws: list[np.random.Generator]
+    ) -> np.ndarray:
+        """Play a stack of ``len(draws)`` strategies, ``draws`` holding each
+        one's generator in stack order, to the chunk's depth; returns the
+        last round's actions, or raises ``_StackFault`` at the first fault."""
+        params, n, rows = self.params, self.params.n, len(P)
+        depth, strategies = self.counts.shape[1], len(draws)
+        state = family.new_state(P)
+        stock = np.full(rows, params.capacity) if self.kind is GameKind.COMMON_POOL else None
+        acts = None
+        for t in range(depth + 1):
+            view = SlotView(t=t, kind=self.kind, params=params)
+            for name in family.reads:
+                if name == "u":
+                    view.u = np.empty(rows)
+                    for rng, u in zip(draws, view.u.reshape(strategies, -1)):
+                        rng.random(out=u)
+                elif name == "rng":
+                    view.rng = [rng for rng in draws for _ in range(self.rows)]
+                elif name == "col":
+                    view.col = np.zeros(rows, dtype=np.int64)
+                elif name == "slots":
+                    view.slots = np.arange(rows) * n
+                elif name == "stock_frac":
+                    view.stock_frac = None if stock is None else stock / params.capacity
+                elif t == 0:
+                    continue  # the rest are undefined in round 0
+                elif name == "prev_c":
+                    view.prev_c = acts
+                elif name == "opp_coop":
+                    view.opp_coop = self.column(self.opp_coop, t - 1, strategies)
+                elif name == "opp_rate":
+                    view.opp_rate = self.column(self.opp_rate, t - 1, strategies)
+                elif name == "last":
+                    forced = self.column(self.counts, t - 1, strategies)
+                    view.last = np.column_stack((acts, np.arange(1, n) <= forced[:, None]))
+            try:
+                acts = decide_group(family, P, state, view)
+            except SlotFault as fault:
+                raise _StackFault(t, fault) from fault
+            if stock is not None and t < depth:
+                forced = self.column(self.counts, t, strategies)
+                stock = cpr_next_stock(stock, forced + acts, params)
+        return acts
 
 
 # ---------------------------------------------------------------------------
@@ -273,17 +374,19 @@ def _as_matrix(vectors: Sequence[np.ndarray] | np.ndarray, min_rows: int) -> np.
 
 
 def pca(vectors: Sequence[np.ndarray] | np.ndarray) -> PcaResult:
-    """Principal components of mean-centered data via a symmetric eigensolver."""
+    """Principal components of mean-centered data via a thin SVD of the
+    (samples, d) data, never forming the d x d covariance: the eigenvalues
+    are the squared singular values over ``samples - 1``. Components whose
+    eigenvalues are at round-off are an arbitrary orthonormal basis of the
+    remaining subspace."""
     X = _as_matrix(vectors, 2)
     n, d = X.shape
     mean = X.mean(axis=0)
     centered = X - mean
-    cov = centered.T @ centered / (n - 1)
-    eigenvalues, eigenvectors = np.linalg.eigh(cov)
-    order = np.argsort(eigenvalues)[::-1]
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
     k = min(n - 1, d)
-    eigenvalues = np.clip(eigenvalues[order][:k], 0.0, None)
-    components = eigenvectors[:, order[:k]].T
+    eigenvalues = s[:k] ** 2 / (n - 1)
+    components = vt[:k]
     # sign convention: positive coordinate sum, falling back to the largest
     # magnitude coordinate for components that sum to ~0
     for row in components:

@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, outputs, manifests, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -479,6 +480,30 @@ class TestUnknownConfigKeys:
             "evolve", _with_source(0, {"type": "reference", "members": ["allc"]}),
             "genes[0].source.members[0] must be an object",
         ),
+        # each kind takes only the parameter it reads
+        "reference-member-alld-p": (
+            "selfplay",
+            _with_pool_c(source={"type": "reference", "members": [
+                {"kind": "alld", "p": 0.9, "t": 3, "count": 64},
+            ]}),
+            "pool_c.source.members[0]: unknown key 'p'; expected one of kind, count",
+        ),
+        "reference-member-rnd-t": (
+            "selfplay",
+            _with_pool_c(source={"type": "reference", "members": [
+                {"kind": "allc"}, {"kind": "rnd", "t": 2},
+            ]}),
+            "pool_c.source.members[1]: unknown key 't'; expected one of kind, count, p",
+        ),
+        "reference-member-cd-p": (
+            "evolve",
+            _with_source(0, {"type": "reference", "members": [{"kind": "cd", "p": 0.5}]}),
+            "genes[0].source.members[0]: unknown key 'p'; expected one of kind, count, t",
+        ),
+        "reference-member-kind": (
+            "evolve", _with_source(0, {"type": "reference", "members": [{"kind": "allx"}]}),
+            "genes[0].source.members[0]: unknown reference member kind 'allx'",
+        ),
     }
 
     @pytest.mark.parametrize("name", list(CASES))
@@ -504,6 +529,70 @@ class TestUnknownConfigKeys:
         ]}
         config = write_json(tmp_path / "cfg.json", doc)
         assert main(["evolve", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+
+
+class TestInexactConfigValues:
+    """A boolean, or a fractional number for an integer key, exits 1 naming
+    its key before the output directory is created, instead of being cast
+    (2.7 rollouts used to play 2, and true played as 1)."""
+
+    CASES = {
+        "fractional-rollouts": (
+            "fingerprint", {**TestFingerprintCmd().fingerprint_config(), "rollouts": 2.7},
+            "rollouts must be an integer, got 2.7",
+        ),
+        "boolean-rollouts": (
+            "fingerprint", {**TestFingerprintCmd().fingerprint_config(), "rollouts": True},
+            "rollouts must be an integer, got True",
+        ),
+        "fractional-runs": ("evolve", TestEvolve().evolve_config(runs=1.5), "runs must be "),
+        "boolean-seed": ("evolve", TestEvolve().evolve_config(seed=True), "seed must be "),
+        "fractional-rounds": (
+            "evolve", _with_game(TestEvolve().evolve_config(), rounds=4.5), "game.rounds must be ",
+        ),
+        "boolean-k": (
+            "selfplay", _with_game(selfplay_config(), k=True), "game.k must be a number",
+        ),
+        "fractional-group-size": (
+            "selfplay", selfplay_config(group_sizes=[4.5]), "group_sizes must be ",
+        ),
+        "fractional-count": (
+            "evolve",
+            _with_source(0, {"type": "reference", "members": [{"kind": "allc", "count": 2.5}]}),
+            "genes[0].count must be ",
+        ),
+        "string-include-references": (
+            "fingerprint",
+            {**TestFingerprintCmd().fingerprint_config(), "include_references": "false"},
+            "include_references must be true or false, got 'false'",
+        ),
+        "numeric-include-references": (
+            "fingerprint",
+            {**TestFingerprintCmd().fingerprint_config(), "include_references": 0},
+            "include_references must be true or false, got 0",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_exits_one_naming_the_key(self, tmp_path, capsys, name):
+        command, doc, message = self.CASES[name]
+        config = write_json(tmp_path / "cfg.json", doc)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_an_integral_float_plays_as_its_integer(self, tmp_path):
+        outputs = []
+        for name, rollouts in (("int", 4), ("float", 4.0)):
+            doc = {**TestFingerprintCmd().fingerprint_config(), "rollouts": rollouts}
+            config = write_json(tmp_path / f"{name}.json", doc)
+            out = tmp_path / name
+            assert main(["fingerprint", "--config", str(config), "--out", str(out)]) == 0
+            outputs.append((out / "fingerprints.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestVerifyCmd:
@@ -608,6 +697,27 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "ndilemma" in proc.stdout
+
+
+# sha256 of the fingerprint demo's stream-dependent outputs; a change to
+# how the fingerprint driver consumes random streams changes them
+FINGERPRINT_DEMO_SHA256 = {
+    "fingerprints.csv": "371174c36676b7c5e93beda483c1ad5b1c12240ddb389d5827f18f294743887b",
+    "nodes.csv": "d21e36efee6f584bb5514c47e97b26196cfc69af7c0e8a16f2a8c60e52b4ecce",
+}
+
+
+def test_fingerprint_demo_outputs_are_pinned(tmp_path):
+    out = tmp_path / "fp"
+    assert main([
+        "fingerprint", "--config", str(REPO / "configs" / "fingerprint_demo.json"),
+        "--out", str(out),
+    ]) == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in FINGERPRINT_DEMO_SHA256
+    }
+    assert digests == FINGERPRINT_DEMO_SHA256
 
 
 def test_shipped_demo_configs_run(tmp_path):

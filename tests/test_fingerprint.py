@@ -297,19 +297,106 @@ class TestOneDriver:
         assert values.tolist() == expected
         assert 0 < sum(expected) < len(NODES)
 
-    def test_each_row_is_a_lone_fingerprint_on_its_derived_seed(self):
-        members = [
-            make_reference("rnd", p=0.4),
-            kernel_strategy("reciprocator", 0.5, 0.2),
-            kernel_strategy("bernoulli", 0.7).without_kernel(),
-            kernel_strategy("grim", 0.34),
-            make_reference("rnd", p=0.6).without_kernel(),
-        ]
-        matrix = fingerprint_many(members, KIND, PARAMS, NODES, 10, seed=9)
+    @pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
+    @pytest.mark.parametrize("kind", [KIND, GameKind.COMMON_POOL], ids=lambda k: k.value)
+    def test_each_row_is_a_lone_fingerprint_on_its_derived_seed(self, kind, split, monkeypatch):
+        """Strategies of a family share stacks, and each still draws from its
+        own stream as it would alone: ``split`` bounds a stack at 40 nodes
+        of 10 rollouts (20 for strategies without a kernel), so depths 3 and
+        4 split into several stacks while shallow depths still share."""
+        if split:
+            monkeypatch.setattr(fingerprint_module, "_STACK_ROWS", 400)
+            monkeypatch.setattr(fingerprint_module, "_CALLABLE_STACK_ROWS", 200)
+        members = list(SHARED_MEMBERS)
+        if kind is GameKind.COMMON_POOL:
+            members[3:3] = [kernel_strategy("stock_guardian", 0.6),
+                            kernel_strategy("stock_guardian", 0.3)]
+        matrix = fingerprint_many(members, kind, PARAMS, NODES, 10, seed=9)
         assert matrix.shape == (len(members), len(NODES))
         for i, strategy in enumerate(members):
-            lone = fingerprint(strategy, KIND, PARAMS, NODES, 10, derive_seed(9, i))
-            assert np.array_equal(matrix[i], lone)
+            lone = fingerprint(strategy, kind, PARAMS, NODES, 10, derive_seed(9, i))
+            assert np.array_equal(matrix[i], lone), strategy.label
+
+    @pytest.mark.parametrize("with_kernel", [True, False], ids=["kernel", "callable"])
+    def test_the_lowest_listed_fault_is_raised_as_its_lone_call_raises_it(self, with_kernel):
+        """The late divider faults at depth 2 (node 1.0). A later-listed
+        member of the same family faults at the root, in the same stacks, so
+        the members before it play those stacks again on their streams as
+        they stood at the stack's start. Where ``flaky`` first faults
+        depends on its stream, so it shows a replay that did not restore it."""
+        if with_kernel:
+            early, late = policy_strategy(LATE_DIVIDER), policy_strategy(STOCK_READER)
+        else:
+            early, late = Strategy("flaky", "test", _flaky), Strategy("broken", "test", _broken)
+        members = [make_reference("rnd", p=0.4), early, make_reference("allc"), late,
+                   kernel_strategy("stock_guardian", 0.6)]
+        with pytest.raises(StrategyFault) as info:
+            fingerprint_many(members, KIND, PARAMS, NODES, 20, seed=11)
+        with pytest.raises(StrategyFault) as lone:
+            fingerprint(early, KIND, PARAMS, NODES, 20, derive_seed(11, 1))
+        got, expected = info.value, lone.value
+        assert (got.label, got.player, got.round_index, got.reason, got.detail) == (
+            expected.label, expected.player, expected.round_index, expected.reason,
+            expected.detail,
+        )
+        assert got.label == early.label and got.round_index == 2
+        if with_kernel:
+            assert got.detail.endswith("(at fingerprint node 1.0)")
+        for strategy in (late, members[4]):
+            with pytest.raises(StrategyFault) as root:
+                fingerprint(strategy, KIND, PARAMS, NODES, 20, seed=0)
+            assert root.value.detail.endswith("(at fingerprint node root)")
+
+
+# two non-faulting policy tables of different widths
+SHORT_POLICY = PolicySpec("short-policy", (
+    PolicyRule(Predicate("last_coop_ge", value=2.0), 0.9),
+), 0.3)
+LONG_POLICY = PolicySpec("long-policy", (
+    PolicyRule(Predicate("round_lt", value=1.0), 1.0),
+    PolicyRule(Predicate("coop_rate_le", value=0.4), 0.2),
+    PolicyRule(Predicate("rounds_left_le", value=1.0), 0.0),
+), 0.6)
+# faults at the root of the public-goods game: stock_frac is undefined there
+STOCK_READER = PolicySpec("stock-reader", (
+    PolicyRule(Predicate("stock_frac_ge", value=0.5), 1.0),
+), 0.5)
+
+
+def _flaky(obs, rng):
+    """Draws once per decision; from round 2 on, raises on about one draw
+    in 50, so where it first faults depends on the stream."""
+    if rng.random() < 0.02 and obs.round_index >= 2:
+        raise RuntimeError("flaked")
+    return Action.C
+
+
+def _broken(obs, rng):
+    raise RuntimeError("broken")
+
+
+# two members of every built-in family that plays every game, and two
+# without a kernel, one of which draws
+SHARED_MEMBERS = [
+    kernel_strategy("constant", 1.0),
+    kernel_strategy("bernoulli", 0.3),
+    make_reference("cc", t=2),
+    kernel_strategy("reciprocator", 0.5, 0.2),
+    kernel_strategy("grim", 0.34),
+    kernel_strategy("endgame", 2, 0.5),
+    kernel_strategy("rota", 3, 1, 1),
+    policy_strategy(SHORT_POLICY),
+    Strategy("probe", "test", _probe),
+    kernel_strategy("constant", 0.0),
+    kernel_strategy("bernoulli", 0.7),
+    make_reference("cd", t=1),
+    kernel_strategy("reciprocator", 1.0, 0.6),
+    kernel_strategy("grim", 0.0),
+    kernel_strategy("endgame", 1, 1.0),
+    kernel_strategy("rota", 2, 0, 0),
+    policy_strategy(LONG_POLICY),
+    kernel_strategy("reciprocator", 0.5, 0.3).without_kernel(),
+]
 
 
 class TestPca:
@@ -358,6 +445,42 @@ class TestPca:
                 original = np.linalg.norm(data[i] - data[j])
                 projected = np.linalg.norm(result.projections[i] - result.projections[j])
                 assert projected == pytest.approx(original, rel=1e-6)
+
+    @pytest.mark.parametrize("shape", [(30, 8), (10, 20)], ids=["tall", "wide"])
+    def test_matches_the_covariance_eigendecomposition(self, rng, shape):
+        """A reference fit by ``eigh`` of the d x d covariance, with the
+        same sign convention: eigenvalues agree to 1e-12 of the largest,
+        and components whose eigenvalues are well separated to 1e-9."""
+        data = rng.random(shape)
+        n, d = shape
+        centered = data - data.mean(axis=0)
+        values, vectors = np.linalg.eigh(centered.T @ centered / (n - 1))
+        k = min(n - 1, d)
+        values, vectors = values[::-1][:k], vectors[:, ::-1][:, :k].T
+        vectors *= np.where(vectors.sum(axis=1) < 0, -1.0, 1.0)[:, None]
+        result = pca(data)
+        scale = values[0]
+        assert np.abs(result.eigenvalues - values).max() <= 1e-12 * scale
+        gaps = np.abs(np.subtract.outer(values, values)) + np.eye(k) * scale
+        separated = gaps.min(axis=1) > 1e-3 * scale
+        assert separated.sum() >= k - 1
+        assert np.abs(result.components[separated] - vectors[separated]).max() <= 1e-9
+
+    def test_rank_deficient_data_keeps_orthonormal_components(self, rng):
+        """Duplicated rows leave 5 of the 11 eigenvalues at round-off: the
+        components are still orthonormal and the eigenvalues still carry the
+        whole variance (the properties the benchmark's PCA oracle checks)."""
+        base = rng.random((6, 11))
+        data = np.vstack([base, base, base[:3]])
+        result = pca(data)
+        assert len(result.eigenvalues) == 11
+        assert np.all(result.eigenvalues >= 0.0)
+        assert np.all(np.diff(result.eigenvalues) <= 0.0)
+        gram = result.components @ result.components.T
+        assert np.abs(gram - np.eye(11)).max() <= 1e-12
+        total = data.var(axis=0, ddof=1).sum()
+        assert result.eigenvalues.sum() == pytest.approx(total, rel=1e-12)
+        assert np.all(result.eigenvalues[5:] <= 1e-12 * result.eigenvalues[0])
 
     def test_fewer_than_two_samples_rejected(self):
         with pytest.raises(ValueError):
