@@ -16,8 +16,9 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -65,187 +66,215 @@ class ConfigError(ValueError):
     """Bad command configuration; maps to exit code 1."""
 
 
-# The keys docs/formats.md documents for each config object; any other key
-# is an error, not a silently ignored typo.
-CONFIG_KEYS = {
-    "fingerprint": ("game", "rollouts", "include_references", "pools"),
-    "selfplay": ("game", "group_sizes", "samples_per_cell", "pool_e", "pool_c"),
-    "evolve": (
-        "game", "population", "group_size", "games_per_agent", "elites", "mutation_rate",
-        "dominance_threshold", "max_generations", "runs", "genes",
-    ),
-}
-GAME_KEYS = ("kind", "n", "rounds", "k", "m", "capacity")
-POOL_KEYS = ("gene_tag", "attitude", "source")
-SOURCE_KEYS = {"file": ("path",), "synth": ("size", "families"), "reference": ("members",)}
-SYNTH_FAMILY_KEYS = ("family", "weight", "params")
-# a reference member takes only the parameter its kind reads
-REFERENCE_MEMBER_KEYS = {
-    "allc": ("kind", "count"),
-    "alld": ("kind", "count"),
-    "rnd": ("kind", "count", "p"),
-    "cc": ("kind", "count", "t"),
-    "cd": ("kind", "count", "t"),
-}
-
-
 # ---------------------------------------------------------------------------
 # Config plumbing.
 # ---------------------------------------------------------------------------
 
 
-def _check_keys(entry, allowed: tuple[str, ...], where: str) -> None:
-    """Raise ``ConfigError`` naming ``where`` unless ``entry`` is an object
-    whose keys are all in ``allowed``."""
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where} must be an object, got {entry!r}")
-    for key in entry:
-        if key not in allowed:
-            raise ConfigError(
-                f"{where}: unknown key {key!r}; expected one of {', '.join(allowed)}"
-            )
+_EXPECTED = {
+    int: "an integer", float: "a number", bool: "true or false",
+    str: "a non-empty string", list: "a list", dict: "an object",
+}
 
 
-def _load_config(path: str, command: str) -> dict:
-    """The config at ``path`` for ``command``, its top level and its game
-    object checked for unknown keys."""
-    config_path = Path(path)
+def _cast(value, to, key: str):
+    """The config value at ``key`` as a ``to``; ``ConfigError`` naming the
+    key if it does not fit.
+
+    ``int`` and ``float`` cast a number or a numeric string but refuse a
+    boolean and, for ``int``, a fractional number. ``bool``, ``str``, ``list``
+    and ``dict`` take only their own JSON type, and a string must not be
+    empty. ``(int,)`` takes a list of integers and returns it as a tuple;
+    ``None`` takes any value.
+    """
+    if to is None:
+        return value
+    if isinstance(to, tuple):
+        return tuple(_cast(item, to[0], key) for item in _cast(value, list, key))
+    if to in (int, float):
+        fractional = to is int and isinstance(value, float) and not value.is_integer()
+        if not isinstance(value, bool) and not fractional:
+            try:
+                return to(value)
+            except (TypeError, ValueError, OverflowError):
+                pass
+    elif isinstance(value, to) and value != "":
+        return value
+    raise ConfigError(f"{key} must be {_EXPECTED[to]}, got {value!r}")
+
+
+class _Entry:
+    """One object of a command config, at ``path`` in it (``""`` for the
+    top level).
+
+    Reading a key records it and casts its value (see ``_cast``), naming its
+    full path, such as ``genes[0].source.members[1].p``, in any error.
+    ``done`` then rejects every key that no read asked for.
+    """
+
+    def __init__(self, data, path: str):
+        self.data = _cast(data, dict, path or "config")
+        self.path = path
+        self.read: dict[str, None] = {}
+
+    def where(self, key: str) -> str:
+        return f"{self.path}.{key}" if self.path else key
+
+    def pick(self, **casts) -> dict:
+        """The keys of ``casts`` that are present, each cast by its value.
+        An absent key is left out, so the default of what takes the result
+        holds."""
+        self.read.update(dict.fromkeys(casts))
+        return {key: _cast(self.data[key], to, self.where(key))
+                for key, to in casts.items() if key in self.data}
+
+    def get(self, key: str, to=None, default=None):
+        """The value at ``key`` cast by ``to``, or ``default`` if absent."""
+        return self.pick(**{key: to}).get(key, default)
+
+    def need(self, key: str, to=None):
+        """``get`` for a key that must be present."""
+        if key not in self.data:
+            raise ConfigError(f"{self.where(key)} is required")
+        return self.get(key, to)
+
+    def entry(self, key: str) -> "_Entry":
+        return _Entry(self.need(key), self.where(key))
+
+    def entries(self, key: str) -> list["_Entry"]:
+        """The objects of the non-empty list at ``key``."""
+        items = self.need(key, list)
+        if not items:
+            raise ConfigError(f"{self.where(key)} must be non-empty")
+        return [_Entry(item, f"{self.where(key)}[{i}]") for i, item in enumerate(items)]
+
+    def done(self) -> None:
+        for key in self.data:
+            if key not in self.read:
+                raise ConfigError(
+                    f"{self.path or 'config'}: unknown key {key!r}; "
+                    f"expected one of {', '.join(self.read)}"
+                )
+
+
+def _scalars(entry: _Entry, cls, skip: tuple[str, ...] = ()) -> dict:
+    """The keys of ``entry`` that name an int or float field of dataclass
+    ``cls``, cast to the field's type; an absent key keeps its default."""
+    hints = get_type_hints(cls)
+    return entry.pick(**{
+        f.name: hints[f.name] for f in fields(cls)
+        if hints[f.name] in (int, float) and f.name not in skip
+    })
+
+
+def _load_config(args: argparse.Namespace) -> tuple[_Entry, int]:
+    """The config at ``args.config`` and its master seed, which ``--seed``
+    overrides."""
+    config_path = Path(args.config)
     if not config_path.exists():
         raise ConfigError(f"config file not found: {config_path}")
     try:
-        data = json.loads(config_path.read_text())
+        config = _Entry(json.loads(config_path.read_text()), "")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{config_path}: invalid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise ConfigError(f"{config_path}: expected a JSON object")
-    version = data.get("schema_version")
+    version = config.get("schema_version")
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(
             f"{config_path}: unsupported schema_version {version!r}; "
             f"expected {CONFIG_SCHEMA_VERSION}"
         )
-    _check_keys(data, ("schema_version", "seed", *CONFIG_KEYS[command]), "config")
-    if "game" in data:
-        _check_keys(data["game"], GAME_KEYS, "game")
-    return data
+    seed = config.get("seed", int, 0)
+    return config, seed if args.seed is None else args.seed
 
 
-def _cast(value, to: type, key: str):
-    """``to(value)`` for the config value at ``key``; a value that does not
-    cast, a boolean, or a fractional number for an integer raises
-    ``ConfigError`` naming the key."""
-    expected = "an integer" if to is int else "a number"
-    fractional = to is int and isinstance(value, float) and not value.is_integer()
-    if isinstance(value, bool) or fractional:
-        raise ConfigError(f"{key} must be {expected}, got {value!r}")
-    try:
-        return to(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be {expected}, got {value!r}") from None
-
-
-def _game_params(game: dict, n: int | None = None) -> tuple[GameKind, GameParams]:
-    if "kind" not in game:
-        raise ConfigError("config needs a game object with a 'kind' field")
-    kind = GameKind.parse(str(game["kind"]))
-    fields = {}
-    if n is not None:
-        if "n" in game and _cast(game["n"], int, "game.n") != n:
-            raise ConfigError(f"game.n is {game['n']!r} but group_size is {n}")
-        fields["n"] = n
-    elif "n" in game:
-        fields["n"] = _cast(game["n"], int, "game.n")
-    else:
-        raise ConfigError("game config needs a player count 'n'")
-    for key in ("rounds", "m"):
-        if key in game:
-            fields[key] = _cast(game[key], int, f"game.{key}")
-    for key in ("k", "capacity"):
-        if key in game:
-            fields[key] = _cast(game[key], float, f"game.{key}")
-    params = GameParams(**fields)
+def _game_params(game: _Entry, n: int | None = None) -> tuple[GameKind, GameParams]:
+    """The game at ``game``; ``n``, when given, is the player count the
+    command fixes, and ``game.n`` may only repeat it."""
+    kind = GameKind.parse(game.need("kind", str))
+    if n is None:
+        n = game.need("n", int)
+    given = _scalars(game, GameParams)
+    if given.setdefault("n", n) != n:
+        raise ConfigError(f"{game.where('n')} is {given['n']} but group_size is {n}")
+    game.done()
+    params = GameParams(**given)
     params.validate_for(kind)
     return kind, params
 
 
-def _reference_member(spec: dict, kind: str, index: int) -> Strategy:
-    if kind == "rnd":
-        strat = make_reference("rnd", p=_cast(spec.get("p", 0.5), float, "members.p"))
-    elif kind in ("cc", "cd"):
-        strat = make_reference(kind, t=_cast(spec.get("t", 1), int, "members.t"))
-    else:
-        strat = make_reference(kind)
-    return Strategy(f"{strat.label}#{index:03d}", strat.origin, strat.decide, strat.kernel)
+def _flag_game(args: argparse.Namespace) -> tuple[GameKind, GameParams]:
+    """The game that the ``validate`` and ``bounds`` flags set; a flag left
+    out keeps its ``GameParams`` default."""
+    flags = {f.name: getattr(args, f.name, None) for f in fields(GameParams)}
+    return GameKind.parse(args.game), GameParams(
+        **{name: value for name, value in flags.items() if value is not None}
+    )
 
 
 def load_pool_source(
-    spec: dict, master_seed: int, pool_index: int, key: str | None = None
+    spec: dict | _Entry, master_seed: int, pool_index: int, key: str | None = None
 ) -> StrategyPool:
     """Build a pool from one config entry: file, synth, or reference.
 
     ``pool_index`` seeds a synth pool; ``key`` is the entry's place in the
-    config (default ``pools[pool_index]``). A malformed or out-of-range
-    entry raises ``ConfigError`` naming it.
+    config (default ``pools[pool_index]``) when ``spec`` is a plain dict. A
+    malformed or out-of-range entry raises ``ConfigError`` naming it.
     """
-    key = f"pools[{pool_index}]" if key is None else key
+    if not isinstance(spec, _Entry):
+        spec = _Entry(spec, f"pools[{pool_index}]" if key is None else key)
     try:
-        return _pool_from_source(spec, master_seed, pool_index, key)
+        return _pool_from_source(spec, master_seed, pool_index)
     except (ConfigError, SchemaError):
         raise
     except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
+        raise ConfigError(f"{spec.path}: {exc}") from None
 
 
-def _pool_from_source(spec: dict, master_seed: int, pool_index: int, key: str) -> StrategyPool:
-    _check_keys(spec, POOL_KEYS, key)
-    source = spec.get("source")
-    if not isinstance(source, dict) or "type" not in source:
-        raise ConfigError(f"{key}: needs a source object with a 'type'")
-    stype = source["type"]
-    if not isinstance(stype, str) or stype not in SOURCE_KEYS:
-        raise ConfigError(f"{key}: unknown source type {stype!r}")
-    _check_keys(source, ("type", *SOURCE_KEYS[stype]), f"{key}.source")
+def _pool_from_source(pool: _Entry, master_seed: int, pool_index: int) -> StrategyPool:
+    source = pool.entry("source")
+    stype = source.need("type", str)
+    gene_tag = pool.get("gene_tag", str) if stype == "file" else pool.need("gene_tag", str)
+    attitude = pool.get("attitude", str)
+    attitude = None if attitude is None else Attitude.parse(attitude)
+    pool.done()
     if stype == "file":
-        if "path" not in source:
-            raise ConfigError(f"{key}: file source needs a 'path'")
-        pool = load_pool(source["path"])
-        gene_tag = spec.get("gene_tag", pool.gene_tag)
-        attitude = Attitude.parse(spec["attitude"]) if "attitude" in spec else pool.attitude
-        return StrategyPool(gene_tag, attitude, pool.members)
-    gene_tag = spec.get("gene_tag")
-    if not gene_tag:
-        raise ConfigError(f"{key}: {stype} pools need a gene_tag")
-    attitude = Attitude.parse(str(spec.get("attitude", "collective")))
+        path = source.get("path", str)
+        if path is None:
+            raise ConfigError(f"{pool.path}: file source needs a 'path'")
+        source.done()
+        loaded = load_pool(path)
+        return StrategyPool(gene_tag or loaded.gene_tag, attitude or loaded.attitude,
+                            loaded.members)
+    attitude = attitude or Attitude.COLLECTIVE
     if stype == "synth":
-        entries = source.get("families", [])
-        if not entries:
-            raise ConfigError(f"{key}: synth source needs families")
-        for j, fam in enumerate(entries):
-            _check_keys(fam, SYNTH_FAMILY_KEYS, f"{key}.source.families[{j}]")
-        if not all("family" in fam for fam in entries):
-            raise ConfigError(f"{key}: every synth family needs a 'family' name")
-        families = [
-            FamilySpec(
-                family=fam["family"],
-                weight=_cast(fam.get("weight", 1.0), float, f"{key}.weight"),
-                params=fam.get("params", {}),
-            )
-            for fam in entries
-        ]
-        size = _cast(source.get("size", 512), int, f"{key}.size")
+        families = []
+        for family in source.entries("families"):
+            families.append(FamilySpec(
+                family.get("family", str), **family.pick(weight=float, params=dict)
+            ))
+            family.done()
+        size = source.get("size", int, 512)
+        source.done()
         return synth_pool(families, size, derive_seed(master_seed, 900, pool_index),
                           gene_tag, attitude)
+    if stype != "reference":
+        raise ConfigError(f"{pool.path}: unknown source type {stype!r}")
     members = []
-    for j, raw in enumerate(source.get("members", [])):
-        where = f"{key}.source.members[{j}]"
-        kind = str(raw.get("kind", "")).lower() if isinstance(raw, dict) else None
-        if kind is not None and kind not in REFERENCE_MEMBER_KEYS:
-            raise ConfigError(f"{where}: unknown reference member kind {kind!r}")
-        _check_keys(raw, REFERENCE_MEMBER_KEYS.get(kind, ()), where)
-        count = _cast(raw.get("count", 1), int, f"{key}.count")
-        members.extend(_reference_member(raw, kind, len(members) + i) for i in range(count))
-    if not members:
-        raise ConfigError(f"{key}: reference source needs members")
+    for member in source.entries("members"):
+        kind = member.need("kind", str).lower()
+        count = member.get("count", int, 1)
+        if kind == "rnd":
+            ref = make_reference(kind, p=member.get("p", float, 0.5))
+        elif kind in ("cc", "cd"):
+            ref = make_reference(kind, t=member.get("t", int, 1))
+        elif kind in ("allc", "alld"):
+            ref = make_reference(kind)
+        else:
+            raise ConfigError(f"{member.path}: unknown reference member kind {kind!r}")
+        member.done()
+        members.extend(replace(ref, label=f"{ref.label}#{len(members) + i:03d}")
+                       for i in range(count))
+    source.done()
     return StrategyPool(gene_tag, attitude, tuple(members))
 
 
@@ -255,34 +284,24 @@ def _prepare_out(out: str) -> Path:
     return out_dir
 
 
-def _seed_from(config: dict, override: int | None) -> int:
-    if override is not None:
-        return override
-    return _cast(config.get("seed", 0), int, "seed")
-
-
 # ---------------------------------------------------------------------------
 # Commands.
 # ---------------------------------------------------------------------------
 
 
 def cmd_fingerprint(args: argparse.Namespace) -> int:
-    config = _load_config(args.config, "fingerprint")
-    seed = _seed_from(config, args.seed)
-    kind, params = _game_params(config.get("game", {}))
-    rollouts = _cast(config.get("rollouts", 50), int, "rollouts")
-    if rollouts < 1:
-        raise ConfigError(f"rollouts must be >= 1, got {rollouts}")
-    pool_specs = config.get("pools", [])
-    if not pool_specs:
-        raise ConfigError("fingerprint config needs at least one pool")
-    pools = [load_pool_source(spec, seed, i) for i, spec in enumerate(pool_specs)]
-    include_refs = config.get("include_references", True)
-    if not isinstance(include_refs, bool):
-        raise ConfigError(f"include_references must be true or false, got {include_refs!r}")
+    config, seed = _load_config(args)
+    kind, params = _game_params(config.entry("game"))
+    # an absent rollouts keeps fingerprint_many's default
+    rollouts = config.pick(rollouts=int)
+    if rollouts.get("rollouts", 1) < 1:
+        raise ConfigError(f"rollouts must be >= 1, got {rollouts['rollouts']}")
+    pools = [load_pool_source(entry, seed, i) for i, entry in enumerate(config.entries("pools"))]
+    include_refs = config.get("include_references", bool, True)
+    config.done()
     nodes = enumerate_nodes(params.n, params.rounds)
     out_dir = _prepare_out(args.out)
-    manifest = RunManifest("fingerprint", __version__, seed, config_digest(config))
+    manifest = RunManifest("fingerprint", __version__, seed, config_digest(config.data))
 
     labels: list[str] = []
     sets: list[str] = []
@@ -296,7 +315,8 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
         sets.extend([name] * len(pool.members))
         pool_slices.append((name, slice(start, len(strategies))))
 
-    matrix = fingerprint_many(strategies, kind, params, nodes, rollouts, derive_seed(seed, 1))
+    matrix = fingerprint_many(strategies, kind, params, nodes, seed=derive_seed(seed, 1),
+                             **rollouts)
     analysis = pca(matrix)
 
     ref_labels: list[str] = []
@@ -304,7 +324,8 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
     if include_refs:
         refs = default_reference_overlay(params.n)
         ref_labels = [ref.label for ref in refs]
-        ref_matrix = fingerprint_many(refs, kind, params, nodes, rollouts, derive_seed(seed, 2))
+        ref_matrix = fingerprint_many(refs, kind, params, nodes, seed=derive_seed(seed, 2),
+                                      **rollouts)
 
     write_nodes_csv(nodes, out_dir / "nodes.csv")
     all_labels = labels + ref_labels
@@ -353,37 +374,26 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
 
 
 def cmd_selfplay(args: argparse.Namespace) -> int:
-    config = _load_config(args.config, "selfplay")
-    seed = _seed_from(config, args.seed)
-    game = dict(config.get("game", {}))
-    if args.k is not None:
-        game["k"] = args.k
-    if "kind" not in game:
-        raise ConfigError("selfplay config needs game.kind")
-    kind = GameKind.parse(str(game["kind"]))
+    config, seed = _load_config(args)
+    game = config.entry("game")
+    kind = GameKind.parse(game.need("kind", str))
     for key in ("n", "m", "capacity"):
-        if key in game:
+        if key in game.data:
             raise ConfigError(
                 f"selfplay does not read game.{key}: each group size n plays with "
                 "m = n // 2 and capacity 4n"
             )
-    if "pool_e" not in config or "pool_c" not in config:
-        raise ConfigError("selfplay config needs pool_e and pool_c")
-    group_sizes = config.get("group_sizes", (4, 16, 64, 256))
-    if not isinstance(group_sizes, (list, tuple)):
-        raise ConfigError(f"group_sizes must be a list of integers, got {group_sizes!r}")
-    pool_e = load_pool_source(config["pool_e"], seed, 0, "pool_e")
-    pool_c = load_pool_source(config["pool_c"], seed, 1, "pool_c")
+    grid_game = game.pick(k=float, rounds=int)
+    game.done()
+    if args.k is not None:
+        grid_game["k"] = args.k
+    pool_e = load_pool_source(config.entry("pool_e"), seed, 0)
+    pool_c = load_pool_source(config.entry("pool_c"), seed, 1)
     grid = MixGridConfig(
-        kind=kind,
-        pool_e=pool_e,
-        pool_c=pool_c,
-        k=_cast(game.get("k", 2.0), float, "game.k"),
-        rounds=_cast(game.get("rounds", 20), int, "game.rounds"),
-        group_sizes=tuple(_cast(n, int, "group_sizes") for n in group_sizes),
-        samples_per_cell=_cast(config.get("samples_per_cell", 200), int, "samples_per_cell"),
-        master_seed=derive_seed(seed, 3),
+        kind=kind, pool_e=pool_e, pool_c=pool_c, master_seed=derive_seed(seed, 3),
+        **grid_game, **config.pick(group_sizes=(int,), samples_per_cell=int),
     )
+    config.done()
     try:
         grid.validate()
     except ValueError as exc:
@@ -392,8 +402,9 @@ def cmd_selfplay(args: argparse.Namespace) -> int:
     out_dir = _prepare_out(args.out)
     emit_grid_csv(rows, out_dir / "grid.csv")
     # the digest covers the config as played, with any --k override applied
-    digested = config if args.k is None else {**config, "game": game}
-    manifest = RunManifest("selfplay", __version__, seed, config_digest(digested))
+    played = game.data if args.k is None else {**game.data, "k": args.k}
+    digest = config_digest({**config.data, "game": played})
+    manifest = RunManifest("selfplay", __version__, seed, digest)
     manifest.add_output(out_dir, out_dir / "grid.csv")
     manifest.write(out_dir)
     print(f"mix grid written to {out_dir / 'grid.csv'} ({len(rows)} cells)")
@@ -401,47 +412,33 @@ def cmd_selfplay(args: argparse.Namespace) -> int:
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
-    config = _load_config(args.config, "evolve")
-    seed = _seed_from(config, args.seed)
-    group_size = _cast(config.get("group_size", 4), int, "group_size")
-    kind, params = _game_params(config.get("game", {}), n=group_size)
-    gene_specs = config.get("genes", [])
-    if not gene_specs:
-        raise ConfigError("evolve config needs a non-empty genes list")
+    config, seed = _load_config(args)
+    scalars = _scalars(config, EvolutionConfig, skip=("master_seed",))
+    group_size = scalars.get("group_size", EvolutionConfig.group_size)
+    kind, params = _game_params(config.entry("game"), n=group_size)
     genes = []
     pools = {}
-    for i, spec in enumerate(gene_specs):
-        pool = load_pool_source(spec, seed, i, f"genes[{i}]")
+    for i, entry in enumerate(config.entries("genes")):
+        pool = load_pool_source(entry, seed, i)
         gene = Gene(pool.gene_tag, pool.attitude)
         if gene in pools:
-            raise ConfigError(f"genes[{i}]: duplicate gene {gene.label}")
+            raise ConfigError(f"{entry.path}: duplicate gene {gene.label}")
         genes.append(gene)
         pools[gene] = pool
+    runs = config.get("runs", int, 1)
+    config.done()
     evo = EvolutionConfig(
-        kind=kind,
-        params=params,
-        genes=tuple(genes),
-        pools=pools,
-        population=_cast(config.get("population", 512), int, "population"),
-        group_size=group_size,
-        games_per_agent=_cast(config.get("games_per_agent", 4), int, "games_per_agent"),
-        elites=_cast(config.get("elites", 64), int, "elites"),
-        mutation_rate=_cast(config.get("mutation_rate", 0.10), float, "mutation_rate"),
-        dominance_threshold=_cast(
-            config.get("dominance_threshold", 0.75), float, "dominance_threshold"
-        ),
-        max_generations=_cast(config.get("max_generations", 200), int, "max_generations"),
-        master_seed=derive_seed(seed, 4),
+        kind=kind, params=params, genes=tuple(genes), pools=pools,
+        master_seed=derive_seed(seed, 4), **scalars,
     )
     try:
         evo.validate()
     except ValueError as exc:
         raise ConfigError(str(exc))
-    runs = _cast(config.get("runs", 1), int, "runs")
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
     out_dir = _prepare_out(args.out)
-    manifest = RunManifest("evolve", __version__, seed, config_digest(config))
+    manifest = RunManifest("evolve", __version__, seed, config_digest(config.data))
     if runs == 1:
         result = run_evolution(evo)
         write_generations_csv(result.history, out_dir / "generations.csv")
@@ -481,12 +478,10 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    kind = GameKind.parse(args.game)
-    params = GameParams(
-        n=args.n, rounds=args.rounds,
-        **({"k": args.k} if args.k is not None else {}),
-    )
+    kind, params = _flag_game(args)
     params.validate_for(kind)
+    if args.trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {args.trials}")
     pool = load_pool(args.pool)
     reports = validate_pool(pool, kind, params, trials=args.trials, seed=args.seed)
     failed = [rep for rep in reports if not rep.passed]
@@ -527,15 +522,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    kind = GameKind.parse(args.game)
-    fields: dict = {"n": args.n, "rounds": args.rounds}
-    if args.k is not None:
-        fields["k"] = args.k
-    if args.m is not None:
-        fields["m"] = args.m
-    if args.capacity is not None:
-        fields["capacity"] = args.capacity
-    params = GameParams(**fields)
+    kind, params = _flag_game(args)
     limits = welfare_bounds(kind, params)
     print(f"min_mean_welfare {limits.min_mean!r}")
     print(f"max_mean_welfare {limits.max_mean!r}")
@@ -615,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_va.add_argument("pool", help="policy pool JSON file")
     p_va.add_argument("--game", required=True, help="pgg, crd, or cpr")
     p_va.add_argument("--n", type=int, required=True, help="player count")
-    p_va.add_argument("--rounds", type=int, default=20)
+    p_va.add_argument("--rounds", type=int)
     p_va.add_argument("--k", type=float, default=None)
     p_va.add_argument("--trials", type=int, default=50)
     p_va.add_argument("--seed", type=int, default=0)
@@ -625,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bo = sub.add_parser("bounds", help="welfare bounds for a game setup")
     p_bo.add_argument("game", help="pgg, crd, or cpr")
     p_bo.add_argument("--n", type=int, required=True)
-    p_bo.add_argument("--rounds", type=int, default=20)
+    p_bo.add_argument("--rounds", type=int)
     p_bo.add_argument("--k", type=float, default=None)
     p_bo.add_argument("--m", type=int, default=None)
     p_bo.add_argument("--capacity", type=float, default=None)

@@ -541,23 +541,14 @@ def make_reference(
     if name == "rnd":
         if p is None:
             raise ValueError("rnd requires probability p")
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"rnd probability must be in [0, 1], got {p}")
         return kernel_strategy("bernoulli", p, label=f"Rnd({p:g})", origin="reference")
     if name in ("cc", "cd"):
         if t is None:
             raise ValueError(f"{name} requires threshold t")
-        if t < 0 or int(t) != t:
-            raise ValueError(f"threshold must be a non-negative integer, got {t}")
-        if name == "cc":
-            return kernel_strategy(
-                "threshold_trigger", 1.0, float(t), 1.0,
-                label=f"CC({t})", origin="reference",
-            )
-        return kernel_strategy(
-            "threshold_trigger", 0.0, float(t), 0.0,
-            label=f"CD({t})", origin="reference",
-        )
+        # cc opens and reacts by cooperating, cd by defecting
+        first_c = sense = 1.0 if name == "cc" else 0.0
+        return kernel_strategy("threshold_trigger", first_c, float(t), sense,
+                               label=f"{name.upper()}({t})", origin="reference")
     raise ValueError(f"unknown reference strategy {spec!r}")
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .engine import StrategyFault, play_game
 from .games import GameKind, GameParams
-from .kernels import FAMILIES, kernel_strategy, make_reference
+from .kernels import FAMILIES, default_reference_overlay, kernel_strategy
 from .seeding import derive_seed, rng_for
 from .strategies import Attitude, Strategy, StrategyPool
 
@@ -135,11 +135,8 @@ def synth_pool(
 
 
 def _reference_menu(n: int) -> list[Strategy]:
-    menu = [make_reference("allc"), make_reference("alld")]
-    menu += [make_reference("rnd", p=p) for p in (0.25, 0.5, 0.75)]
-    menu += [make_reference("cc", t=t) for t in range(n)]
-    menu += [make_reference("cd", t=t) for t in range(n)]
-    return menu
+    """The reference overlay less the coin flips that play as AllD and AllC."""
+    return [ref for ref in default_reference_overlay(n) if ref.label not in ("Rnd(0)", "Rnd(1)")]
 
 
 @dataclass

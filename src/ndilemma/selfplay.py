@@ -60,6 +60,8 @@ class MixGridConfig:
     def validate(self) -> None:
         if self.samples_per_cell < 1:
             raise ValueError(f"samples_per_cell must be >= 1, got {self.samples_per_cell}")
+        if not self.group_sizes:
+            raise ValueError("group_sizes must be non-empty")
         largest = max(self.group_sizes)
         for pool in (self.pool_e, self.pool_c):
             if len(pool) < largest:

@@ -4,10 +4,12 @@ import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from ndilemma import cli
 from ndilemma.cli import main
 from ndilemma.manifest import config_digest, verify_manifest
 
@@ -328,6 +330,21 @@ class TestNonNumericConfig:
          "game.n"),
         ("fingerprint", lambda: _with_game(TestFingerprintCmd().fingerprint_config(),
                                            capacity="full"), "game.capacity"),
+        ("evolve", lambda: TestEvolve().evolve_config(genes=5), "genes"),
+        ("evolve", lambda: TestEvolve().evolve_config(genes={"a": 1}), "genes"),
+        ("fingerprint", lambda: {**TestFingerprintCmd().fingerprint_config(), "pools": 3},
+         "pools"),
+        ("evolve", lambda: _with_gene(0, source={"type": "synth", "families": 3}),
+         "genes[0].source.families"),
+        ("evolve", lambda: _with_gene(1, source={"type": "reference", "members": 3}),
+         "genes[1].source.members"),
+        ("evolve", lambda: _with_gene(0, source={"type": "file", "path": 5}),
+         "genes[0].source.path"),
+        ("evolve", lambda: _with_gene(0, attitude=5, source={
+            "type": "file", "path": str(REPO / "configs" / "pool_example.json")}),
+         "genes[0].attitude"),
+        ("evolve", lambda: _with_gene(1, gene_tag=5), "genes[1].gene_tag"),
+        ("selfplay", lambda: selfplay_config(group_sizes=[]), "group_sizes"),
     ]
 
     @pytest.mark.parametrize(
@@ -518,8 +535,8 @@ class TestUnknownConfigKeys:
         assert not out.exists()
 
     def test_the_documented_keys_run(self, tmp_path):
-        """Every documented key of an evolve config, each source type and
-        reference member key included, is accepted."""
+        """Every documented key of each command's config, each source type
+        and reference member key included, is accepted."""
         doc = _with_game(TestEvolve().evolve_config(), n=4, m=2, capacity=16.0)
         doc["genes"][0]["source"] = {"type": "reference", "members": [
             {"kind": "rnd", "p": 0.5, "count": 8}, {"kind": "cc", "t": 1, "count": 8},
@@ -529,6 +546,30 @@ class TestUnknownConfigKeys:
         ]}
         config = write_json(tmp_path / "cfg.json", doc)
         assert main(["evolve", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+
+        policy = json.loads((REPO / "configs" / "pool_example.json").read_text())
+        policy["members"] *= 2  # enough members for a group of 4
+        policy_path = write_json(tmp_path / "policy.json", policy)
+        file_source = {"type": "file", "path": str(policy_path)}
+        doc = selfplay_config()  # its game sets kind, k and rounds
+        doc["pool_e"] = {"gene_tag": "f", "attitude": "exploitative", "source": file_source}
+        doc["pool_c"]["source"] = {"type": "reference", "members": [
+            {"kind": "cd", "t": 2, "count": 4}, {"kind": "alld"}, {"kind": "allc", "count": 3},
+        ]}
+        config = write_json(tmp_path / "selfplay.json", doc)
+        assert main(["selfplay", "--config", str(config), "--out", str(tmp_path / "sp")]) == 0
+
+        doc = _with_game(TestFingerprintCmd().fingerprint_config(), m=2, capacity=16.0)
+        doc["include_references"] = True
+        doc["pools"] += [
+            {"gene_tag": "f", "source": file_source},
+            {"gene_tag": "s", "attitude": "collective", "source": {
+                "type": "synth", "size": 4,
+                "families": [{"family": "grim", "weight": 1.0, "params": {}}],
+            }},
+        ]
+        config = write_json(tmp_path / "fingerprint.json", doc)
+        assert main(["fingerprint", "--config", str(config), "--out", str(tmp_path / "fp")]) == 0
 
 
 class TestInexactConfigValues:
@@ -559,7 +600,29 @@ class TestInexactConfigValues:
         "fractional-count": (
             "evolve",
             _with_source(0, {"type": "reference", "members": [{"kind": "allc", "count": 2.5}]}),
-            "genes[0].count must be ",
+            "genes[0].source.members[0].count must be ",
+        ),
+        "string-p": (
+            "selfplay",
+            _with_pool_c(source={"type": "reference", "members": [
+                {"kind": "allc", "count": 8}, {"kind": "rnd", "p": "high"},
+            ]}),
+            "pool_c.source.members[1].p must be a number, got 'high'",
+        ),
+        "fractional-t": (
+            "evolve", _with_source(0, {"type": "reference", "members": [{"kind": "cc", "t": 1.5}]}),
+            "genes[0].source.members[0].t must be an integer, got 1.5",
+        ),
+        "boolean-weight": (
+            "selfplay",
+            _with_pool_c(source={"type": "synth", "size": 8, "families": [
+                {"family": "bernoulli"}, {"family": "grim", "weight": True},
+            ]}),
+            "pool_c.source.families[1].weight must be a number, got True",
+        ),
+        "fractional-size": (
+            "evolve", _with_source(1, {**RECIPROCATORS, "size": 8.5}),
+            "genes[1].source.size must be an integer, got 8.5",
         ),
         "string-include-references": (
             "fingerprint",
@@ -592,6 +655,104 @@ class TestInexactConfigValues:
             out = tmp_path / name
             assert main(["fingerprint", "--config", str(config), "--out", str(out)]) == 0
             outputs.append((out / "fingerprints.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+
+class _Built(Exception):
+    """Carries the config object a command built out of the command."""
+
+
+def built_by(monkeypatch, tmp_path, command: str, target: str, doc: dict):
+    """The config object ``command`` builds from ``doc`` and hands to
+    ``cli.<target>``, which hands it back instead of running it."""
+    def capture(config, *args):
+        raise _Built(config)
+
+    monkeypatch.setattr(cli, target, capture)
+    path = write_json(tmp_path / f"{command}-{len(list(tmp_path.iterdir()))}.json", doc)
+    with pytest.raises(_Built) as info:
+        main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    return info.value.args[0]
+
+
+def members(pool) -> list:
+    return [(member.label, member.kernel) for member in pool.members]
+
+
+def reference(kind: str, **spelled) -> dict:
+    """A reference pool entry of one ``kind`` member, its optional keys left
+    out, or, given ``spelled``, spelled out with those values."""
+    member = {"kind": kind, **spelled}
+    entry = {"gene_tag": kind, "source": {"type": "reference", "members": [member]}}
+    return {**entry, "attitude": "collective"} if spelled else entry
+
+
+class TestDefaults:
+    """A config that leaves out every optional key plays as one that spells
+    out the defaults docs/formats.md lists."""
+
+    SYNTH = {"gene_tag": "synth", "source": {"type": "synth", "families": [{"family": "grim"}]}}
+    SYNTH_SPELLED = {"gene_tag": "synth", "attitude": "collective", "source": {
+        "type": "synth", "size": 512,
+        "families": [{"family": "grim", "weight": 1.0, "params": {}}],
+    }}
+
+    def test_evolve(self, monkeypatch, tmp_path):
+        # runs >= 2 reaches batch_runs, which hands the EvolutionConfig back
+        bare = {"schema_version": 1, "game": {"kind": "pgg"}, "runs": 2, "genes": [
+            reference("alld"), reference("rnd"), reference("cc"), self.SYNTH,
+        ]}
+        spelled = {
+            "schema_version": 1, "seed": 0,
+            "game": {"kind": "pgg", "rounds": 20, "k": 2.0, "m": 2, "capacity": 16.0},
+            "population": 512, "group_size": 4, "games_per_agent": 4, "elites": 64,
+            "mutation_rate": 0.1, "dominance_threshold": 0.75, "max_generations": 200,
+            "runs": 2, "genes": [
+                reference("alld", count=1), reference("rnd", count=1, p=0.5),
+                reference("cc", count=1, t=1), self.SYNTH_SPELLED,
+            ],
+        }
+        evos = [built_by(monkeypatch, tmp_path, "evolve", "batch_runs", doc)
+                for doc in (bare, spelled)]
+        assert replace(evos[0], pools={}) == replace(evos[1], pools={})
+        pools = [{gene: members(pool) for gene, pool in evo.pools.items()} for evo in evos]
+        assert pools[0] == pools[1]
+
+    def test_selfplay(self, monkeypatch, tmp_path):
+        bare = {"schema_version": 1, "game": {"kind": "pgg"},
+                "pool_e": reference("alld"), "pool_c": self.SYNTH}
+        bare["pool_e"]["source"]["members"][0]["count"] = 256
+        spelled = {
+            "schema_version": 1, "seed": 0, "game": {"kind": "pgg", "k": 2.0, "rounds": 20},
+            "group_sizes": [4, 16, 64, 256], "samples_per_cell": 200,
+            "pool_e": reference("alld", count=256), "pool_c": self.SYNTH_SPELLED,
+        }
+        grids = [built_by(monkeypatch, tmp_path, "selfplay", "run_mix_grid", doc)
+                 for doc in (bare, spelled)]
+        assert replace(grids[0], pool_e=None, pool_c=None) == replace(
+            grids[1], pool_e=None, pool_c=None)
+        pools = [(members(grid.pool_e), members(grid.pool_c)) for grid in grids]
+        assert pools[0] == pools[1]
+
+    def test_fingerprint(self, tmp_path):
+        # game.rounds is set in both: at the default 20 rounds a fingerprint
+        # has 4**19 decision nodes
+        bare = {"schema_version": 1, "game": {"kind": "pgg", "n": 4, "rounds": 3},
+                "pools": [reference("alld"), reference("rnd")]}
+        spelled = {
+            "schema_version": 1, "seed": 0,
+            "game": {"kind": "pgg", "n": 4, "rounds": 3, "k": 2.0, "m": 2, "capacity": 16.0},
+            "rollouts": 50, "include_references": True,
+            "pools": [reference("alld", count=1), reference("rnd", count=1, p=0.5)],
+        }
+        outputs = []
+        for name, doc in (("bare", bare), ("spelled", spelled)):
+            config = write_json(tmp_path / f"{name}.json", doc)
+            out = tmp_path / name
+            assert main(["fingerprint", "--config", str(config), "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            outputs.append({entry["path"]: entry["sha256"] for entry in manifest["outputs"]})
+        assert len(outputs[0]) == 6
         assert outputs[0] == outputs[1]
 
 
@@ -683,6 +844,18 @@ class TestValidateCmd:
             assert main(["validate", pool, *args, "--out", str(out)]) == 0
             digests[name] = manifest_digest(out)
         assert len(set(digests.values())) == len(runs)
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_exits_one_before_writing(self, tmp_path, capsys, trials):
+        out = tmp_path / "rep"
+        code = main([
+            "validate", str(REPO / "configs" / "pool_example.json"),
+            "--game", "pgg", "--n", "4", "--trials", trials, "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: trials must be >= 1, got {trials}\n"
+        assert not out.exists()
 
     def test_schema_error_exits_one(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
