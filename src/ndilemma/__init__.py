@@ -4,7 +4,7 @@ grids, and cultural evolution."""
 __version__ = "0.1.0"
 
 from .bounds import WelfareBounds, welfare_bounds
-from .engine import StrategyFault, play_game, play_many
+from .engine import StrategyFault, play_blocks, play_game
 from .evolution import (
     BatchRunsSummary,
     EvolutionConfig,
@@ -96,8 +96,8 @@ __all__ = [
     "participation_ratio",
     "pca",
     "pgg_payoffs",
+    "play_blocks",
     "play_game",
-    "play_many",
     "policy_strategy",
     "read_grid_csv",
     "run_evolution",

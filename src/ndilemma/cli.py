@@ -272,8 +272,8 @@ def _pool_from_source(pool: _Entry, master_seed: int, pool_index: int) -> Strate
         else:
             raise ConfigError(f"{member.path}: unknown reference member kind {kind!r}")
         member.done()
-        members.extend(replace(ref, label=f"{ref.label}#{len(members) + i:03d}")
-                       for i in range(count))
+        for _ in range(count):  # each copy is numbered by its place in the pool
+            members.append(replace(ref, label=f"{ref.label}#{len(members):03d}"))
     source.done()
     return StrategyPool(gene_tag, attitude, tuple(members))
 

@@ -12,9 +12,9 @@ the per-decision cost. A kernel strategy's own ``decide`` (a family's
 ``without_kernel()`` copy plays; deterministic strategies give identical
 games either way (asserted by the test suite).
 
-A stack may hold independent blocks of games, each on its own kernel seed
-and drawing only from it, so a block plays exactly as it would in a stack of
-its own; a family never splits by block.
+``play_blocks`` packs independent blocks of games (grid cells, evolution
+runs) into stacks; a block draws only from its own kernel seed, so it plays
+exactly as it would alone, and a family never splits by block.
 
 A strategy that raises, exceeds its step budget, or returns a non-action
 aborts the game with a ``StrategyFault`` naming the offender.
@@ -22,9 +22,10 @@ aborts the game with a ``StrategyFault`` naming the offender.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -320,8 +321,9 @@ def build_groups(members: np.ndarray, table: MemberTable) -> list[KernelGroup]:
     return groups
 
 
-# Memory budget of one stack, in 8-byte words; callers split their stacks
-# in whole units (grid cells, evolution runs) to stay within it.
+# Memory budget of one stack, in 8-byte words: ``play_blocks`` packs whole
+# blocks up to it. Each block plays on its own kernel seed, so the budget
+# sets only how many blocks share a stack, never an output.
 STACK_WORDS = 1 << 17
 
 
@@ -334,12 +336,6 @@ def slot_words(table: MemberTable, rounds: int) -> int:
     if CALLABLE in table.families:
         words += 5 * rounds
     return words
-
-
-def units_per_stack(table: MemberTable, rounds: int, unit_slots: int) -> int:
-    """How many whole units of ``unit_slots`` slots one stack holds within
-    ``STACK_WORDS``; at least one."""
-    return max(1, STACK_WORDS // (slot_words(table, rounds) * unit_slots))
 
 
 @dataclass
@@ -469,22 +465,39 @@ def simulate_batch(
     return BatchResult(totals, mean_welfare, rec_coop, rec_pay, rec_stock)
 
 
-def play_many(
+def play_blocks(
     kind: GameKind,
     params: GameParams,
-    lineups: np.ndarray,
     table: MemberTable,
-    seed: int | Sequence[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Play a stack of same-shaped games; returns (totals, mean_welfare).
+    blocks: Iterable[tuple[np.ndarray, int]],
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Play (lineups, seed) blocks of games; yields each block's (totals,
+    mean_welfare) in order.
 
     ``lineups`` is an (S, n) array of ``table`` member indices, one row per
-    game, played as one ``simulate_batch`` stack; ``seed`` is one kernel
-    seed, or one per block of consecutive games as ``simulate_batch`` takes.
+    game, the same S for every block. Blocks are drawn as needed and packed
+    whole into ``simulate_batch`` stacks within ``STACK_WORDS`` (one block at
+    least); each plays on its own kernel seed, so as it does alone. A
+    ``StrategyFault``'s ``block`` is the block's index in ``blocks``.
     """
-    groups = build_groups(lineups.ravel(), table)
-    result = simulate_batch(kind, params, groups, len(lineups), seed)
-    return result.totals, result.mean_welfare
+    blocks = iter(blocks)
+    done = 0
+    for first in blocks:
+        fit = STACK_WORDS // (slot_words(table, params.rounds) * first[0].size)
+        lineups, seeds = zip(first, *itertools.islice(blocks, max(1, fit) - 1))
+        lineups = np.concatenate(lineups)
+        try:  # the groups live only in the call, so the next stack's are built alone
+            result = simulate_batch(
+                kind, params, build_groups(lineups.ravel(), table), len(lineups), seeds
+            )
+        except StrategyFault as fault:
+            raise StrategyFault(
+                fault.label, fault.player, fault.round_index, fault.reason, fault.cause,
+                game=fault.game, block=done + (fault.block or 0),
+            ) from fault
+        yield from zip(result.totals.reshape(len(seeds), -1, params.n),
+                       result.mean_welfare.reshape(len(seeds), -1))
+        done += len(seeds)
 
 
 def play_game(

@@ -14,10 +14,10 @@ threshold or after a fixed number of generations, and reports the plurality
 gene as the equilibrium.
 
 Independent runs advance in lockstep on one member table: each generation,
-the games of every live run play as a few large stacks, one block of games
-per run on that run's kernel seed, and a run that reaches the threshold
-drops out. Every run draws from its own streams in the order a lone run
-does, so batch and lone runs give the same results."""
+the games of every live run are one block of games on that run's kernel
+seed, which the engine packs into a few large stacks, and a run that
+reaches the threshold drops out. Every run draws from its own streams in
+the order a lone run does, so batch and lone runs give the same results."""
 
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .bounds import cached_bounds
-from .engine import MemberTable, StrategyFault, play_many, units_per_stack
+from .engine import MemberTable, StrategyFault, play_blocks
 from .games import GameKind, GameParams
 from .seeding import SEED_SPACE, derive_seed, rng_for
 from .strategies import Attitude, StrategyPool
@@ -198,13 +198,12 @@ def evaluate_fitness(
     (fitness, per-game welfare, partitions) triple per population.
 
     Each population draws its partitions, then its kernel seed, from its own
-    stream in ``rngs``. Its games are one block of a stack, on that kernel
-    seed, and the stacks hold as many whole populations as the engine's
-    memory budget allows, so a triple does not depend on what plays beside
-    it. Fitness is the agent's mean normalised payoff over its
-    ``games_per_agent`` games; per-game welfare is in wave order. A
-    ``StrategyFault`` names the population's entry of ``runs`` (by default
-    its position) and the game's index within its generation.
+    stream in ``rngs``. Its games are one block on that kernel seed, so a
+    triple does not depend on the blocks that share its stack. Fitness is
+    the agent's mean normalised payoff over its ``games_per_agent`` games;
+    per-game welfare is in wave order. A ``StrategyFault`` names the
+    population's entry of ``runs`` (by default its position) and the game's
+    index within its generation.
     """
     pop_size, waves, rounds = config.population, config.games_per_agent, config.params.rounds
     drawn = []
@@ -214,28 +213,19 @@ def evaluate_fitness(
         rows = config.pool_starts[population.gene] + population.member
         drawn.append((partitions, agents, rows[agents], int(rng.integers(SEED_SPACE))))
     runs = range(len(drawn)) if runs is None else runs
-    games = pop_size * waves // config.group_size
-    per_stack = units_per_stack(config.member_table, rounds, pop_size * waves)
+    blocks = ((lineups, seed) for _, _, lineups, seed in drawn)
+    try:
+        scores = list(play_blocks(config.kind, config.params, config.member_table, blocks))
+    except StrategyFault as fault:
+        raise StrategyFault(
+            fault.label, fault.player, fault.round_index, fault.reason,
+            f"{fault.cause} (run {runs[fault.block]}, game {fault.game} of its generation)",
+        ) from fault
     played = []
-    for first in range(0, len(drawn), per_stack):
-        partitions, agents, lineups, seeds = zip(*drawn[first : first + per_stack])
-        try:
-            totals, welfare = play_many(
-                config.kind, config.params, np.concatenate(lineups), config.member_table, seeds
-            )
-        except StrategyFault as fault:
-            run = runs[first + (fault.block or 0)]
-            raise StrategyFault(
-                fault.label, fault.player, fault.round_index, fault.reason,
-                f"{fault.cause} (run {run}, game {fault.game} of its generation)",
-            ) from fault
-        for i, (waves_of_run, agents_of_run) in enumerate(zip(partitions, agents)):
-            at = slice(i * games, (i + 1) * games)
-            # every agent appears once per wave, so sum with bincount, not fancy +=
-            fitness_sum = np.bincount(
-                agents_of_run.ravel(), weights=(totals[at] / rounds).ravel(), minlength=pop_size
-            )
-            played.append((fitness_sum / waves, welfare[at], waves_of_run))
+    for (partitions, agents, _, _), (totals, welfare) in zip(drawn, scores):
+        # every agent appears once per wave, so sum with bincount, not fancy +=
+        fitness = np.bincount(agents.ravel(), (totals / rounds).ravel(), pop_size) / waves
+        played.append((fitness, welfare, partitions))
     return played
 
 

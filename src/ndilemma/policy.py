@@ -360,6 +360,8 @@ def load_pool(path: str | Path, step_budget: int = DEFAULT_STEP_BUDGET) -> Strat
         raise SchemaError(f"{path}: file not found")
     try:
         data = json.loads(path.read_text())
+    except OSError as exc:  # a directory, or unreadable
+        raise SchemaError(f"{path}: not a readable file: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
     except ValueError as exc:  # undecodable UTF-8, or an integer too long to convert

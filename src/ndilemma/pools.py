@@ -13,6 +13,7 @@ rejected rather than repaired.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -73,25 +74,47 @@ class FamilySpec:
         if self.weight <= 0:
             raise ValueError(f"family weight must be positive, got {self.weight}")
         known = FAMILIES[self.family].param_names
-        for name in self.params:
+        for name, dist in self.params.items():
             if name not in known:
                 raise ValueError(f"{self.family} has no parameter {name!r}; it has {known}")
+            if not _well_formed(dist):
+                raise ValueError(
+                    f"{self.family} parameter {name!r}: expected a number, "
+                    '{"uniform": [lo, hi]}, {"int_uniform": [lo, hi]} with lo <= hi, or '
+                    f'{{"choice": [non-empty list]}}, got {dist!r}'
+                )
+
+
+def _is_number(value: Any) -> bool:
+    """A finite int or float; JSON configs may spell NaN and Infinity."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _well_formed(dist: Any) -> bool:
+    """Whether ``dist`` has one of the parameter distribution shapes."""
+    if _is_number(dist):
+        return True
+    if not isinstance(dist, Mapping) or len(dist) != 1:
+        return False
+    [(shape, values)] = dist.items()
+    if not isinstance(values, (list, tuple)) or not all(map(_is_number, values)):
+        return False
+    if shape in ("uniform", "int_uniform"):
+        return len(values) == 2 and values[0] <= values[1]
+    return shape == "choice" and len(values) > 0
 
 
 def _draw_param(dist: Any, rng: np.random.Generator) -> float:
-    if isinstance(dist, (int, float)) and not isinstance(dist, bool):
+    """One draw from a distribution of a shape ``_well_formed`` accepts."""
+    if not isinstance(dist, Mapping):
         return float(dist)
-    if isinstance(dist, Mapping):
-        if "uniform" in dist:
-            lo, hi = dist["uniform"]
-            return float(rng.uniform(lo, hi))
-        if "int_uniform" in dist:
-            lo, hi = dist["int_uniform"]
-            return float(rng.integers(int(lo), int(hi) + 1))
-        if "choice" in dist:
-            options = dist["choice"]
-            return float(options[int(rng.integers(len(options)))])
-    raise ValueError(f"unrecognised parameter distribution {dist!r}")
+    [(shape, values)] = dist.items()
+    if shape == "uniform":
+        return float(rng.uniform(*values))
+    if shape == "int_uniform":
+        lo, hi = values
+        return float(rng.integers(int(lo), int(hi) + 1))
+    return float(values[int(rng.integers(len(values)))])
 
 
 def _draw_member(spec: FamilySpec, index: int, rng: np.random.Generator) -> Strategy:

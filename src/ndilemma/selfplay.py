@@ -4,11 +4,11 @@ For every group size and every split ``(n_e, n_c)`` with ``n_e + n_c = n``,
 each sample draws ``n_e`` members from the first pool and ``n_c`` from the
 second without replacement, plays one game, and records its mean normalised
 reward. A cell draws all of its samples in one vectorised call on its own
-stream, so its lineups depend only on its address ``(n, n_e)``. The cells of
-one group size play as a few large stacks of whole cells, split at the
-engine's memory budget for the compiled member table. A cell reports the
-mean and standard error over its samples, alongside the welfare bounds for
-the group size.
+stream and plays them as one block of games on its own kernel seed, so its
+row depends only on its address ``(n, n_e)``; the engine packs the cells of
+one group size into a few large stacks, which changes no output. A cell
+reports the mean and standard error over its samples, alongside the welfare
+bounds for the group size.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import WelfareBounds, cached_bounds
-from .engine import MemberTable, play_many, units_per_stack
+from .engine import MemberTable, play_blocks
 from .games import GameKind, GameParams
 from .seeding import derive_seed, rng_for
 from .strategies import StrategyPool
@@ -138,25 +138,21 @@ def _cell_row(
 def run_mix_grid(config: MixGridConfig) -> list[MixGridRow]:
     """All cells for all group sizes; deterministic given the master seed.
 
-    The cells of one group size play as few stacks as the memory budget
-    allows, each of whole cells in ``n_e`` order, on the kernel seed of its
-    first cell.
+    Each cell is one block of games on its own kernel seed, so its row
+    depends only on its address ``(n, n_e)``.
     """
     config.validate()
     table = MemberTable.compile(config.pool_e.members + config.pool_c.members)
-    samples = config.samples_per_cell
     out: list[MixGridRow] = []
     for n in config.group_sizes:
         params = config.params_for(n)
         limits = cached_bounds(config.kind, params)
-        per_stack = units_per_stack(table, config.rounds, samples * n)
-        for first in range(0, n + 1, per_stack):
-            cells = range(first, min(first + per_stack, n + 1))
-            lineups = np.concatenate([_draw_cell(config, n, n_e) for n_e in cells])
-            seed = derive_seed(config.master_seed, n, first, 1)
-            welfare = play_many(config.kind, params, lineups, table, seed)[1]
-            for n_e, cell in zip(cells, welfare.reshape(len(cells), samples)):
-                out.append(_cell_row(config, n, n_e, cell, limits))
+        cells = (
+            (_draw_cell(config, n, n_e), derive_seed(config.master_seed, n, n_e, 1))
+            for n_e in range(n + 1)
+        )
+        for n_e, (_, welfare) in enumerate(play_blocks(config.kind, params, table, cells)):
+            out.append(_cell_row(config, n, n_e, welfare, limits))
     return out
 
 

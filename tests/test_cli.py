@@ -407,8 +407,8 @@ def _with_pool_c(**changes) -> dict:
 
 
 class TestPoolSourceErrors:
-    """A bad pool entry exits 1 naming its config key, before the output
-    directory is created."""
+    """A bad pool entry exits 1 naming its config key (a policy file that
+    cannot be read, its path), before the output directory is created."""
 
     UNKNOWN_FAMILY = {"type": "synth", "families": [{"family": "nope"}]}
     UNNAMED_FAMILY = {"type": "synth", "families": [{"weight": 1}]}
@@ -416,7 +416,24 @@ class TestPoolSourceErrors:
     MISSPELLED_PARAM = {
         "type": "synth", "families": [{"family": "reciprocator", "params": {"threshold": 0.9}}],
     }
-    # name -> (command, config, the key the error names)
+    # synth parameter distributions of the wrong shape
+    BAD_DISTRIBUTIONS = {
+        "uniform-number": {"uniform": 5},
+        "uniform-one-bound": {"uniform": [0.1]},
+        "uniform-reversed": {"uniform": [1, 0]},
+        "uniform-nan": {"uniform": [float("nan"), 1]},
+        "infinity": float("inf"),
+        "int_uniform-reversed": {"int_uniform": [3, 1]},
+        "int_uniform-three-bounds": {"int_uniform": [1, 2, 3]},
+        "choice-empty": {"choice": []},
+        "choice-of-strings": {"choice": ["a"]},
+        "unknown-shape": {"normal": [0, 1]},
+        "two-shapes": {"uniform": [0, 1], "choice": [0]},
+        "string": "0.5",
+        "boolean": True,
+    }
+    DIRECTORY = str(REPO / "configs")
+    # name -> (command, config, what the error names first)
     CASES = {
         "attitude": ("evolve", _with_gene(0, attitude="greedy"), "genes[0]"),
         "synth-family": ("evolve", _with_gene(0, source=UNKNOWN_FAMILY), "genes[0]"),
@@ -426,6 +443,18 @@ class TestPoolSourceErrors:
         "synth-param": ("evolve", _with_gene(0, source=MISSPELLED_PARAM), "genes[0]"),
         "pool_c": ("selfplay", _with_pool_c(attitude="greedy"), "pool_c"),
         "genes-1": ("evolve", _with_gene(1, source=UNKNOWN_FAMILY), "genes[1]"),
+        "file-directory": ("evolve", _with_gene(0, source={"type": "file", "path": DIRECTORY}),
+                           DIRECTORY),
+        **{
+            f"distribution-{name}": (
+                "evolve",
+                _with_gene(0, source={"type": "synth", "families": [
+                    {"family": "bernoulli", "params": {"p": dist}},
+                ]}),
+                "genes[0]: bernoulli parameter 'p'",
+            )
+            for name, dist in BAD_DISTRIBUTIONS.items()
+        },
     }
 
     @pytest.mark.parametrize("name", list(CASES))
@@ -442,6 +471,17 @@ class TestPoolSourceErrors:
 
 def _with_source(index: int, source: dict) -> dict:
     return _with_gene(index, source=source)
+
+
+def test_reference_copies_are_numbered_by_their_place_in_the_pool():
+    members = [
+        {"kind": "allc", "count": 3}, {"kind": "allc"}, {"kind": "rnd", "p": 0.25, "count": 2},
+    ]
+    source = {"type": "reference", "members": members}
+    pool = cli.load_pool_source({"gene_tag": "t", "source": source}, 0, 0)
+    assert [m.label for m in pool.members] == [
+        "AllC#000", "AllC#001", "AllC#002", "AllC#003", "Rnd(0.25)#004", "Rnd(0.25)#005",
+    ]
 
 
 RECIPROCATORS = {"type": "synth", "size": 8, "families": [{"family": "reciprocator"}]}
@@ -861,6 +901,11 @@ class TestValidateCmd:
         path = tmp_path / "broken.json"
         path.write_text("{notjson")
         assert main(["validate", str(path), "--game", "pgg", "--n", "4"]) == 1
+
+    def test_directory_exits_one(self, tmp_path, capsys):
+        assert main(["validate", str(tmp_path), "--game", "pgg", "--n", "4"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path}: not a readable file: Is a directory\n"
 
 
 def test_console_script_installed():

@@ -17,7 +17,8 @@ from ndilemma import (
     make_reference,
     play_game,
 )
-from ndilemma.engine import KernelGroup, MemberTable, build_groups, play_many, simulate_batch
+from ndilemma import engine
+from ndilemma.engine import KernelGroup, MemberTable, build_groups, play_blocks, simulate_batch
 from ndilemma.kernels import FAMILIES, PolicyTable, kernel_strategy
 from ndilemma.policy import PolicyRule, PolicySpec, Predicate, StepBudgetExceeded, policy_strategy
 
@@ -179,27 +180,79 @@ DRAWING_MEMBERS = [
 ]
 
 
-@pytest.mark.parametrize("kind", [GameKind.PUBLIC_GOODS, GameKind.COMMON_POOL])
-@pytest.mark.parametrize("blocks", [2, 3, 5])
-def test_each_block_of_a_stack_plays_as_it_does_alone(kind, blocks):
-    """Every game holds each drawing member once, in a shuffled seat; each
-    block of the stack gets the totals it gets as a stack of its own."""
-    table = MemberTable.compile(DRAWING_MEMBERS, warn=False)
-    n, games = len(DRAWING_MEMBERS), 3
-    rng = np.random.default_rng(blocks)
-    lineups = np.array([rng.permutation(n) for _ in range(blocks * games)])
-    seeds = [100 + b for b in range(blocks)]
+# stateful families beside the drawing ones, so blocks that share a stack
+# also share each family's state arrays
+PACKED_MEMBERS = DRAWING_MEMBERS + [
+    kernel_strategy("grim", 0.34),
+    kernel_strategy("endgame", 2.0, 0.5),
+    kernel_strategy("rota", 2.0, 1.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("kind", list(GameKind))
+@pytest.mark.parametrize("per_stack", [1, 2, 5])
+def test_play_blocks_packs_whole_blocks_that_play_as_they_do_alone(kind, per_stack, monkeypatch):
+    """Five blocks of three games, each game holding every member once in a
+    shuffled seat, under a budget with room for ``per_stack`` blocks (and
+    not quite one more): the stacks hold whole blocks in order, a block is
+    drawn only when its stack is packed, and each block's output equals the
+    block played as a stack of its own."""
+    table = MemberTable.compile(PACKED_MEMBERS, warn=False)
+    n, games = len(PACKED_MEMBERS), 3
     params = GameParams(n=n, rounds=8, k=2.0)
-    totals, welfare = play_many(kind, params, lineups, table, seeds)
-    for b, seed in enumerate(seeds):
-        at = slice(b * games, (b + 1) * games)
-        alone_totals, alone_welfare = play_many(kind, params, lineups[at], table, seed)
-        assert np.array_equal(totals[at], alone_totals)
-        assert np.array_equal(welfare[at], alone_welfare)
-    assert len({totals[b * games].tobytes() for b in range(blocks)}) > 1
+    # the kernel-less coin weighs its history, five words per slot per round
+    words = engine.slot_words(table, params.rounds)
+    assert words == 8 + max(P.shape[1] for P in table.params) + 5 * params.rounds
+    block_words = words * games * n
+    monkeypatch.setattr(engine, "STACK_WORDS", block_words * (per_stack + 1) - 1)
+    rng = np.random.default_rng(per_stack)
+    blocks = [(np.array([rng.permutation(n) for _ in range(games)]), 100 + b) for b in range(5)]
+    drawn, stacks = [], []
+
+    def lazily():
+        for block in blocks:
+            drawn.append(block[1])
+            yield block
+
+    def recorded(kind, params, groups, n_games, seed):
+        stacks.append((list(seed), list(drawn)))
+        return simulate_batch(kind, params, groups, n_games, seed)
+
+    monkeypatch.setattr(engine, "simulate_batch", recorded)
+    played = list(play_blocks(kind, params, table, lazily()))
+    seeds = [seed for _, seed in blocks]
+    assert stacks == [
+        (seeds[i : i + per_stack], seeds[: i + per_stack]) for i in range(0, 5, per_stack)
+    ]
+    assert len(played) == len(blocks)
+    for (lineups, seed), (totals, welfare) in zip(blocks, played):
+        alone = simulate_batch(kind, params, build_groups(lineups.ravel(), table), games, seed)
+        assert np.array_equal(totals, alone.totals)
+        assert np.array_equal(welfare, alone.mean_welfare)
+    assert len({totals[0].tobytes() for totals, _ in played}) > 1
+    assert list(play_blocks(kind, params, table, [])) == []
 
 
-def test_play_many_scalar_fallback_matches_kernel_path():
+def test_play_blocks_names_a_faulting_block_by_its_place_in_the_input(monkeypatch):
+    """Blocks of two games pack two to a stack; the raising member sits only
+    in block 3, the second block of the second stack."""
+    good, bad = make_reference("allc"), Strategy("broken", "file", _raises)
+    table = MemberTable.compile([good, bad], warn=False)
+    params = GameParams(n=3, rounds=2, k=2.0)
+    monkeypatch.setattr(engine, "STACK_WORDS", engine.slot_words(table, 2) * 2 * 3 * 2)
+    blocks = [(np.zeros((2, 3), dtype=np.int64), b) for b in range(5)]
+    blocks[3] = (np.array([[0, 0, 0], [0, 0, 1]]), 3)
+    with pytest.raises(StrategyFault) as info:
+        list(play_blocks(GameKind.PUBLIC_GOODS, params, table, blocks))
+    fault = info.value
+    assert (fault.label, fault.player, fault.round_index, fault.reason) == (
+        "broken", 2, 0, "exception",
+    )
+    assert (fault.block, fault.game) == (3, 1)
+    assert fault.detail.endswith("(game 1 of block 3)")
+
+
+def test_scalar_fallback_matches_kernel_path():
     """Stripping kernels forces the per-decision path; deterministic
     strategies give the same welfare either way."""
     lineup = [
@@ -209,11 +262,11 @@ def test_play_many_scalar_fallback_matches_kernel_path():
         kernel_strategy("threshold_trigger", 1.0, 3.0, 1.0),
     ]
     params = GameParams(n=4, rounds=10, k=2.0)
-    rows = np.array([[0, 1, 2, 3], [3, 2, 1, 0]])
+    blocks = [(np.array([[0, 1, 2, 3], [3, 2, 1, 0]]), 7)]
     kernels = MemberTable.compile(lineup)
-    fast_totals, fast_welfare = play_many(GameKind.PUBLIC_GOODS, params, rows, kernels, seed=7)
+    [(fast_totals, fast_welfare)] = play_blocks(GameKind.PUBLIC_GOODS, params, kernels, blocks)
     bare = MemberTable.compile([s.without_kernel() for s in lineup])
-    slow_totals, slow_welfare = play_many(GameKind.PUBLIC_GOODS, params, rows, bare, seed=7)
+    [(slow_totals, slow_welfare)] = play_blocks(GameKind.PUBLIC_GOODS, params, bare, blocks)
     assert np.array_equal(fast_totals, slow_totals)
     assert np.array_equal(fast_welfare, slow_welfare)
 

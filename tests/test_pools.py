@@ -66,6 +66,21 @@ class TestSynthPool:
         with pytest.raises(ValueError):
             synth_pool([], 10, 0, "x", Attitude.COLLECTIVE)
 
+    @pytest.mark.parametrize("dist, drawn", [
+        (0.25, {0.25}),
+        ({"uniform": [0.25, 0.5]}, None),
+        ({"int_uniform": [0, 1]}, {0.0, 1.0}),
+        ({"choice": [0.125, 0.75]}, {0.125, 0.75}),
+    ])
+    def test_each_distribution_shape_draws_within_it(self, dist, drawn):
+        pool = synth_pool([FamilySpec("bernoulli", params={"p": dist})], 40, seed=4,
+                          gene_tag="p", attitude=Attitude.COLLECTIVE)
+        values = {member.kernel[1][0] for member in pool.members}
+        if drawn is None:
+            assert len(values) > 1 and all(0.25 <= v <= 0.5 for v in values)
+        else:
+            assert values == drawn
+
     def test_rota_phase_normalised(self):
         pool = synth_pool(
             [FamilySpec("rota", params={"period": 2, "phase": 3, "punish": 0})],

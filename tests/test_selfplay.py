@@ -1,5 +1,8 @@
 """Mix-grid behaviour and CSV round-tripping."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -10,16 +13,14 @@ from ndilemma import (
     GameKind,
     MixGridConfig,
     MixGridRow,
-    Strategy,
     StrategyPool,
     emit_grid_csv,
-    kernel_strategy,
     read_grid_csv,
     run_mix_grid,
 )
-from ndilemma import engine, selfplay
-from ndilemma.engine import MemberTable, play_many
-from ndilemma.policy import PolicyRule, PolicySpec, Predicate, policy_strategy
+from ndilemma import cli, engine, selfplay
+from ndilemma.engine import CALLABLE, MemberTable, build_groups, simulate_batch
+from ndilemma.seeding import derive_seed
 
 
 def small_grid(kind, pool_e, pool_c, **kwargs):
@@ -88,8 +89,6 @@ def test_scalar_fallback_matches_kernel_path(small_pools):
     unchanged for deterministic pools."""
     pool_e, pool_c = small_pools
     fast = run_mix_grid(small_grid(GameKind.COMMON_POOL, pool_e, pool_c, samples_per_cell=10))
-    from ndilemma.strategies import StrategyPool
-
     bare_e = StrategyPool(pool_e.gene_tag, pool_e.attitude,
                           tuple(m.without_kernel() for m in pool_e.members))
     bare_c = StrategyPool(pool_c.gene_tag, pool_c.attitude,
@@ -98,128 +97,91 @@ def test_scalar_fallback_matches_kernel_path(small_pools):
     assert fast == slow
 
 
-def _record_stacks(monkeypatch):
-    """Record each stack ``run_mix_grid`` plays as (n, lineups, welfare)."""
-    stacks = []
-    real = selfplay.play_many
+def _record_cells(monkeypatch):
+    """Record the lineups of each cell ``run_mix_grid`` plays, by (n, n_e)."""
+    cells = {}
+    real = selfplay.play_blocks
 
-    def recorded(kind, params, lineups, table, seed):
-        totals, welfare = real(kind, params, lineups, table, seed)
-        stacks.append((params.n, lineups, welfare))
-        return totals, welfare
+    def recorded(kind, params, table, blocks):
+        def seen():
+            for lineups, seed in blocks:
+                n_e = int((lineups < 16).sum(axis=1)[0])  # pool_e holds members 0..15
+                cells[(params.n, n_e)] = lineups
+                yield lineups, seed
+        return real(kind, params, table, seen())
 
-    monkeypatch.setattr(selfplay, "play_many", recorded)
-    return stacks
-
-
-def _bare(pool):
-    return StrategyPool(pool.gene_tag, pool.attitude,
-                        tuple(m.without_kernel() for m in pool.members))
+    monkeypatch.setattr(selfplay, "play_blocks", recorded)
+    return cells
 
 
-def test_cells_of_a_group_size_play_one_stack_under_the_budget(small_pools, monkeypatch):
-    stacks = _record_stacks(monkeypatch)
-    pool_e, pool_c = small_pools
-    config = small_grid(GameKind.PUBLIC_GOODS, pool_e, _bare(pool_c),
-                        group_sizes=(4, 8), samples_per_cell=6)
-    rows = run_mix_grid(config)
-    assert [(n, lineups.shape) for n, lineups, _ in stacks] == [(4, (5 * 6, 4)), (8, (9 * 6, 8))]
-    assert len(rows) == 5 + 9
+SYNTH_E = {"type": "synth", "size": 16, "families": [
+    {"family": "bernoulli"}, {"family": "reciprocator"}, {"family": "endgame"},
+]}
+SYNTH_C = {"type": "synth", "size": 16, "families": [
+    {"family": "bernoulli"}, {"family": "grim"}, {"family": "rota"},
+]}
 
 
-def test_stacks_split_in_whole_cells(small_pools, monkeypatch):
-    stacks = _record_stacks(monkeypatch)
-    pool_e, pool_c = small_pools
-    config = small_grid(GameKind.PUBLIC_GOODS, pool_e, pool_c, group_sizes=(4, 8),
-                        samples_per_cell=6)
-    whole = run_mix_grid(config)
-    # room for 2.5 cells of n=4 and 1.25 of n=8: the budget never splits a cell
-    words = engine.slot_words(MemberTable.compile(pool_e.members + pool_c.members), 10)
-    monkeypatch.setattr(engine, "STACK_WORDS", words * 6 * 10)
-    stacks.clear()
-    split = run_mix_grid(config)
-    assert [(n, len(lineups)) for n, lineups, _ in stacks] == (
-        [(4, 12), (4, 12), (4, 6)] + [(8, 6)] * 9
-    )
-    assert split == whole
+@pytest.mark.parametrize("kind", ["pgg", "cpr", "crd"])
+def test_a_grid_cell_depends_only_on_its_address(kind, tmp_path, monkeypatch):
+    """Stochastic synth pools, one of whose members has no kernel, write the
+    same ``grid.csv`` whether a stack holds every cell of a group size, a few
+    or one; each row is its cell's lineups played as a stack of their own on
+    the cell's kernel seed."""
+    real_load = cli.load_pool_source
 
+    def one_bare(spec, seed, index, key=None):
+        pool = real_load(spec, seed, index, key)
+        if index == 1:  # pool_c's first bernoulli member draws per decision
+            members = list(pool.members)
+            at = next(i for i, m in enumerate(members) if m.kernel[0] == "bernoulli")
+            members[at] = members[at].without_kernel()
+            pool = StrategyPool(pool.gene_tag, pool.attitude, tuple(members))
+        return pool
 
-def test_kernel_less_members_weigh_their_history():
-    pool = reference_pool("allc", 4, "t", Attitude.COLLECTIVE)
-    kernel = MemberTable.compile(pool.members)
-    bare = MemberTable.compile(_bare(pool).members + pool.members, warn=False)
-    assert engine.slot_words(kernel, 20) == 8 + 1
-    assert engine.slot_words(bare, 20) == 8 + 1 + 5 * 20
-    # a 200-sample cell of kernel-less members fills a stack on its own
-    assert engine.units_per_stack(bare, 20, 200 * 4) == 1
+    grids = []
+    real_run = cli.run_mix_grid
 
+    def captured(config):
+        grids.append(config)
+        return real_run(config)
 
-def _mixed_pool(kind, tag, attitude, count, seed):
-    """Deterministic members of mixed families, a policy member, and
-    kernel-less copies of some of them."""
-    rng = np.random.default_rng(seed)
-    menu = [
-        lambda: kernel_strategy("constant", float(rng.integers(2))),
-        lambda: kernel_strategy("threshold_trigger", float(rng.integers(2)),
-                                float(rng.integers(4)), float(rng.integers(2))),
-        lambda: kernel_strategy("grim", float(rng.choice([0.0, 0.34, 0.67]))),
-        lambda: kernel_strategy("endgame", float(rng.integers(1, 4)), float(rng.random())),
-        lambda: kernel_strategy("rota", 2.0, float(rng.integers(2)), float(rng.integers(2))),
-        lambda: kernel_strategy("reciprocator", float(rng.random()), 0.0),
-        lambda: policy_strategy(PolicySpec(
-            "policy", (PolicyRule(Predicate("coop_rate_ge", value=float(rng.random())), 1.0),
-                       PolicyRule(Predicate("my_last_is", value="D"), 0.0)), 1.0)),
-    ]
-    if kind is GameKind.COMMON_POOL:
-        menu.append(lambda: kernel_strategy("stock_guardian", float(rng.choice([0.5, 0.9]))))
-    members = []
-    for i in range(count):
-        member = menu[i % len(menu)]()
-        if i % 3 == 1:
-            member = member.without_kernel()
-        members.append(Strategy(f"{member.label}#{tag}{i}", member.origin, member.decide,
-                                member.kernel))
-    return StrategyPool(tag, attitude, tuple(members))
-
-
-@pytest.mark.parametrize("kind", list(GameKind))
-def test_stacking_is_invisible_to_deterministic_grids(kind, monkeypatch):
-    """Per-cell welfare from the stacked path equals one ``play_many`` per
-    cell over the same lineups."""
-    pool_e = _mixed_pool(kind, "e", Attitude.EXPLOITATIVE, 16, seed=1)
-    pool_c = _mixed_pool(kind, "c", Attitude.COLLECTIVE, 16, seed=2)
-    config = small_grid(kind, pool_e, pool_c, group_sizes=(3, 6), samples_per_cell=5)
-    words = engine.slot_words(MemberTable.compile(pool_e.members + pool_c.members), 10)
-    for budget in (engine.STACK_WORDS, words * 5 * 6 * 3):
+    monkeypatch.setattr(cli, "load_pool_source", one_bare)
+    monkeypatch.setattr(cli, "run_mix_grid", captured)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "seed": 3, "game": {"kind": kind, "k": 2.0, "rounds": 6},
+        "group_sizes": [4, 8], "samples_per_cell": 10,
+        "pool_e": {"gene_tag": "e", "attitude": "exploitative", "source": SYNTH_E},
+        "pool_c": {"gene_tag": "c", "attitude": "collective", "source": SYNTH_C},
+    }))
+    digests = set()
+    for budget in (1 << 17, 1 << 13, 1 << 10):
         monkeypatch.setattr(engine, "STACK_WORDS", budget)
-        stacks = _record_stacks(monkeypatch)
-        rows = iter(run_mix_grid(config))
-        table = MemberTable.compile(pool_e.members + pool_c.members)
-        for n, lineups, welfare in stacks:
-            for cell_lineups, cell_welfare in zip(lineups.reshape(-1, 5, n),
-                                                  welfare.reshape(-1, 5)):
-                alone = play_many(kind, config.params_for(n), cell_lineups, table, seed=99)[1]
-                assert alone.tolist() == cell_welfare.tolist()
-                row = next(rows)
-                assert row.mean_welfare == float(alone.mean())
-                assert row.std_error == float(alone.std(ddof=1) / np.sqrt(5))
-
-
-def _lineups_by_cell(stacks, samples):
-    out = {}
-    for n, lineups, _ in stacks:
-        for cell in lineups.reshape(-1, samples, n):
-            n_e = int((cell < 16).sum(axis=1)[0])  # pool_e holds members 0..15
-            out[(n, n_e)] = cell
-    return out
+        out = tmp_path / f"out{budget}"
+        assert cli.main(["selfplay", "--config", str(path), "--out", str(out)]) == 0
+        digests.add(hashlib.sha256((out / "grid.csv").read_bytes()).hexdigest())
+    assert len(digests) == 1
+    config = grids[0]
+    table = MemberTable.compile(config.pool_e.members + config.pool_c.members, warn=False)
+    assert CALLABLE in table.families
+    rows = read_grid_csv(out / "grid.csv")
+    assert len(rows) == 5 + 9
+    for row in rows:
+        lineups = selfplay._draw_cell(config, row.n, row.n_e)
+        seed = derive_seed(config.master_seed, row.n, row.n_e, 1)
+        groups = build_groups(lineups.ravel(), table)
+        alone = simulate_batch(config.kind, config.params_for(row.n), groups, 10, seed)
+        assert row.mean_welfare == float(alone.mean_welfare.mean())
+        assert row.std_error == float(alone.mean_welfare.std(ddof=1) / np.sqrt(10))
+    assert len({row.std_error for row in rows}) > 1
 
 
 def test_draw_rows_hold_distinct_members_of_each_pool(small_pools, monkeypatch):
-    stacks = _record_stacks(monkeypatch)
+    cells = _record_cells(monkeypatch)
     pool_e, pool_c = small_pools
     run_mix_grid(small_grid(GameKind.PUBLIC_GOODS, pool_e, pool_c,
                             group_sizes=(4, 16), samples_per_cell=30))
-    cells = _lineups_by_cell(stacks, 30)
     assert len(cells) == 5 + 17
     for (n, n_e), lineups in cells.items():
         assert lineups.shape == (30, n)
@@ -231,24 +193,21 @@ def test_draw_rows_hold_distinct_members_of_each_pool(small_pools, monkeypatch):
 
 
 def test_a_cells_draw_does_not_depend_on_its_stack(small_pools, monkeypatch):
-    stacks = _record_stacks(monkeypatch)
+    cells = _record_cells(monkeypatch)
     pool_e, pool_c = small_pools
     alone = small_grid(GameKind.PUBLIC_GOODS, pool_e, pool_c, group_sizes=(8,),
                        samples_per_cell=4)
     beside = small_grid(GameKind.PUBLIC_GOODS, pool_e, pool_c, group_sizes=(4, 8, 16),
                         samples_per_cell=4)
     run_mix_grid(alone)
-    reference = _lineups_by_cell(stacks, 4)
-    stacks.clear()
+    reference = dict(cells)
     run_mix_grid(beside)
-    together = _lineups_by_cell(stacks, 4)
+    together = dict(cells)
     monkeypatch.setattr(engine, "STACK_WORDS", 1)  # one cell per stack
-    stacks.clear()
     run_mix_grid(beside)
-    split = _lineups_by_cell(stacks, 4)
     for n_e in range(9):
         assert (together[(8, n_e)] == reference[(8, n_e)]).all()
-        assert (split[(8, n_e)] == reference[(8, n_e)]).all()
+        assert (cells[(8, n_e)] == reference[(8, n_e)]).all()
 
 
 # chi-squared critical values at p = 0.001 by degrees of freedom
