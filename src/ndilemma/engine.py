@@ -29,7 +29,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .games import Action, GameKind, GameParams, GameResult, RoundRecord, batch_round_payoffs
+from .games import (
+    Action, GameKind, GameParams, GameResult, RoundRecord, batch_round_payoffs, row_counts,
+)
 from .kernels import FAMILIES, KernelFamily, SlotFault, SlotView
 from .policy import StepBudgetExceeded
 from .seeding import rng_for
@@ -363,7 +365,7 @@ def simulate_batch(
     of equal size; a single int makes the stack one block. Each round, a
     block's generator draws the ``u`` of its slots that read it, in slot
     order, before its ``callable`` slots draw. ``groups`` must come fresh
-    from ``build_groups``: stateful families (grim) consume their state.
+    from ``build_groups``: every family's state is consumed by the run.
     """
     params.validate_for(kind)
     n, r = params.n, params.rounds
@@ -386,9 +388,19 @@ def simulate_batch(
         place = np.cumsum(draws) - 1
         u_at = {i: place[groups[i].slots] if len(drawing) > 1 else slice(None) for i in drawing}
     whole = len(groups) == 1 and len(groups[0].slots) == S * n
-    col = np.tile(np.arange(n, dtype=np.int64), S) if "col" in reads else None
+    # each group's fields that are the same every round, gathered once
+    fixed = [{} for _ in groups]
+    for fields, group in zip(fixed, groups):
+        idx, names = group.slots, group.family.reads
+        if "slots" in names:
+            fields["slots"] = idx
+        if "col" in names:
+            fields["col"] = idx % n
+        if "rng" in names:
+            fields["rng"] = rngs[idx // (block_games * n)]
     prev: np.ndarray | None = None  # bool (S, n)
-    coop_cum = np.zeros((S, n), dtype=np.int64) if "opp_rate" in reads else None
+    # whole numbers kept as floats, which row_counts sums without a copy
+    coop_cum = np.zeros((S, n)) if "opp_rate" in reads else None
     stock = np.full(S, params.capacity, dtype=float) if is_cpr else None
     totals = np.zeros((S, n), dtype=float)
     rec_coop = np.empty((r, S, n), dtype=bool) if record else None
@@ -399,12 +411,12 @@ def simulate_batch(
 
     for t in range(r):
         # the round's observables over the whole stack, only those some group reads
-        flat = {} if col is None else {"col": col}
+        flat = {}
         if t > 0:
             if "opp_coop" in reads:
-                flat["opp_coop"] = (prev.sum(axis=1)[:, None] - prev).ravel().astype(float)
+                flat["opp_coop"] = (row_counts(prev)[:, None] - prev).ravel()
             if "opp_rate" in reads:
-                rate = (coop_cum.sum(axis=1)[:, None] - coop_cum) / ((n - 1) * t)
+                rate = (row_counts(coop_cum)[:, None] - coop_cum) / ((n - 1) * t)
                 flat["opp_rate"] = rate.ravel()
             if "prev_c" in reads:
                 flat["prev_c"] = prev.ravel()
@@ -421,16 +433,12 @@ def simulate_batch(
             idx = group.slots
             # a group that holds every slot reads and writes whole arrays
             at = slice(None) if whole else idx
-            fields = {}
+            fields = dict(fixed[i])
             for name in group.family.reads:
-                if name == "slots":
-                    fields[name] = idx
-                elif name == "last":
+                if name == "last":
                     fields[name] = prev
                 elif name == "u":
                     fields[name] = u[u_at[i]]
-                elif name == "rng":
-                    fields[name] = rngs[idx // (block_games * n)]
                 elif name in flat:
                     fields[name] = flat[name][at]
             view = SlotView(t=t, kind=kind, params=params, **fields)

@@ -147,6 +147,16 @@ def cpr_next_stock(
 # ---------------------------------------------------------------------------
 
 
+def row_counts(a: np.ndarray) -> np.ndarray:
+    """Per-row sums of a 2-D array of bools or whole numbers, as floats.
+
+    Exact: every partial sum is a whole number far below 2**53. Several
+    times faster than a bool ``sum(axis=1)`` on the short rows of small
+    groups, and as fast on long ones.
+    """
+    return a.astype(float, copy=False) @ np.ones(a.shape[1])
+
+
 def batch_round_payoffs(
     kind: GameKind,
     params: GameParams,
@@ -164,15 +174,15 @@ def batch_round_payoffs(
     n = params.n
     defect = ~coop
     if kind is GameKind.PUBLIC_GOODS:
-        share = (coop.sum(axis=1) * params.k) / n
+        share = (row_counts(coop) * params.k) / n
         return share[:, None] + defect, None
     if kind is GameKind.COLLECTIVE_RISK:
-        met = coop.sum(axis=1) >= params.m
+        met = row_counts(coop) >= params.m
         return met[:, None] * params.k + defect, None
     assert stock is not None
     share = stock / (2 * n)
     payoffs = share[:, None] * (1.0 + defect)
-    return payoffs, cpr_next_stock(stock, coop.sum(axis=1), params)
+    return payoffs, cpr_next_stock(stock, row_counts(coop), params)
 
 
 # ---------------------------------------------------------------------------

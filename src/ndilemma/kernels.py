@@ -14,11 +14,18 @@ rule interpreter in ``policy``.
 A family that draws names ``u`` in its ``reads``: one uniform per slot per
 round, drawn by the engine. Its ``decide_one`` draws at most once per
 decision, so handed the same uniform it decides alike.
+
+Kernel state: ``decide_batch`` is called once per round, from round 0 on,
+on the state ``new_state`` made for the same rows of ``P``. A family keeps
+in that state whatever does not change between rounds (thresholds, flags,
+schedule positions), so a round pays only for what changes; constants that
+need the group size or a slot's ``col`` are filled from the round-0 view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -96,13 +103,17 @@ class KernelFamily:
         return np.asarray(rows, dtype=float)
 
     def new_state(self, P: np.ndarray):
-        """Per-run working state for the slots whose parameters are ``P``."""
+        """Per-run working state for the slots whose parameters are ``P``:
+        one per run, handed to every ``decide_batch`` call from round 0."""
         return None
 
     def decide_one(self, params: tuple[float, ...], obs: Observation, rng) -> Action:
         raise NotImplementedError
 
     def decide_batch(self, P: np.ndarray, state, view: SlotView) -> np.ndarray:
+        """One round's decisions, a bool per row of ``P``. Called once per
+        round from round 0 on ``new_state(P)``; the round-0 call may fill
+        the state's constants that need ``view.params`` or ``view.col``."""
         raise NotImplementedError
 
 
@@ -120,8 +131,11 @@ class Constant(KernelFamily):
     def decide_one(self, params, obs, rng):
         return Action.C if params[0] >= 0.5 else Action.D
 
-    def decide_batch(self, P, state, view):
+    def new_state(self, P):
         return P[:, 0] >= 0.5
+
+    def decide_batch(self, P, state, view):
+        return state.copy()
 
 
 class Bernoulli(KernelFamily):
@@ -139,8 +153,11 @@ class Bernoulli(KernelFamily):
     def decide_one(self, params, obs, rng):
         return Action.C if rng.random() < params[0] else Action.D
 
+    def new_state(self, P):
+        return P[:, 0].copy()
+
     def decide_batch(self, P, state, view):
-        return view.u < P[:, 0]
+        return view.u < state
 
 
 class ThresholdTrigger(KernelFamily):
@@ -169,11 +186,16 @@ class ThresholdTrigger(KernelFamily):
         meets = obs.opp_coop_last >= params[1]
         return Action.C if meets == (params[2] >= 0.5) else Action.D
 
+    def new_state(self, P):
+        return SimpleNamespace(
+            first=P[:, 0] >= 0.5, threshold=P[:, 1].copy(), sense=P[:, 2] >= 0.5
+        )
+
     def decide_batch(self, P, state, view):
         if view.t == 0:
-            return P[:, 0] >= 0.5
-        meets = view.opp_coop >= P[:, 1]
-        return meets == (P[:, 2] >= 0.5)
+            return state.first.copy()
+        meets = view.opp_coop >= state.threshold
+        return meets == state.sense
 
 
 class Reciprocator(KernelFamily):
@@ -196,11 +218,15 @@ class Reciprocator(KernelFamily):
             return Action.C
         return Action.C if rng.random() < params[1] else Action.D
 
+    def new_state(self, P):
+        return SimpleNamespace(limit=None, forgive=P[:, 1].copy())
+
     def decide_batch(self, P, state, view):
         if view.t == 0:
+            state.limit = P[:, 0] * (view.params.n - 1) - _EPS
             return np.ones(len(P), dtype=bool)
-        meets = view.opp_coop >= P[:, 0] * (view.params.n - 1) - _EPS
-        return meets | (view.u < P[:, 1])
+        meets = view.opp_coop >= state.limit
+        return meets | (view.u < state.forgive)
 
 
 class Grim(KernelFamily):
@@ -227,13 +253,15 @@ class Grim(KernelFamily):
         return Action.C
 
     def new_state(self, P):
-        return np.zeros(len(P), dtype=bool)
+        return SimpleNamespace(limit=None, broken=np.zeros(len(P), dtype=bool))
 
     def decide_batch(self, P, state, view):
-        if view.t > 0:
-            n_opp = view.params.n - 1
-            state |= (n_opp - view.opp_coop) > P[:, 0] * n_opp + _EPS
-        return ~state
+        n_opp = view.params.n - 1
+        if view.t == 0:
+            state.limit = P[:, 0] * n_opp + _EPS
+        else:
+            state.broken |= (n_opp - view.opp_coop) > state.limit
+        return ~state.broken
 
 
 class Endgame(KernelFamily):
@@ -258,12 +286,16 @@ class Endgame(KernelFamily):
         meets = obs.opp_coop_last >= params[1] * (obs.n_players - 1) - _EPS
         return Action.C if meets else Action.D
 
+    def new_state(self, P):
+        return SimpleNamespace(horizon=P[:, 0].copy(), limit=None)
+
     def decide_batch(self, P, state, view):
-        closing = (view.params.rounds - view.t) <= P[:, 0]
+        closing = (view.params.rounds - view.t) <= state.horizon
         if view.t == 0:
+            state.limit = P[:, 1] * (view.params.n - 1) - _EPS
             base = np.ones(len(P), dtype=bool)
         else:
-            base = view.opp_coop >= P[:, 1] * (view.params.n - 1) - _EPS
+            base = view.opp_coop >= state.limit
         return base & ~closing
 
 
@@ -287,10 +319,13 @@ class StockGuardian(KernelFamily):
             raise KernelError("stock_guardian requires a common-pool game")
         return Action.C if frac >= params[0] - _EPS else Action.D
 
+    def new_state(self, P):
+        return P[:, 0] - _EPS
+
     def decide_batch(self, P, state, view):
         if view.stock_frac is None:
             raise KernelError("stock_guardian requires a common-pool game")
-        return view.stock_frac >= P[:, 0] - _EPS
+        return view.stock_frac >= state
 
 
 class Rota(KernelFamily):
@@ -332,19 +367,36 @@ class Rota(KernelFamily):
         on_duty = (obs.round_index + obs.my_index) % period == phase
         return Action.C if on_duty else Action.D
 
+    def new_state(self, P):
+        punish = P[:, 2] >= 0.5
+        return SimpleNamespace(
+            period=P[:, 0].astype(np.int64), phase=P[:, 1].astype(np.int64),
+            punish=punish, punishing=bool(punish.any()),
+        )
+
     def decide_batch(self, P, state, view):
-        period = P[:, 0].astype(np.int64)
-        phase = P[:, 1].astype(np.int64)
-        on_duty = (view.t + view.col) % period == phase
+        # ``since`` counts the rounds since the slot was last on duty, (t +
+        # col - phase) mod period, and is 0 on duty. The players on duty in
+        # round t are those j = ahead (mod period), ahead = (phase - t) mod
+        # period; with n = whole * period + extra, whole + (ahead < extra)
+        # of them. Both residues step by one a round, with a wrap.
         if view.t == 0:
-            return on_duty
-        last = view.t - 1
-        resid = (phase - last) % period
-        count_all = np.where(resid >= view.params.n, 0, (view.params.n - 1 - resid) // period + 1)
-        own_sched = (last + view.col) % period == phase
-        expected = count_all - own_sched
-        punished = (P[:, 2] >= 0.5) & (view.opp_coop < expected)
-        return on_duty & ~punished
+            state.since = (view.col - state.phase) % state.period
+            if state.punishing:
+                state.ahead = state.phase.copy()
+                state.whole, state.extra = np.divmod(view.params.n, state.period)
+            return state.since == 0
+        punished = None
+        if state.punishing:
+            # last round's schedule, less the slot itself if it was on duty
+            expected = state.whole + (state.ahead < state.extra) - (state.since == 0)
+            state.ahead -= 1
+            np.putmask(state.ahead, state.ahead < 0, state.period - 1)
+            punished = state.punish & (view.opp_coop < expected)
+        state.since += 1
+        on_duty = state.since == state.period
+        state.since[on_duty] = 0
+        return on_duty if punished is None else on_duty & ~punished
 
 
 @dataclass(frozen=True)
@@ -360,6 +412,7 @@ class _PolicyState:
     prob: np.ndarray
     touches: np.ndarray
     over_budget: np.ndarray
+    default_prob: np.ndarray
 
 
 class PolicyTable(KernelFamily):
@@ -437,6 +490,7 @@ class PolicyTable(KernelFamily):
             prob=R[..., 4],
             touches=R[..., 5] > 0.5,
             over_budget=(index >= P[:, :1]) & (index < P[:, 2:3]),
+            default_prob=P[:, 1].copy(),
         )
 
     def decide_batch(self, P, state, view):
@@ -465,7 +519,7 @@ class PolicyTable(KernelFamily):
         if faulted.any():
             slot = int(faulted.argmax())
             self._raise_fault(P, state, view, slot, int(first[slot]))
-        prob = np.where(stop[rows, first], state.prob[rows, first], P[:, 1])
+        prob = np.where(stop[rows, first], state.prob[rows, first], state.default_prob)
         return view.u < prob
 
     @staticmethod

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ndilemma import Attitude, GameKind, GameParams, Strategy, StrategyPool, make_reference
 from ndilemma.engine import MemberTable, build_groups
 from ndilemma.games import batch_round_payoffs
-from ndilemma.kernels import SlotView
+from ndilemma.kernels import PolicyTable, SlotView
 
 
 def reference_pool(kind: str, count: int, tag: str, attitude: Attitude, **kwargs) -> StrategyPool:
@@ -47,6 +48,43 @@ def forced_views(kind: GameKind, params: GameParams, history: np.ndarray, seed: 
         yield view
         stock = batch_round_payoffs(kind, params, history[t], stock)[1]
 
+
+FRACTIONS = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def kernel_row(draw, name: str, n: int, rounds: int) -> tuple[float, ...]:
+    """A valid parameter row of family ``name`` for n players and ``rounds``
+    rounds, drawn with a hypothesis ``draw``."""
+    flag = st.sampled_from([0.0, 1.0])
+    frac = st.sampled_from(FRACTIONS)
+    if name == "constant":
+        return (draw(flag),)
+    if name in ("bernoulli", "grim"):
+        return (draw(frac),)
+    if name == "threshold_trigger":
+        return (draw(flag), float(draw(st.integers(0, n))), draw(flag))
+    if name == "reciprocator":
+        return (draw(frac), draw(frac))
+    if name == "endgame":
+        return (float(draw(st.integers(1, rounds + 1))), draw(frac))
+    if name == "stock_guardian":
+        return (draw(st.sampled_from(FRACTIONS[1:])),)
+    if name == "rota":
+        period = draw(st.integers(1, n + 1))
+        return (float(period), float(draw(st.integers(0, period - 1))), draw(flag))
+    assert name == "policy", name
+    fields, comparisons = PolicyTable.FIELDS, PolicyTable.COMPARISONS
+    rules = [
+        (
+            draw(st.sampled_from(fields)),
+            draw(st.sampled_from(("one",) * 3 + fields)),
+            draw(st.sampled_from(comparisons)),
+            draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0])),
+            draw(st.sampled_from([0.0, 0.5, 1.0])),
+        )
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    return PolicyTable.row(draw(st.integers(0, 6)), draw(frac), rules)
 
 @pytest.fixture
 def alld_pool():

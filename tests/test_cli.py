@@ -938,6 +938,60 @@ def test_fingerprint_demo_outputs_are_pinned(tmp_path):
     assert digests == FINGERPRINT_DEMO_SHA256
 
 
+
+def every_family_pool(attitude: str, families: list[str]) -> dict:
+    return {
+        "gene_tag": "all", "attitude": attitude,
+        "source": {"type": "synth", "size": 24,
+                   "families": [{"family": family} for family in families]},
+    }
+
+
+SYNTH_FAMILIES = [
+    "constant", "bernoulli", "threshold_trigger", "reciprocator", "grim", "endgame", "rota",
+]
+# Synth pools of every family at its default parameter distributions, so
+# they hold rota members with period 2-4 and punish on, drawing members and
+# stateful ones; stock_guardian plays only the common-pool game.
+PINNED_STREAM_RUNS = [
+    ("selfplay", "grid.csv", {
+        "schema_version": 1,
+        "seed": 13,
+        "game": {"kind": "cpr", "rounds": 12},
+        "group_sizes": [3, 8],
+        "samples_per_cell": 6,
+        "pool_e": every_family_pool("exploitative", SYNTH_FAMILIES + ["stock_guardian"]),
+        "pool_c": every_family_pool("collective", SYNTH_FAMILIES + ["stock_guardian"]),
+    }, "4c1660330b24a4430738342889fd103edfb788e126f8125cf421affaca709a13"),
+    ("evolve", "summary.json", {
+        "schema_version": 1,
+        "seed": 17,
+        "game": {"kind": "pgg", "k": 2.0, "rounds": 10},
+        "population": 24,
+        "group_size": 4,
+        "games_per_agent": 2,
+        "elites": 4,
+        "mutation_rate": 0.1,
+        "dominance_threshold": 0.75,
+        "max_generations": 6,
+        "runs": 2,
+        "genes": [
+            every_family_pool("exploitative", SYNTH_FAMILIES),
+            every_family_pool("collective", SYNTH_FAMILIES),
+        ],
+    }, "f19fbd5746187e91d1c0202880e7945e2995b6cd407913de34e899b6f02622b0"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, name, config, sha256", PINNED_STREAM_RUNS, ids=[run[0] for run in PINNED_STREAM_RUNS]
+)
+def test_stream_outputs_are_pinned(tmp_path, command, name, config, sha256):
+    out = tmp_path / "out"
+    path = write_json(tmp_path / "config.json", config)
+    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha256
+
 def test_shipped_demo_configs_run(tmp_path):
     assert main([
         "selfplay", "--config", str(REPO / "configs" / "selfplay_demo.json"),

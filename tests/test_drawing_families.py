@@ -5,7 +5,9 @@ uniform.
 per slot that the engine hands them in ``SlotView.u``. Their references
 (``decide_one`` and the policy interpreter) draw at most once per decision,
 so a reference handed a generator that returns that slot's uniform must
-decide exactly as the kernel did, at every probability inside (0, 1).
+decide exactly as the kernel did, at every probability inside (0, 1). From
+round 1 on the kernel is handed a parameter matrix of NaN: what it needs of
+``P`` it keeps in its state from ``new_state`` and round 0.
 """
 
 import numpy as np
@@ -79,11 +81,12 @@ def test_each_slot_decides_as_its_reference_on_its_uniform(name, data):
     history = np.array(forced).reshape(rounds, games, n)
     family = FAMILIES[name]
     P = family.stack([member.kernel[1] for member in lineup])
+    poisoned = np.full_like(P, np.nan)
     state = family.new_state(P)
     accumulators = [HistoryAccumulator(kind, params) for _ in range(games)]
     views = forced_views(kind, params, history, data.draw(st.integers(0, 2**32 - 1)))
     for t, view in enumerate(views):
-        acts = family.decide_batch(P, state, view)
+        acts = family.decide_batch(P if t == 0 else poisoned, state, view)
         for slot, (member, u) in enumerate(zip(lineup, view.u)):
             game, player = divmod(slot, n)
             obs = accumulators[game].observation_for(player)

@@ -2,12 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ndilemma import Action, GameConfigError, GameKind, GameParams, cpr_round, crd_payoffs, pgg_payoffs
-from ndilemma.games import batch_round_payoffs, cpr_next_stock
+from ndilemma.games import batch_round_payoffs, cpr_next_stock, row_counts
 
 C, D = Action.C, Action.D
 
@@ -160,6 +161,23 @@ def test_batch_payoffs_match_hand_formulas(rng):
         regrown = left + 2.0 * left * (1.0 - left / params.capacity)
         assert float(next_stock[g]) == min(regrown, params.capacity)
 
+
+
+@pytest.mark.parametrize("S", [0, 1, 7])
+@pytest.mark.parametrize("n", [2, 4, 255, 256, 300])
+def test_row_counts_are_exact(S, n):
+    """Float row counts equal the integer bool sums: a full row of 256
+    counts 256, with no small-integer wrap-around."""
+    rng = np.random.default_rng(S * 1000 + n)
+    for coop in (
+        rng.random((S, n)) < 0.5,
+        np.ones((S, n), dtype=bool),
+        np.zeros((S, n), dtype=bool),
+    ):
+        counts = row_counts(coop)
+        assert counts.shape == (S,)
+        assert counts.tolist() == coop.sum(axis=1).tolist()
+        assert row_counts(coop.astype(np.int64) * 3).tolist() == (3 * coop.sum(axis=1)).tolist()
 
 def test_game_result_round_trip():
     from ndilemma import make_reference, play_game

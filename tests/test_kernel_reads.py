@@ -15,51 +15,15 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from conftest import forced_views
+from conftest import forced_views, kernel_row
 
 from ndilemma import GameKind, GameParams
 from ndilemma.engine import CALLABLE, decide_group
-from ndilemma.kernels import FAMILIES, PolicyTable, SlotFault, SlotView, kernel_strategy
+from ndilemma.kernels import FAMILIES, SlotFault, SlotView, kernel_strategy
 
 SHAPE_FIELDS = ("t", "kind", "params")
 OBSERVABLES = tuple(f.name for f in dataclasses.fields(SlotView) if f.name not in SHAPE_FIELDS)
 ALL_FAMILIES = {**FAMILIES, CALLABLE.name: CALLABLE}
-FRACTIONS = [0.0, 0.25, 0.5, 0.75, 1.0]
-
-
-def _kernel_row(draw, name: str, n: int, rounds: int) -> tuple[float, ...]:
-    flag = st.sampled_from([0.0, 1.0])
-    frac = st.sampled_from(FRACTIONS)
-    if name == "constant":
-        return (draw(flag),)
-    if name in ("bernoulli", "grim"):
-        return (draw(frac),)
-    if name == "threshold_trigger":
-        return (draw(flag), float(draw(st.integers(0, n))), draw(flag))
-    if name == "reciprocator":
-        return (draw(frac), draw(frac))
-    if name == "endgame":
-        return (float(draw(st.integers(1, rounds + 1))), draw(frac))
-    if name == "stock_guardian":
-        return (draw(st.sampled_from(FRACTIONS[1:])),)
-    if name == "rota":
-        period = draw(st.integers(1, n + 1))
-        return (float(period), float(draw(st.integers(0, period - 1))), draw(flag))
-    assert name == "policy", name
-    fields, comparisons = PolicyTable.FIELDS, PolicyTable.COMPARISONS
-    rules = [
-        (
-            draw(st.sampled_from(fields)),
-            draw(st.sampled_from(("one",) * 3 + fields)),
-            draw(st.sampled_from(comparisons)),
-            draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0])),
-            draw(st.sampled_from([0.0, 0.5, 1.0])),
-        )
-        for _ in range(draw(st.integers(0, 4)))
-    ]
-    return PolicyTable.row(draw(st.integers(0, 6)), draw(frac), rules)
-
-
 @st.composite
 def cases(draw, name):
     kind = draw(st.sampled_from(list(GameKind)))
@@ -73,10 +37,10 @@ def cases(draw, name):
         rows = []
         for _ in range(games * n):
             family = draw(inner)
-            rows.append(kernel_strategy(family, *_kernel_row(draw, family, n, rounds))
+            rows.append(kernel_strategy(family, *kernel_row(draw, family, n, rounds))
                         .without_kernel())
     else:
-        rows = [_kernel_row(draw, name, n, rounds) for _ in range(games * n)]
+        rows = [kernel_row(draw, name, n, rounds) for _ in range(games * n)]
     cells = rounds * games * n
     forced = draw(st.lists(st.booleans(), min_size=cells, max_size=cells))
     history = np.array(forced).reshape(rounds, games, n)
