@@ -211,17 +211,15 @@ def _flag_game(args: argparse.Namespace) -> tuple[GameKind, GameParams]:
     )
 
 
-def load_pool_source(
-    spec: dict | _Entry, master_seed: int, pool_index: int, key: str | None = None
-) -> StrategyPool:
+def load_pool_source(spec: dict | _Entry, master_seed: int, pool_index: int) -> StrategyPool:
     """Build a pool from one config entry: file, synth, or reference.
 
-    ``pool_index`` seeds a synth pool; ``key`` is the entry's place in the
-    config (default ``pools[pool_index]``) when ``spec`` is a plain dict. A
-    malformed or out-of-range entry raises ``ConfigError`` naming it.
+    ``pool_index`` seeds a synth pool and, when ``spec`` is a plain dict,
+    names the entry ``pools[pool_index]``. A malformed or out-of-range entry
+    raises ``ConfigError`` naming it.
     """
     if not isinstance(spec, _Entry):
-        spec = _Entry(spec, f"pools[{pool_index}]" if key is None else key)
+        spec = _Entry(spec, f"pools[{pool_index}]")
     try:
         return _pool_from_source(spec, master_seed, pool_index)
     except (ConfigError, SchemaError):

@@ -485,20 +485,29 @@ def play_blocks(
     ``lineups`` is an (S, n) array of ``table`` member indices, one row per
     game, the same S for every block. Blocks are drawn as needed and packed
     whole into ``simulate_batch`` stacks within ``STACK_WORDS`` (one block at
-    least); each plays on its own kernel seed, so as it does alone. A
-    ``StrategyFault``'s ``block`` is the block's index in ``blocks``.
+    least); each plays on its own kernel seed, so as it does alone. The
+    fault raised is the earliest-listed faulting block's lone fault: when
+    block ``b`` of a stack faults, the stack's first ``b`` blocks play again
+    and raise theirs if they have one. Its ``block`` is the block's index in
+    ``blocks``.
     """
     blocks = iter(blocks)
     done = 0
     for first in blocks:
         fit = STACK_WORDS // (slot_words(table, params.rounds) * first[0].size)
-        lineups, seeds = zip(first, *itertools.islice(blocks, max(1, fit) - 1))
-        lineups = np.concatenate(lineups)
+        parts, seeds = zip(first, *itertools.islice(blocks, max(1, fit) - 1))
+        lineups = np.concatenate(parts)
         try:  # the groups live only in the call, so the next stack's are built alone
             result = simulate_batch(
                 kind, params, build_groups(lineups.ravel(), table), len(lineups), seeds
             )
         except StrategyFault as fault:
+            if fault.block:
+                try:
+                    for _ in play_blocks(kind, params, table, zip(parts, seeds[: fault.block])):
+                        pass
+                except StrategyFault as earlier:
+                    fault = earlier
             raise StrategyFault(
                 fault.label, fault.player, fault.round_index, fault.reason, fault.cause,
                 game=fault.game, block=done + (fault.block or 0),

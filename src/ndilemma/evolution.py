@@ -203,7 +203,8 @@ def evaluate_fitness(
     the agent's mean normalised payoff over its ``games_per_agent`` games;
     per-game welfare is in wave order. A ``StrategyFault`` names the
     population's entry of ``runs`` (by default its position) and the game's
-    index within its generation.
+    index within its generation; of several faulting populations, it is the
+    earliest-listed one's lone fault, however the blocks were packed.
     """
     pop_size, waves, rounds = config.population, config.games_per_agent, config.params.rounds
     drawn = []

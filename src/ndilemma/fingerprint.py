@@ -20,7 +20,8 @@ strategy without a kernel plays as the engine's ``callable`` family, one
 ``decide`` call per row on the ``Observation`` a per-decision replay would
 build. ``_fingerprint_node_scalar`` is that per-decision replay, kept as the
 reference: deterministic strategies give identical values on both, faults
-included.
+included. Of several faulting strategies, the lowest-listed one's lone fault
+is raised.
 
 Variation within and between labelled sets of fingerprints is summarised by
 the normalised mean pairwise distance, Cohen's d between set centroids, and
@@ -186,10 +187,10 @@ def _fingerprint_rows(
     so every stream is drawn depth by depth, chunk by chunk, round by round,
     as it would be alone.
 
-    When a strategy faults, it and every later-listed strategy are dropped;
-    the earlier ones of its stack go back to their streams' states at the
-    stack's start and play it again without them. The fault raised at the
-    end is the lowest-listed faulting strategy's first.
+    When a stack faults at strategy ``c``, the strategies listed before it
+    play again on their own, from fresh streams, and raise the first fault
+    of the lowest-listed one that faults; if none does, ``c``'s fault is
+    raised, the one its lone call raises.
     """
     params.validate_for(kind)
     if rollouts < 1:
@@ -212,8 +213,6 @@ def _fingerprint_rows(
     table = MemberTable.compile(strategies, warn=False)
     rngs = [rng_for(seed) for seed in seeds]
     values = np.empty((len(strategies), len(nodes)), dtype=float)
-    fault: StrategyFault | None = None
-    live = len(strategies)  # strategies from this index on were dropped
     for code, family in enumerate(table.families):
         members = np.flatnonzero(table.family == code)
         limit = _CALLABLE_STACK_ROWS if family is CALLABLE else _STACK_ROWS
@@ -226,39 +225,22 @@ def _fingerprint_rows(
                 per_batch = max(1, limit // chunk.rows)
                 for first in range(0, len(members), per_batch):
                     batch = members[first : first + per_batch]
-                    batch = batch[batch < live]
-                    states = [rngs[m].bit_generator.state for m in batch]
-                    while len(batch):
-                        P = np.repeat(table.params[code][table.row[batch]], chunk.rows, axis=0)
-                        try:
-                            acts = chunk.play(family, P, [rngs[m] for m in batch])
-                            break
-                        except _StackFault as stop:
-                            at, row = divmod(stop.fault.slot, chunk.rows)
-                            node = nodes[index[row // rollouts]].column_name()
-                            detail = f"{stop.fault.detail} (at fingerprint node {node})"
-                            live = int(batch[at])
-                            fault = StrategyFault(
-                                table.labels[live], 0, stop.t, stop.fault.reason, detail
-                            )
-                        batch = batch[:at]
-                        for m, state in zip(batch, states):
-                            rngs[m].bit_generator.state = state
-                    if len(batch):
-                        values[batch[:, None], index] = acts.reshape(
-                            len(batch), len(index), rollouts
-                        ).mean(axis=2)
-    if fault is not None:
-        raise fault
+                    P = np.repeat(table.params[code][table.row[batch]], chunk.rows, axis=0)
+                    try:
+                        acts = chunk.play(family, P, [rngs[m] for m in batch])
+                    except SlotFault as fault:
+                        at, row = divmod(fault.slot, chunk.rows)
+                        c = int(batch[at])  # the culprit: those listed before it go first
+                        _fingerprint_rows(strategies[:c], seeds[:c], kind, params, nodes, rollouts)
+                        node = nodes[index[row // rollouts]].column_name()
+                        raise StrategyFault(
+                            table.labels[c], 0, fault.round, fault.reason,
+                            f"{fault.detail} (at fingerprint node {node})",
+                        ) from fault
+                    values[batch[:, None], index] = acts.reshape(
+                        len(batch), len(index), rollouts
+                    ).mean(axis=2)
     return values
-
-
-class _StackFault(Exception):
-    """A slot fault of a fingerprint stack, with its round."""
-
-    def __init__(self, t: int, fault: SlotFault):
-        self.t = t
-        self.fault = fault
 
 
 class _NodeChunk:
@@ -288,7 +270,8 @@ class _NodeChunk:
     ) -> np.ndarray:
         """Play a stack of ``len(draws)`` strategies, ``draws`` holding each
         one's generator in stack order, to the chunk's depth; returns the
-        last round's actions, or raises ``_StackFault`` at the first fault."""
+        last round's actions, or raises the first ``SlotFault`` with its
+        round as ``round``."""
         params, n, rows = self.params, self.params.n, len(P)
         depth, strategies = self.counts.shape[1], len(draws)
         state = family.new_state(P)
@@ -323,7 +306,8 @@ class _NodeChunk:
             try:
                 acts = decide_group(family, P, state, view)
             except SlotFault as fault:
-                raise _StackFault(t, fault) from fault
+                fault.round = t
+                raise
             if stock is not None and t < depth:
                 forced = self.column(self.counts, t, strategies)
                 stock = cpr_next_stock(stock, forced + acts, params)
@@ -492,9 +476,8 @@ def write_projections_csv(
     sets: Sequence[str],
     projections: np.ndarray,
     path: str | Path,
-    dims: int = 2,
 ) -> None:
-    dims = min(dims, projections.shape[1]) if projections.size else 0
+    dims = min(2, projections.shape[1]) if projections.size else 0
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["label", "set"] + [f"pc{i + 1}" for i in range(dims)])

@@ -52,13 +52,6 @@ class Action(Enum):
     C = "C"
     D = "D"
 
-    @classmethod
-    def parse(cls, name: str) -> "Action":
-        try:
-            return cls(name.strip().upper())
-        except ValueError:
-            raise GameConfigError(f"invalid action {name!r}; expected 'C' or 'D'")
-
 
 class GameConfigError(ValueError):
     """Invalid game parameters or malformed game configuration."""

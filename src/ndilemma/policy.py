@@ -325,7 +325,7 @@ def parse_member(raw: Any, path: str) -> PolicySpec:
     return PolicySpec(label=label, rules=tuple(rules), default_prob=default)
 
 
-def parse_pool(data: Any, source: str, step_budget: int = DEFAULT_STEP_BUDGET) -> StrategyPool:
+def parse_pool(data: Any, source: str) -> StrategyPool:
     version = _require(data, "schema_version", source)
     if isinstance(version, bool) or version != POLICY_SCHEMA_VERSION:
         raise _fail(
@@ -347,13 +347,13 @@ def parse_pool(data: Any, source: str, step_budget: int = DEFAULT_STEP_BUDGET) -
     if not isinstance(raw_members, list) or not raw_members:
         raise _fail(f"{source}.members", "expected a non-empty list of members")
     members = tuple(
-        policy_strategy(parse_member(raw, f"{source}.members[{i}]"), step_budget)
+        policy_strategy(parse_member(raw, f"{source}.members[{i}]"))
         for i, raw in enumerate(raw_members)
     )
     return StrategyPool(gene_tag=gene_tag, attitude=attitude, members=members)
 
 
-def load_pool(path: str | Path, step_budget: int = DEFAULT_STEP_BUDGET) -> StrategyPool:
+def load_pool(path: str | Path) -> StrategyPool:
     """Read and compile a policy file into a strategy pool."""
     path = Path(path)
     if not path.exists():
@@ -366,4 +366,4 @@ def load_pool(path: str | Path, step_budget: int = DEFAULT_STEP_BUDGET) -> Strat
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
     except ValueError as exc:  # undecodable UTF-8, or an integer too long to convert
         raise SchemaError(f"{path}: invalid JSON: {exc}")
-    return parse_pool(data, str(path), step_budget)
+    return parse_pool(data, str(path))

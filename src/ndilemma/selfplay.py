@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import WelfareBounds, cached_bounds
-from .engine import MemberTable, play_blocks
+from .engine import MemberTable, StrategyFault, play_blocks
 from .games import GameKind, GameParams
 from .seeding import derive_seed, rng_for
 from .strategies import StrategyPool
@@ -135,7 +135,9 @@ def run_mix_grid(config: MixGridConfig) -> list[MixGridRow]:
     """All cells for all group sizes; deterministic given the master seed.
 
     Each cell is one block of games on its own kernel seed, so its row
-    depends only on its address ``(n, n_e)``.
+    depends only on its address ``(n, n_e)``. A ``StrategyFault`` names the
+    cell and the sample: the first faulting cell's lone fault, in grid order
+    (group sizes, then ``n_e``), however the cells share stacks.
     """
     config.validate()
     table = MemberTable.compile(config.pool_e.members + config.pool_c.members)
@@ -147,8 +149,14 @@ def run_mix_grid(config: MixGridConfig) -> list[MixGridRow]:
             (_draw_cell(config, n, n_e), derive_seed(config.master_seed, n, n_e, 1))
             for n_e in range(n + 1)
         )
-        for n_e, (_, welfare) in enumerate(play_blocks(config.kind, params, table, cells)):
-            out.append(_cell_row(config, n, n_e, welfare, limits))
+        try:
+            for n_e, (_, welfare) in enumerate(play_blocks(config.kind, params, table, cells)):
+                out.append(_cell_row(config, n, n_e, welfare, limits))
+        except StrategyFault as fault:
+            raise StrategyFault(
+                fault.label, fault.player, fault.round_index, fault.reason,
+                f"{fault.cause} (sample {fault.game} of cell ({n}, {fault.block}))",
+            ) from fault
     return out
 
 

@@ -153,6 +153,48 @@ class TestSelfplay:
         assert digests[None] == config_digest(doc)
 
 
+    def test_a_grid_fault_names_the_first_cell_whatever_the_packing(self, tmp_path, capsys):
+        """``late-divider`` divides by zero in round 19 of cell (64, 0); every
+        ``pool_e`` member faults in round 0 of every other cell. Twelve
+        never-matching rules on one ``pool_e`` member widen every stack slot
+        from 23 to 89 words, which puts each cell in a stack of its own; the
+        fault named is the same."""
+        def divider_pool(extra_rules: int) -> dict:
+            readers = [{"label": f"stock-reader{i}", "rules": [
+                {"when": {"op": "stock_frac_ge", "value": 0.5}, "cooperate_prob": 0.0},
+            ], "default_prob": 0.0} for i in range(64)]
+            readers[0]["rules"] += [
+                {"when": {"op": "round_ge", "value": 1000}, "cooperate_prob": 0.0}
+            ] * extra_rules
+            return {"schema_version": 1, "gene_tag": "e", "attitude": "exploitative",
+                    "members": readers}
+
+        plain = [{"label": f"plain{i}", "rules": [], "default_prob": 1.0} for i in range(63)]
+        divider = {"label": "late-divider", "rules": [
+            {"when": {"op": "round_lt", "value": 19}, "cooperate_prob": 1.0},
+            {"when": {"op": "ratio_ge", "num": "round", "den": "rounds_left_after",
+                      "value": 100}, "cooperate_prob": 1.0},
+        ], "default_prob": 1.0}
+        write_json(tmp_path / "pool_c.json", {
+            "schema_version": 1, "gene_tag": "c", "attitude": "collective",
+            "members": plain + [divider]})
+        errors = []
+        for extra_rules in (0, 12):
+            pool_e = write_json(tmp_path / f"pool_e{extra_rules}.json", divider_pool(extra_rules))
+            config = write_json(tmp_path / "cfg.json", selfplay_config(
+                seed=1, game={"kind": "pgg", "k": 2.0, "rounds": 20}, group_sizes=[64],
+                pool_e={"source": {"type": "file", "path": str(pool_e)}},
+                pool_c={"source": {"type": "file", "path": str(tmp_path / "pool_c.json")}},
+            ))
+            code = main(["selfplay", "--config", str(config), "--out", str(tmp_path / "o")])
+            assert code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == (
+            "strategy fault: strategy 'late-divider' (player 53, round 19) exception: "
+            "ZeroDivisionError: float division by zero (rule 1) (sample 0 of cell (64, 0))\n"
+        )
+
+
 class TestEvolve:
     def evolve_config(self, **overrides) -> dict:
         doc = {

@@ -1,0 +1,14 @@
+"""The README's code runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_use_block_runs(capsys):
+    """A renamed or deleted public name fails here, not in a reader's hands."""
+    section = README.read_text().split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, f"{README}:Library use", "exec"), {})
+    assert capsys.readouterr().out.strip()

@@ -252,6 +252,36 @@ def test_play_blocks_names_a_faulting_block_by_its_place_in_the_input(monkeypatc
     assert fault.detail.endswith("(game 1 of block 3)")
 
 
+def _raises_in_round(t: int):
+    def decide(obs, rng):
+        if obs.round_index == t:
+            raise ZeroDivisionError(f"round {t}")
+        return Action.C
+    return decide
+
+
+@pytest.mark.parametrize("words", [None, 1], ids=["one-stack", "block-per-stack"])
+def test_play_blocks_names_the_earliest_listed_fault_whatever_the_packing(monkeypatch, words):
+    """Block 0 faults in round 5 and block 1 in round 2. In one stack block
+    1 faults first; the fault raised is still block 0's, as it is with one
+    block per stack."""
+    members = [make_reference("allc"), Strategy("late", "file", _raises_in_round(5)),
+               Strategy("early", "file", _raises_in_round(2))]
+    table = MemberTable.compile(members, warn=False)
+    params = GameParams(n=3, rounds=8, k=2.0)
+    if words is not None:
+        monkeypatch.setattr(engine, "STACK_WORDS", words)
+    blocks = [(np.array([[0, 0, 0], [0, 1, 0]]), 10), (np.array([[2, 0, 0], [0, 0, 0]]), 11)]
+    with pytest.raises(StrategyFault) as info:
+        list(play_blocks(GameKind.PUBLIC_GOODS, params, table, blocks))
+    fault = info.value
+    assert (fault.label, fault.player, fault.round_index, fault.reason) == (
+        "late", 1, 5, "exception",
+    )
+    assert (fault.block, fault.game) == (0, 1)
+    assert fault.detail == "ZeroDivisionError: round 5 (game 1 of block 0)"
+
+
 def test_scalar_fallback_matches_kernel_path():
     """Stripping kernels forces the per-decision path; deterministic
     strategies give the same welfare either way."""

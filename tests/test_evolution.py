@@ -18,6 +18,7 @@ from ndilemma import (
     StrategyFault,
     StrategyPool,
     batch_runs,
+    make_reference,
     run_evolution,
     run_generation,
     welfare_efficiency,
@@ -379,6 +380,34 @@ class TestBatchRuns:
         assert fault.label == "flaky" and "RuntimeError: flaked" in fault.detail
         assert fault.detail.endswith(" of its generation)") and "(run 2, game " in fault.detail
         assert fault.detail == alone.detail.replace("(run 0, ", "(run 2, ")
+
+    @pytest.mark.parametrize("words", [None, 1], ids=["default-stacks", "run-per-stack"])
+    def test_the_first_faulting_run_is_named_whatever_the_packing(self, monkeypatch, words):
+        """In the first generation that faults, run 2's flaky member faults
+        in round 2 and run 0's in round 7. Sharing a stack, run 2 faults
+        first; run 0 is named either way."""
+        def flaky(obs, rng):
+            if rng.random() < 0.004:
+                raise RuntimeError("flaked")
+            return Action.D
+
+        g_a, g_b = Gene("a", Attitude.COLLECTIVE), Gene("b", Attitude.EXPLOITATIVE)
+        pools = {
+            g_a: StrategyPool("a", Attitude.COLLECTIVE, tuple(
+                [make_reference("allc")] * 4 + [Strategy("flaky", "file", flaky)])),
+            g_b: StrategyPool("b", Attitude.EXPLOITATIVE, (make_reference("alld"),) * 4),
+        }
+        config = two_gene_config(genes=(g_a, g_b), pools=pools, population=32,
+                                 games_per_agent=2, elites=4, max_generations=3)
+        if words is not None:
+            monkeypatch.setattr(engine, "STACK_WORDS", words)
+        with pytest.raises(StrategyFault) as info:
+            batch_runs(config, 3)
+        fault = info.value
+        assert (fault.label, fault.player, fault.round_index, fault.reason) == (
+            "flaky", 2, 7, "exception",
+        )
+        assert fault.detail == "RuntimeError: flaked (run 0, game 1 of its generation)"
 
 
 # a master seed at which the flaky member of three runs faults first in run 2

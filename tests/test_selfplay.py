@@ -130,8 +130,8 @@ def test_a_grid_cell_depends_only_on_its_address(kind, tmp_path, monkeypatch):
     the cell's kernel seed."""
     real_load = cli.load_pool_source
 
-    def one_bare(spec, seed, index, key=None):
-        pool = real_load(spec, seed, index, key)
+    def one_bare(spec, seed, index):
+        pool = real_load(spec, seed, index)
         if index == 1:  # pool_c's first bernoulli member draws per decision
             members = list(pool.members)
             at = next(i for i, m in enumerate(members) if m.kernel[0] == "bernoulli")
