@@ -295,6 +295,9 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
     if rollouts.get("rollouts", 1) < 1:
         raise ConfigError(f"rollouts must be >= 1, got {rollouts['rollouts']}")
     pools = [load_pool_source(entry, seed, i) for i, entry in enumerate(config.entries("pools"))]
+    pooled = sum(len(pool.members) for pool in pools)
+    if pooled < 2:  # the PCA is fitted on the pooled strategies
+        raise ConfigError(f"pools must hold at least 2 strategies in total, got {pooled}")
     include_refs = config.get("include_references", bool, True)
     config.done()
     nodes = enumerate_nodes(params.n, params.rounds)

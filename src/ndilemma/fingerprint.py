@@ -14,11 +14,14 @@ One driver fingerprints a list of strategies. The strategies of one kernel
 family share stacks: for each depth, from the root down, and each chunk of
 that depth's nodes (in node order, so that a stack stays bounded), a stack
 holds a batch of them, strategy-major, each strategy's ``(node, rollout)``
-rows node-major. Each strategy still draws from its own random stream, in
-the order it would alone: depth by depth, chunk by chunk, round by round. A
-strategy without a kernel plays as the engine's ``callable`` family, one
-``decide`` call per row on the ``Observation`` a per-decision replay would
-build. ``_fingerprint_node_scalar`` is that per-decision replay, kept as the
+rows node-major. A family whose ``reads`` hold neither ``u`` nor ``rng``
+draws no randomness, so every rollout of a node would repeat the same game:
+such a family plays each node once, and that game's action is the node's
+value. Each strategy still draws from its own random stream, in the order
+it would alone: depth by depth, chunk by chunk, round by round. A strategy
+without a kernel plays as the engine's ``callable`` family, one ``decide``
+call per row on the ``Observation`` a per-decision replay would build.
+``_fingerprint_node_scalar`` is that per-decision replay, kept as the
 reference: deterministic strategies give identical values on both, faults
 included. Of several faulting strategies, the lowest-listed one's lone fault
 is raised.
@@ -134,7 +137,9 @@ def fingerprint(
     Deterministic given the seed, which seeds the strategy's one stream.
     The nodes of each depth are replayed together, one row per (node,
     rollout), node-major, depths in increasing order; a depth with more rows
-    than a stack holds is split into chunks of nodes, in node order. Row
+    than a stack holds is split into chunks of nodes, in node order. A
+    family whose ``reads`` hold neither ``u`` nor ``rng`` has one row per
+    node instead, since its rollouts would all repeat one game. Row
     ``i`` is game ``i`` with the subject as player 0; opponent identities
     within a forced count are assigned to the lowest opponent indices. For
     the common-pool game the stock along a branch is recomputed from the
@@ -182,10 +187,12 @@ def _fingerprint_rows(
 
     For each family, depth and chunk of nodes, a stack holds a batch of
     the family's strategies, strategy-major, within the family's stack
-    rows. Each round, ``u`` holds each strategy's ``rng.random(rows)`` in
-    turn, and a ``callable`` row draws from its own strategy's generator,
-    so every stream is drawn depth by depth, chunk by chunk, round by round,
-    as it would be alone.
+    rows. Chunks and batches are sized from ``rollouts`` rows per node,
+    though a family that draws nothing plays each node once. Each round,
+    ``u`` holds each strategy's ``rng.random(rows)`` in turn, and a
+    ``callable`` row draws from its own strategy's generator, so every
+    stream is drawn depth by depth, chunk by chunk, round by round, as it
+    would be alone.
 
     When a stack faults at strategy ``c``, the strategies listed before it
     play again on their own, from fresh streams, and raise the first fault
@@ -209,6 +216,10 @@ def _fingerprint_rows(
     by_depth: dict[int, list[int]] = {}
     for i, node in enumerate(nodes):
         by_depth.setdefault(node.depth, []).append(i)
+    forced_by_depth = {  # (nodes, depth) forced counts, built once for every family
+        depth: np.array([nodes[i].counts for i in index], np.int64).reshape(len(index), depth)
+        for depth, index in sorted(by_depth.items())
+    }
 
     table = MemberTable.compile(strategies, warn=False)
     rngs = [rng_for(seed) for seed in seeds]
@@ -216,13 +227,14 @@ def _fingerprint_rows(
     for code, family in enumerate(table.families):
         members = np.flatnonzero(table.family == code)
         limit = _CALLABLE_STACK_ROWS if family is CALLABLE else _STACK_ROWS
+        # a family that draws nothing plays every rollout of a node alike
+        plays = rollouts if {"u", "rng"} & set(family.reads) else 1
         per_stack = max(1, limit // rollouts)
-        for depth in sorted(by_depth):
-            for start in range(0, len(by_depth[depth]), per_stack):
+        for depth, forced in forced_by_depth.items():
+            for start in range(0, len(forced), per_stack):
                 index = by_depth[depth][start : start + per_stack]
-                forced = np.array([nodes[i].counts for i in index], dtype=np.int64)
-                chunk = _NodeChunk(forced, rollouts, kind, params)
-                per_batch = max(1, limit // chunk.rows)
+                chunk = _NodeChunk(forced[start : start + per_stack], plays, kind, params)
+                per_batch = max(1, limit // (len(index) * rollouts))
                 for first in range(0, len(members), per_batch):
                     batch = members[first : first + per_batch]
                     P = np.repeat(table.params[code][table.row[batch]], chunk.rows, axis=0)
@@ -232,37 +244,38 @@ def _fingerprint_rows(
                         at, row = divmod(fault.slot, chunk.rows)
                         c = int(batch[at])  # the culprit: those listed before it go first
                         _fingerprint_rows(strategies[:c], seeds[:c], kind, params, nodes, rollouts)
-                        node = nodes[index[row // rollouts]].column_name()
+                        node = nodes[index[row // plays]].column_name()
                         raise StrategyFault(
                             table.labels[c], 0, fault.round, fault.reason,
                             f"{fault.detail} (at fingerprint node {node})",
                         ) from fault
                     values[batch[:, None], index] = acts.reshape(
-                        len(batch), len(index), rollouts
+                        len(batch), len(index), plays
                     ).mean(axis=2)
     return values
 
 
 class _NodeChunk:
-    """The forced histories of a chunk of nodes at one depth, built once
-    and shared by every stack that plays them: ``rows`` rows per strategy,
-    node-major with ``rollouts`` rows per node."""
+    """The forced histories of a chunk of nodes at one depth, shared by
+    every stack of a family that plays them: ``rows`` rows per strategy,
+    node-major with ``plays`` rows per node (the rollouts, or one for a
+    family that draws nothing)."""
 
-    def __init__(self, counts: np.ndarray, rollouts: int, kind: GameKind, params: GameParams):
+    def __init__(self, counts: np.ndarray, plays: int, kind: GameKind, params: GameParams):
         self.counts = counts  # (nodes, depth)
         self.opp_coop = counts.astype(float)
         self.opp_rate = np.cumsum(counts, axis=1) / (
             (params.n - 1) * np.arange(1, counts.shape[1] + 1)
         )
-        self.rollouts = rollouts
-        self.rows = len(counts) * rollouts
+        self.plays = plays
+        self.rows = len(counts) * plays
         self.kind = kind
         self.params = params
 
     def column(self, per_node: np.ndarray, t: int, strategies: int) -> np.ndarray:
         """Round ``t``'s column of a per-node array, one entry per row of a
         stack of ``strategies`` strategies."""
-        shape = (strategies, len(per_node), self.rollouts)
+        shape = (strategies, len(per_node), self.plays)
         return np.broadcast_to(per_node[None, :, t, None], shape).ravel()
 
     def play(
@@ -464,11 +477,12 @@ def write_fingerprint_csv(
     path: str | Path,
 ) -> None:
     """Feature matrix CSV: one row per strategy, canonical node columns."""
+    matrix = np.asarray(matrix, dtype=float)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["label"] + [f"node_{i:03d}" for i in range(len(nodes))])
         for label, row in zip(labels, matrix):
-            writer.writerow([label] + [repr(float(v)) for v in row])
+            writer.writerow([label, *map(repr, row.tolist())])
 
 
 def write_projections_csv(
@@ -477,13 +491,37 @@ def write_projections_csv(
     projections: np.ndarray,
     path: str | Path,
 ) -> None:
+    projections = np.asarray(projections, dtype=float)
     dims = min(2, projections.shape[1]) if projections.size else 0
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["label", "set"] + [f"pc{i + 1}" for i in range(dims)])
         for label, group, row in zip(labels, sets, projections):
-            writer.writerow([label, group] + [repr(float(v)) for v in row[:dims]])
+            writer.writerow([label, group, *map(repr, row[:dims].tolist())])
+
+
+def _indented_json(obj: dict | list, pad: str = "") -> str:
+    """``json.dumps(obj, indent=2)``, indented by ``pad``, for a dict or list
+    whose leaves are lists of numbers. ``indent`` would send every number
+    through json's pure-Python encoder; here each list of numbers goes
+    through its C encoder, and since no number json writes holds ``", "``,
+    splitting there gives the indented layout."""
+    if not obj:
+        return json.dumps(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        body = f",\n{inner}".join(
+            f"{json.dumps(key)}: {_indented_json(value, inner)}" for key, value in obj.items()
+        )
+    elif isinstance(obj[0], list):
+        body = f",\n{inner}".join(_indented_json(value, inner) for value in obj)
+    else:
+        body = json.dumps(obj)[1:-1].replace(", ", f",\n{inner}")
+    opening, closing = ("{", "}") if isinstance(obj, dict) else ("[", "]")
+    return f"{opening}\n{inner}{body}\n{pad}{closing}"
 
 
 def write_pca_json(result: PcaResult, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(result.to_dict(), indent=2) + "\n")
+    """``result.to_dict()`` as ``json.dumps(..., indent=2)`` writes it, plus a
+    newline."""
+    Path(path).write_text(_indented_json(result.to_dict()) + "\n")

@@ -384,14 +384,19 @@ class Rota(KernelFamily):
             state.since = (view.col - state.phase) % state.period
             if state.punishing:
                 state.ahead = state.phase.copy()
-                state.whole, state.extra = np.divmod(view.params.n, state.period)
+                state.top = state.period - 1  # where ``ahead`` wraps to
+                whole, state.extra = np.divmod(view.params.n, state.period)
+                # a float, like the opponent counts it is compared with
+                state.whole = whole.astype(float)
             return state.since == 0
         punished = None
         if state.punishing:
-            # last round's schedule, less the slot itself if it was on duty
-            expected = state.whole + (state.ahead < state.extra) - (state.since == 0)
+            # last round's schedule, less the slot itself if it was on duty,
+            # all in the dtype of ``opp_coop``
+            expected = np.subtract(state.ahead < state.extra, state.since == 0, dtype=float)
+            expected += state.whole
             state.ahead -= 1
-            np.putmask(state.ahead, state.ahead < 0, state.period - 1)
+            np.putmask(state.ahead, state.ahead < 0, state.top)
             punished = state.punish & (view.opp_coop < expected)
         state.since += 1
         on_duty = state.since == state.period

@@ -346,6 +346,26 @@ class TestFingerprintCmd:
         assert "error: rollouts must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("include_references", [False, True])
+    def test_one_pooled_strategy_exits_one_before_writing(
+        self, tmp_path, capsys, include_references
+    ):
+        """The PCA is fitted on the pooled strategies alone, so it needs two
+        of them, whatever the reference overlay adds."""
+        config = self.fingerprint_config()
+        config["include_references"] = include_references
+        config["pools"] = [{
+            "gene_tag": "one", "attitude": "collective",
+            "source": {"type": "synth", "size": 1, "families": [{"family": "grim"}]},
+        }]
+        path = write_json(tmp_path / "cfg.json", config)
+        out = tmp_path / "fp"
+        assert main(["fingerprint", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: pools must hold at least 2 strategies in total, got 1\n"
+        )
+        assert not out.exists()
+
 
 def _with_game(doc: dict, **game) -> dict:
     return {**doc, "game": {**doc["game"], **game}}

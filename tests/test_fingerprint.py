@@ -1,6 +1,11 @@
 """Fingerprints, PCA, and the three variation metrics."""
 
+import csv
 import importlib
+import io
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from ndilemma import (
     Action,
     GameKind,
     GameParams,
+    PcaResult,
     StrategyFault,
     cohens_d,
     enumerate_nodes,
@@ -21,7 +27,8 @@ from ndilemma import (
     participation_ratio,
     pca,
 )
-from ndilemma.kernels import kernel_strategy
+from ndilemma.fingerprint import write_fingerprint_csv, write_pca_json, write_projections_csv
+from ndilemma.kernels import FAMILIES, KernelFamily, SlotFault, kernel_strategy
 from ndilemma.policy import Predicate, PolicyRule, PolicySpec, policy_strategy
 from ndilemma.seeding import derive_seed, rng_for
 from ndilemma.strategies import Strategy
@@ -321,9 +328,9 @@ class TestOneDriver:
     def test_the_lowest_listed_fault_is_raised_as_its_lone_call_raises_it(self, with_kernel):
         """The late divider faults at depth 2 (node 1.0). A later-listed
         member of the same family faults at the root, in the same stacks, so
-        the members before it play those stacks again on their streams as
-        they stood at the stack's start. Where ``flaky`` first faults
-        depends on its stream, so it shows a replay that did not restore it."""
+        the members listed before it play again on their own, each from a
+        fresh stream. Where ``flaky`` first faults depends on its stream, so
+        it shows a replay that did not start from a fresh one."""
         if with_kernel:
             early, late = policy_strategy(LATE_DIVIDER), policy_strategy(STOCK_READER)
         else:
@@ -397,6 +404,108 @@ SHARED_MEMBERS = [
     policy_strategy(LONG_POLICY),
     kernel_strategy("reciprocator", 0.5, 0.3).without_kernel(),
 ]
+
+
+# one member of each family whose reads hold neither ``u`` nor ``rng``, and
+# of each that draws; all play the common-pool game
+NON_DRAWING_MEMBERS = [
+    kernel_strategy("constant", 1.0),
+    make_reference("cc", t=2),
+    kernel_strategy("grim", 0.34),
+    kernel_strategy("endgame", 2, 0.5),
+    kernel_strategy("rota", 3, 1, 1),
+    kernel_strategy("stock_guardian", 0.6),
+]
+DRAWING_MEMBERS = [
+    kernel_strategy("bernoulli", 0.3),
+    kernel_strategy("reciprocator", 0.5, 0.2),
+    policy_strategy(SHORT_POLICY),
+    Strategy("probe", "test", _probe),
+]
+
+
+def _round_zero_rows(monkeypatch, strategy, rollouts):
+    """The rows of each round-0 call of a lone fingerprint of ``strategy``
+    in the common-pool game, with the names of the families called."""
+    calls = []
+    decide_group = fingerprint_module.decide_group
+
+    def recording(family, P, state, view):
+        if view.t == 0:
+            calls.append((family.name, len(P)))
+        return decide_group(family, P, state, view)
+
+    monkeypatch.setattr(fingerprint_module, "decide_group", recording)
+    fingerprint(strategy, GameKind.COMMON_POOL, PARAMS, NODES, rollouts, seed=5)
+    return calls
+
+
+class TestOnePlayPerNode:
+    """A family that draws nothing plays each node once: its rollouts would
+    all repeat one game."""
+
+    @pytest.mark.parametrize("strategy", NON_DRAWING_MEMBERS, ids=lambda s: s.label)
+    def test_a_family_that_draws_nothing_sends_one_row_per_node(self, strategy, monkeypatch):
+        calls = _round_zero_rows(monkeypatch, strategy, 20)
+        assert {name for name, _ in calls} == {strategy.kernel[0]}
+        assert sum(rows for _, rows in calls) == len(NODES)
+
+    @pytest.mark.parametrize("strategy", DRAWING_MEMBERS, ids=lambda s: s.label)
+    def test_a_drawing_family_sends_every_rollout(self, strategy, monkeypatch):
+        calls = _round_zero_rows(monkeypatch, strategy, 20)
+        family = strategy.kernel[0] if strategy.kernel else "callable"
+        assert {name for name, _ in calls} == {family}
+        assert sum(rows for _, rows in calls) == len(NODES) * 20
+        assert all(rows % 20 == 0 for _, rows in calls)
+
+    @pytest.mark.parametrize("kind", list(GameKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("strategy", NON_DRAWING_MEMBERS, ids=lambda s: s.label)
+    def test_values_equal_the_reference_that_plays_every_rollout(self, strategy, kind):
+        values, fault = _driver_or_fault(strategy, kind, rollouts=20)
+        expected, expected_fault = _reference_or_fault(strategy, kind, rollouts=20)
+        assert fault == expected_fault
+        if fault is None:
+            assert np.array_equal(values, expected)
+        else:
+            assert strategy.kernel[0] == "stock_guardian" and fault[4] == "root"
+
+    def test_a_faulting_member_keeps_its_message(self):
+        members = [make_reference("allc"), kernel_strategy("stock_guardian", 0.5)]
+        params = GameParams(n=4, rounds=3, k=2.0)
+        with pytest.raises(StrategyFault) as info:
+            fingerprint_many(members, KIND, params, enumerate_nodes(4, 3), 20, seed=3)
+        assert str(info.value) == (
+            "strategy 'stock_guardian(0.5)' (player 0, round 0) exception: KernelError: "
+            "stock_guardian requires a common-pool game (at fingerprint node root)"
+        )
+
+    def test_a_fault_is_placed_by_one_row_per_node(self, monkeypatch):
+        """The second member faults first at depth 2, in the third row of its
+        stack, the one for node 0.2."""
+        monkeypatch.setitem(FAMILIES, "late_fault", _LateFault())
+        members = [kernel_strategy("late_fault", 0.0), kernel_strategy("late_fault", 1.0)]
+        with pytest.raises(StrategyFault) as info:
+            fingerprint_many(members, KIND, PARAMS, NODES, 20, seed=3)
+        got = info.value
+        assert (got.label, got.round_index, got.detail) == (
+            "late_fault(1.0)", 2, "late (at fingerprint node 0.2)",
+        )
+
+
+class _LateFault(KernelFamily):
+    """Draws nothing. In round 2, a row whose ``fault`` flag is set faults
+    when two opponents cooperated in round 1; the first such row is raised."""
+
+    name = "late_fault"
+    param_names = ("fault",)
+    reads = ("opp_coop",)
+
+    def decide_batch(self, P, state, view):
+        if view.t == 2:
+            faults = (P[:, 0] == 1.0) & (view.opp_coop == 2)
+            if faults.any():
+                raise SlotFault(int(faults.argmax()), "exception", "late")
+        return np.ones(len(P), dtype=bool)
 
 
 class TestPca:
@@ -567,4 +676,77 @@ class TestMetrics:
         shuffled = lam[rng.permutation(9)]
         assert participation_ratio(lam) == pytest.approx(
             participation_ratio(shuffled), abs=1e-12
+        )
+
+
+# every float json and repr can write, with NaN, both infinities, -0.0, a
+# subnormal and a near-largest magnitude drawn often
+FLOATS = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e308]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+def _written(write, *args) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out"
+        write(*args, path)
+        return path.read_bytes().decode()
+
+
+class TestSerialization:
+    """The writers format numbers in C, byte for byte as ``json.dumps(...,
+    indent=2)`` and ``repr(float(v))`` per value would."""
+
+    @given(st.integers(0, 4), st.integers(0, 4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pca_json_is_json_dumps_with_indent(self, rows, dims, data):
+        flat = data.draw(st.lists(FLOATS, min_size=rows * dims, max_size=rows * dims))
+        values = np.array(flat, dtype=float).reshape(rows, dims)
+        result = PcaResult(
+            eigenvalues=values[:, 0] if dims else np.empty(0),
+            components=values,
+            explained_ratios=values[:, -1] if dims else np.empty(0),
+            projections=np.empty((0, 0)),
+            mean=values[0] if rows else np.empty(0),
+        )
+        expected = json.dumps(result.to_dict(), indent=2) + "\n"
+        assert _written(write_pca_json, result) == expected
+
+    @pytest.mark.parametrize("shape", [(2, 5), (6, 3), (12, 341), (5, 1)])
+    def test_pca_json_of_a_fit_is_json_dumps_with_indent(self, rng, shape):
+        result = pca(rng.random(shape))
+        if shape[0] == 2:
+            assert len(result.components) == 1
+        expected = json.dumps(result.to_dict(), indent=2) + "\n"
+        assert _written(write_pca_json, result) == expected
+
+    @given(st.lists(FLOATS, min_size=6, max_size=6),
+           st.sampled_from([np.float64, np.float32, np.int64]))
+    @settings(max_examples=60, deadline=None)
+    def test_csv_rows_are_repr_of_each_float(self, flat, dtype):
+        labels = ["plain", 'a "quoted", comma']
+        sets = ["x/collective", 'set, "odd"']
+        matrix = np.array(flat).reshape(2, 3)
+        if dtype is np.int64:
+            matrix = np.clip(np.nan_to_num(matrix), -1e15, 1e15)
+        with np.errstate(over="ignore"):  # a float32 matrix rounds large values to inf
+            matrix = matrix.astype(dtype)
+        nodes = NODES[:3]
+
+        def reference_rows(header, lead, rows):
+            buffer = io.StringIO(newline="")
+            writer = csv.writer(buffer)
+            writer.writerow(header)
+            for first, row in zip(lead, rows):
+                writer.writerow(list(first) + [repr(float(v)) for v in row])
+            return buffer.getvalue()
+
+        header = ["label"] + [f"node_{i:03d}" for i in range(3)]
+        assert _written(write_fingerprint_csv, labels, matrix, nodes) == reference_rows(
+            header, [[label] for label in labels], matrix
+        )
+        projections = _written(write_projections_csv, labels, sets, matrix)
+        assert projections == reference_rows(
+            ["label", "set", "pc1", "pc2"], zip(labels, sets), matrix[:, :2]
         )
