@@ -22,7 +22,6 @@ aborts the game with a ``StrategyFault`` naming the offender.
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -119,18 +118,27 @@ class HistoryAccumulator:
             my_last_action=Action.C if my_last_c else Action.D,
         )
 
-    def push_round(self, coop: Sequence[bool]) -> RoundRecord:
-        """Record a completed round; its payoffs and the next stock come from
+    def push_round(
+        self,
+        coop: Sequence[bool],
+        payoffs: np.ndarray | None = None,
+        stock_after: float | None = None,
+    ) -> RoundRecord:
+        """Record a completed round. ``payoffs`` and ``stock_after`` are its
+        payoff row and next stock (None outside the common-pool game), which
+        the engine hands over; without them they come from
         ``batch_round_payoffs`` on this one game."""
         row = np.asarray(coop, dtype=bool)
-        stock = None if self.stock is None else np.array([self.stock])
-        payoffs, next_stock = batch_round_payoffs(self.kind, self.params, row[None], stock)
+        if payoffs is None:
+            stock = None if self.stock is None else np.array([self.stock])
+            pays, next_stock = batch_round_payoffs(self.kind, self.params, row[None], stock)
+            payoffs, stock_after = pays[0], None if next_stock is None else next_stock[0]
         coop = row.tolist()
         record = RoundRecord(
             actions=tuple(Action.C if c else Action.D for c in coop),
-            payoffs=tuple(payoffs[0].tolist()),
+            payoffs=tuple(payoffs.tolist()),
             stock_before=self.stock,
-            stock_after=None if next_stock is None else float(next_stock[0]),
+            stock_after=None if stock_after is None else float(stock_after),
         )
         self.history = self.history + (record,)
         for i, c in enumerate(coop):
@@ -199,10 +207,19 @@ class CallableFamily(KernelFamily):
 
     name = "callable"
     param_names = ("strategy",)
-    reads = ("slots", "last", "rng")
+    reads = ("slots", "last", "last_payoffs", "stock", "rng")
 
     def stack(self, rows):
         return np.array(rows, dtype=object)[:, None]
+
+    def slot_words(self, width, params):
+        """A slot's share of its game's accumulator and observations, and
+        its game's whole history: every round about five words per player
+        (an action and a boxed payoff) and 32 for the round's record. A game
+        holds one history however many of its slots are of this family, so
+        a game of several such slots holds less than they are charged."""
+        history = params.rounds * (5 * params.n + 32)
+        return super().slot_words(width, params) + 7 + history
 
     def new_state(self, P):
         return {}  # game index -> HistoryAccumulator, filled in round 0
@@ -214,7 +231,8 @@ class CallableFamily(KernelFamily):
                 state[game] = HistoryAccumulator(view.kind, view.params)
         else:
             for game, acc in state.items():
-                acc.push_round(view.last[game])
+                stock = None if view.stock is None else view.stock[game]
+                acc.push_round(view.last[game], view.last_payoffs[game], stock)
         acts = np.empty(len(P), dtype=bool)
         for i, (strategy, game, player, rng) in enumerate(
             zip(P[:, 0], games.tolist(), players.tolist(), view.rng)
@@ -238,13 +256,14 @@ CALLABLE = CallableFamily()
 
 @dataclass
 class KernelGroup:
-    """Slots of one kernel family within a stack, with stacked params and
-    each slot's row of ``table`` (whose labels name a faulting slot)."""
+    """Slots of one kernel family within a stack, with stacked params; a
+    slot's member is its entry of the stack's flat ``lineup`` (whose
+    ``table`` labels name a faulting slot)."""
 
     family: KernelFamily
     params: np.ndarray  # (n_slots, n_params)
     slots: np.ndarray  # flat indices into the (S * n) slot space
-    members: np.ndarray  # (n_slots,) rows of ``table``
+    lineup: np.ndarray  # (S * n,) the stack's member indices, shared by its groups
     table: MemberTable
     state: object = None
 
@@ -309,14 +328,13 @@ def build_groups(members: np.ndarray, table: MemberTable) -> list[KernelGroup]:
     found = [(np.flatnonzero(codes == code), code) for code in range(len(table.families))]
     groups = []
     for slots, code in sorted((f for f in found if len(f[0])), key=lambda f: f[0][0]):
-        picked = members[slots]
         family = table.families[code]
-        params = table.params[code][table.row[picked]]
+        params = table.params[code][table.row[members[slots]]]
         groups.append(KernelGroup(
             family=family,
             params=params,
             slots=slots,
-            members=picked,
+            lineup=members,
             table=table,
             state=family.new_state(params),
         ))
@@ -325,19 +343,28 @@ def build_groups(members: np.ndarray, table: MemberTable) -> list[KernelGroup]:
 
 # Memory budget of one stack, in 8-byte words: ``play_blocks`` packs whole
 # blocks up to it. Each block plays on its own kernel seed, so the budget
-# sets only how many blocks share a stack, never an output.
-STACK_WORDS = 1 << 17
+# sets only how many blocks share a stack, never an output. At 2 MB, an
+# n = 256 stack of the benchmark's mix grid holds about 12 cells of 8 games.
+STACK_WORDS = 1 << 18
+
+# Words the engine holds for every slot of a stack beyond its family's
+# ``slot_words``: its lineup entry, its group's slot index, its total, its
+# payoff this round and one other (S, n) round temporary.
+_ENGINE_WORDS = 5
 
 
-def slot_words(table: MemberTable, rounds: int) -> int:
-    """Words one slot of a stack holds: the engine's per-slot arrays and the
-    widest parameter row. A game that holds a member without a kernel keeps
-    its history as Python objects, about five words per player per round
-    (an action and a boxed payoff), so such tables weigh that too."""
-    words = 8 + max(P.shape[1] for P in table.params)
-    if CALLABLE in table.families:
-        words += 5 * rounds
-    return words
+def slot_words(table: MemberTable, params: GameParams) -> np.ndarray:
+    """Words a slot of each member of ``table`` holds in a stack, at most:
+    the engine's and its family's ``slot_words``. The figures are
+    tracemalloc peaks of stacks that tests/test_engine.py compares with
+    their charge: built-in slots hold 6 (constant) to 19 words (a punishing
+    rota), policy slots about 14 words per rule plus 27, and a game with one
+    kernel-less slot its history besides."""
+    family = np.array([
+        family.slot_words(P.shape[1], params)
+        for family, P in zip(table.families, table.params)
+    ])
+    return _ENGINE_WORDS + family[table.family]
 
 
 @dataclass
@@ -349,6 +376,24 @@ class BatchResult:
     coop: np.ndarray | None = None  # (rounds, S, n) when recorded
     payoffs: np.ndarray | None = None
     stocks: np.ndarray | None = None  # (rounds + 1, S)
+
+
+@dataclass
+class _Playing:
+    """A group as ``simulate_batch`` plays it: its view, built once, the
+    fields its family reads, where its decisions go in the stack, each
+    slot's game (when it reads a per-game observable), its place in the
+    round's uniforms (when it draws but not all of them) and its decisions
+    so far."""
+
+    group: KernelGroup
+    view: SlotView
+    reads: frozenset[str]
+    at: slice | np.ndarray
+    games: np.ndarray | None
+    draws: np.ndarray | None
+    own: np.ndarray | None = None
+    own_cum: np.ndarray | None = None
 
 
 def simulate_batch(
@@ -366,6 +411,13 @@ def simulate_batch(
     block's generator draws the ``u`` of its slots that read it, in slot
     order, before its ``callable`` slots draw. ``groups`` must come fresh
     from ``build_groups``: every family's state is consumed by the run.
+
+    Each group's view is built once per stack and refilled every round. A
+    round counts each game's cooperators once: the payoffs take that count,
+    and next round a group reads its opponents as the count of each slot's
+    game, one gather per group, less its own last decision (``opp_rate``
+    likewise from cumulative counts), so no observable is built over the
+    whole stack.
     """
     params.validate_for(kind)
     n, r = params.n, params.rounds
@@ -377,30 +429,47 @@ def simulate_batch(
     block_games = S // len(seeds)
     rngs = np.array([rng_for(s) for s in seeds], dtype=object)
     reads = set().union(*(group.family.reads for group in groups))
+    u_at = {}
     if "u" in reads:
         # a round draws one uniform per drawing slot, in slot order: each
         # block's span of the draws, and each drawing group's place in them
+        # unless one group draws them all
         drawing = [i for i, g in enumerate(groups) if "u" in g.family.reads]
         draws = np.zeros(S * n, dtype=bool)
         for i in drawing:
             draws[groups[i].slots] = True
         ends = [0, *np.cumsum(draws.reshape(len(seeds), -1).sum(axis=1)).tolist()]
-        place = np.cumsum(draws) - 1
-        u_at = {i: place[groups[i].slots] if len(drawing) > 1 else slice(None) for i in drawing}
+        if len(drawing) > 1:
+            place = np.cumsum(draws) - 1
+            u_at = {i: place[groups[i].slots] for i in drawing}
+        u = np.empty(ends[-1])  # refilled every round, each block's span from its stream
+        spans = [(rng, u[start:end]) for rng, start, end in zip(rngs, ends, ends[1:])]
     whole = len(groups) == 1 and len(groups[0].slots) == S * n
-    # each group's fields that are the same every round, gathered once
-    fixed = [{} for _ in groups]
-    for fields, group in zip(fixed, groups):
-        idx, names = group.slots, group.family.reads
+    playing = []
+    for i, group in enumerate(groups):
+        idx, names = group.slots, frozenset(group.family.reads)
+        view = SlotView(t=0, kind=kind, params=params)
         if "slots" in names:
-            fields["slots"] = idx
+            view.slots = idx
         if "col" in names:
-            fields["col"] = idx % n
+            view.col = idx % n
         if "rng" in names:
-            fields["rng"] = rngs[idx // (block_games * n)]
-    prev: np.ndarray | None = None  # bool (S, n)
-    # whole numbers kept as floats, which row_counts sums without a copy
-    coop_cum = np.zeros((S, n)) if "opp_rate" in reads else None
+            view.rng = rngs[idx // (block_games * n)]
+        draws = u_at.get(i)
+        if "u" in names:
+            view.u = u if draws is None else np.empty(len(idx))
+        per_game = names & {"opp_coop", "opp_rate"} or (is_cpr and "stock_frac" in names)
+        playing.append(_Playing(
+            group, view, names,
+            at=slice(None) if whole else idx,  # a group that holds every slot writes them all
+            games=idx // n if per_game else None,
+            draws=draws,
+            own_cum=np.zeros(len(idx)) if "opp_rate" in names else None,
+        ))
+    prev = count = payoffs = None  # last round's (S, n) bools, (S,) counts, (S, n) payoffs
+    keep_payoffs = "last_payoffs" in reads
+    # each game's cooperations so far, for ``opp_rate``
+    count_cum = np.zeros(S) if "opp_rate" in reads else None
     stock = np.full(S, params.capacity, dtype=float) if is_cpr else None
     totals = np.zeros((S, n), dtype=float)
     rec_coop = np.empty((r, S, n), dtype=bool) if record else None
@@ -410,46 +479,47 @@ def simulate_batch(
         rec_stock[0] = stock
 
     for t in range(r):
-        # the round's observables over the whole stack, only those some group reads
-        flat = {}
-        if t > 0:
-            if "opp_coop" in reads:
-                flat["opp_coop"] = (row_counts(prev)[:, None] - prev).ravel()
-            if "opp_rate" in reads:
-                rate = (row_counts(coop_cum)[:, None] - coop_cum) / ((n - 1) * t)
-                flat["opp_rate"] = rate.ravel()
-            if "prev_c" in reads:
-                flat["prev_c"] = prev.ravel()
-        if is_cpr and "stock_frac" in reads:
-            flat["stock_frac"] = np.repeat(stock / params.capacity, n)
         if "u" in reads:
-            u = np.empty(ends[-1])
-            for rng, start, end in zip(rngs, ends, ends[1:]):
-                rng.random(out=u[start:end])
+            for rng, span in spans:
+                rng.random(out=span)
+        frac = stock / params.capacity if is_cpr and "stock_frac" in reads else None
 
         acts_flat = np.empty(S * n, dtype=bool)
         faults = []
-        for i, group in enumerate(groups):
-            idx = group.slots
-            # a group that holds every slot reads and writes whole arrays
-            at = slice(None) if whole else idx
-            fields = dict(fixed[i])
-            for name in group.family.reads:
-                if name == "last":
-                    fields[name] = prev
-                elif name == "u":
-                    fields[name] = u[u_at[i]]
-                elif name in flat:
-                    fields[name] = flat[name][at]
-            view = SlotView(t=t, kind=kind, params=params, **fields)
+        for g in playing:
+            view, names = g.view, g.reads
+            view.t = t
+            if g.draws is not None:
+                u.take(g.draws, out=view.u)
+            if t:
+                if "opp_coop" in names:
+                    view.opp_coop = count[g.games] - g.own
+                if "opp_rate" in names:
+                    view.opp_rate = (count_cum[g.games] - g.own_cum) / ((n - 1) * t)
+                if "prev_c" in names:
+                    view.prev_c = g.own
+                if "last" in names:
+                    view.last = prev
+                if "last_payoffs" in names:
+                    view.last_payoffs = payoffs
+            if frac is not None and "stock_frac" in names:
+                view.stock_frac = frac[g.games]
+            if "stock" in names:
+                view.stock = stock
+            group = g.group
             try:
-                acts_flat[at] = decide_group(group.family, group.params, group.state, view)
+                acts = decide_group(group.family, group.params, group.state, view)
             except SlotFault as fault:
-                faults.append((int(idx[fault.slot]), group, fault))
+                faults.append((int(group.slots[fault.slot]), group, fault))
+                continue
+            acts_flat[g.at] = acts
+            g.own = acts
+            if g.own_cum is not None:
+                g.own_cum += acts
         if faults:
             # the lowest (game, player) faults first, as in a per-decision replay
             slot, group, fault = min(faults, key=lambda item: item[0])
-            label = group.table.labels[group.members[fault.slot]]
+            label = group.table.labels[group.lineup[slot]]
             game, player = divmod(slot, n)
             block, game = divmod(game, block_games)
             raise StrategyFault(
@@ -457,16 +527,19 @@ def simulate_batch(
                 game=game, block=None if len(seeds) == 1 else block,
             )
         coop = acts_flat.reshape(S, n)
-        payoffs, next_stock = batch_round_payoffs(kind, params, coop, stock)
+        count = row_counts(coop)
+        payoffs, next_stock = batch_round_payoffs(kind, params, coop, stock, count)
         totals += payoffs
-        if coop_cum is not None:
-            coop_cum += coop
+        if count_cum is not None:
+            count_cum += count
         prev = coop
         if record:
             rec_coop[t] = coop
             rec_pay[t] = payoffs
             if rec_stock is not None:
                 rec_stock[t + 1] = next_stock
+        if not keep_payoffs:
+            payoffs = None  # so that a round allocates its payoffs beside no others
         stock = next_stock
 
     mean_welfare = totals.sum(axis=1) / (n * r)
@@ -484,25 +557,34 @@ def play_blocks(
 
     ``lineups`` is an (S, n) array of ``table`` member indices, one row per
     game, the same S for every block. Blocks are drawn as needed and packed
-    whole into ``simulate_batch`` stacks within ``STACK_WORDS`` (one block at
-    least); each plays on its own kernel seed, so as it does alone. The
-    fault raised is the earliest-listed faulting block's lone fault: when
-    block ``b`` of a stack faults, the stack's first ``b`` blocks play again
-    and raise theirs if they have one. Its ``block`` is the block's index in
-    ``blocks``.
+    whole, in order, into ``simulate_batch`` stacks while the ``slot_words``
+    of their slots fit in ``STACK_WORDS`` (one block at least); the first
+    block that does not fit starts the next stack. Each plays on its own
+    kernel seed, so as it does alone. The fault raised is the
+    earliest-listed faulting block's lone fault: when block ``b`` of a stack
+    faults, the stack's first ``b`` blocks play again and raise theirs if
+    they have one. Its ``block`` is the block's index in ``blocks``.
     """
-    blocks = iter(blocks)
+    words = slot_words(table, params)
+    blocks = ((lineups, seed, int(words[lineups].sum())) for lineups, seed in blocks)
+    block = next(blocks, None)
     done = 0
-    for first in blocks:
-        fit = STACK_WORDS // (slot_words(table, params.rounds) * first[0].size)
-        parts, seeds = zip(first, *itertools.islice(blocks, max(1, fit) - 1))
+    while block is not None:
+        parts, seeds, used = [], [], 0
+        while block is not None and (not parts or used + block[2] <= STACK_WORDS):
+            parts.append(block[0])
+            seeds.append(block[1])
+            used += block[2]
+            block = next(blocks, None)
         lineups = np.concatenate(parts)
+        del parts  # the stack keeps only its copy
         try:  # the groups live only in the call, so the next stack's are built alone
             result = simulate_batch(
                 kind, params, build_groups(lineups.ravel(), table), len(lineups), seeds
             )
         except StrategyFault as fault:
             if fault.block:
+                parts = lineups.reshape(len(seeds), -1, params.n)
                 try:
                     for _ in play_blocks(kind, params, table, zip(parts, seeds[: fault.block])):
                         pass

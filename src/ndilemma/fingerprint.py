@@ -50,7 +50,7 @@ from .engine import (
     decide_checked,
     decide_group,
 )
-from .games import Action, GameKind, GameParams, cpr_next_stock
+from .games import Action, GameKind, GameParams, batch_round_payoffs, cpr_next_stock
 from .kernels import KernelFamily, SlotFault, SlotView
 from .seeding import derive_seed, rng_for
 from .strategies import Strategy
@@ -289,41 +289,48 @@ class _NodeChunk:
         depth, strategies = self.counts.shape[1], len(draws)
         state = family.new_state(P)
         stock = np.full(rows, params.capacity) if self.kind is GameKind.COMMON_POOL else None
-        acts = None
+        reads = frozenset(family.reads)
+        view = SlotView(t=0, kind=self.kind, params=params)  # refilled every round
+        if "rng" in reads:
+            view.rng = [rng for rng in draws for _ in range(self.rows)]
+        if "col" in reads:
+            view.col = np.zeros(rows, dtype=np.int64)
+        if "slots" in reads:
+            view.slots = np.arange(rows) * n  # each row is a game of its own, at player 0
+        acts = last = payoffs = None
         for t in range(depth + 1):
-            view = SlotView(t=t, kind=self.kind, params=params)
-            for name in family.reads:
-                if name == "u":
-                    view.u = np.empty(rows)
-                    for rng, u in zip(draws, view.u.reshape(strategies, -1)):
-                        rng.random(out=u)
-                elif name == "rng":
-                    view.rng = [rng for rng in draws for _ in range(self.rows)]
-                elif name == "col":
-                    view.col = np.zeros(rows, dtype=np.int64)
-                elif name == "slots":
-                    view.slots = np.arange(rows) * n
-                elif name == "stock_frac":
-                    view.stock_frac = None if stock is None else stock / params.capacity
-                elif t == 0:
-                    continue  # the rest are undefined in round 0
-                elif name == "prev_c":
+            view.t = t
+            if "u" in reads:
+                view.u = np.empty(rows)
+                for rng, u in zip(draws, view.u.reshape(strategies, -1)):
+                    rng.random(out=u)
+            if stock is not None and "stock_frac" in reads:
+                view.stock_frac = stock / params.capacity
+            if "stock" in reads:
+                view.stock = stock
+            if t:  # the rest are undefined in round 0
+                if "prev_c" in reads:
                     view.prev_c = acts
-                elif name == "opp_coop":
+                if "opp_coop" in reads:
                     view.opp_coop = self.column(self.opp_coop, t - 1, strategies)
-                elif name == "opp_rate":
+                if "opp_rate" in reads:
                     view.opp_rate = self.column(self.opp_rate, t - 1, strategies)
-                elif name == "last":
-                    forced = self.column(self.counts, t - 1, strategies)
-                    view.last = np.column_stack((acts, np.arange(1, n) <= forced[:, None]))
+                if "last" in reads:
+                    view.last = last
+                if "last_payoffs" in reads:
+                    view.last_payoffs = payoffs
             try:
                 acts = decide_group(family, P, state, view)
             except SlotFault as fault:
                 fault.round = t
                 raise
-            if stock is not None and t < depth:
+            if t < depth and (stock is not None or "last" in reads):
                 forced = self.column(self.counts, t, strategies)
-                stock = cpr_next_stock(stock, forced + acts, params)
+                if "last" in reads:  # the round as played, for a family that keeps the history
+                    last = np.column_stack((acts, np.arange(1, n) <= forced[:, None]))
+                    payoffs, stock = batch_round_payoffs(self.kind, params, last, stock)
+                else:
+                    stock = cpr_next_stock(stock, forced + acts, params)
         return acts
 
 

@@ -155,27 +155,31 @@ def batch_round_payoffs(
     params: GameParams,
     coop: np.ndarray,
     stock: np.ndarray | None,
+    counts: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Payoffs for one round of S parallel games.
 
     ``coop`` is a bool array of shape (S, n); ``stock`` is shape (S,) for the
-    common-pool game, None otherwise. This is the one implementation of the
-    payoffs: the engine plays it, and the per-action functions below and the
-    welfare-bound scan call it on their rows. The stock regrows through
-    ``cpr_next_stock``.
+    common-pool game, None otherwise. ``counts`` is each game's cooperator
+    count, ``row_counts(coop)``, for a caller that keeps it; it is computed
+    when None. This is the one implementation of the payoffs: the engine
+    plays it, and the per-action functions below and the welfare-bound scan
+    call it on their rows. The stock regrows through ``cpr_next_stock``.
     """
     n = params.n
+    if counts is None:
+        counts = row_counts(coop)
     defect = ~coop
     if kind is GameKind.PUBLIC_GOODS:
-        share = (row_counts(coop) * params.k) / n
+        share = (counts * params.k) / n
         return share[:, None] + defect, None
     if kind is GameKind.COLLECTIVE_RISK:
-        met = row_counts(coop) >= params.m
+        met = counts >= params.m
         return met[:, None] * params.k + defect, None
     assert stock is not None
     share = stock / (2 * n)
     payoffs = share[:, None] * (1.0 + defect)
-    return payoffs, cpr_next_stock(stock, row_counts(coop), params)
+    return payoffs, cpr_next_stock(stock, counts, params)
 
 
 # ---------------------------------------------------------------------------

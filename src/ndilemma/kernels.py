@@ -20,6 +20,12 @@ on the state ``new_state`` made for the same rows of ``P``. A family keeps
 in that state whatever does not change between rounds (thresholds, flags,
 schedule positions), so a round pays only for what changes; constants that
 need the group size or a slot's ``col`` are filled from the round-0 view.
+
+Views: a driver builds each group's ``SlotView`` once per stack and refills
+it every round, some arrays in place, so a family must not keep a view's
+arrays across rounds; it copies what it keeps. The array ``decide_batch``
+returns is the engine's from then on (next round's ``prev_c``), so it must
+be a new one, not part of the state.
 """
 
 from __future__ import annotations
@@ -67,8 +73,14 @@ class SlotView:
     ``opp_coop`` and ``opp_rate`` are None in round 0; ``stock_frac`` is
     None outside the common-pool game. The engine's ``callable`` family
     reads the whole stack instead: ``slots`` holds each slot's flat
-    ``game * n + player`` index, ``last`` the previous round's (games, n)
-    actions, None in round 0, and ``rng`` each slot's generator.
+    ``game * n + player`` index, ``last`` and ``last_payoffs`` the previous
+    round's (games, n) actions and payoffs, None in round 0, ``stock`` each
+    game's stock at the start of the round, None outside the common-pool
+    game, and ``rng`` each slot's generator.
+
+    A driver builds a group's view once per stack, with the fields that
+    stay fixed (``slots``, ``col``, ``rng``), and each round sets ``t`` and
+    refills the round's fields, in place or with new arrays.
     """
 
     t: int
@@ -82,7 +94,20 @@ class SlotView:
     stock_frac: np.ndarray | None = None
     slots: np.ndarray | None = None
     last: np.ndarray | None = None
+    last_payoffs: np.ndarray | None = None
+    stock: np.ndarray | None = None
     rng: Sequence[np.random.Generator] | None = None
+
+
+# Words per slot that a stack holds for each SlotView field a family reads:
+# ``u`` the slot's share of the round's draws, its group's copy and its
+# place in the draws; ``opp_coop`` and ``stock_frac`` the field and the
+# slot's game; ``opp_rate`` those and the slot's own count; ``last_payoffs``
+# the round's payoffs, kept for the next.
+FIELD_WORDS = {
+    "u": 3, "opp_coop": 2, "opp_rate": 3, "stock_frac": 2, "col": 1, "rng": 1,
+    "last_payoffs": 1,
+}
 
 
 class KernelFamily:
@@ -107,13 +132,23 @@ class KernelFamily:
         one per run, handed to every ``decide_batch`` call from round 0."""
         return None
 
+    def slot_words(self, width: int, params: GameParams) -> int:
+        """Words one slot of this family holds in a stack of games of shape
+        ``params``, beyond the engine's own arrays: its parameter row,
+        ``width`` words wide, the ``FIELD_WORDS`` of the fields it reads,
+        and its state and one round's temporaries, one word unless a family
+        says otherwise."""
+        return width + 1 + sum(FIELD_WORDS.get(name, 0) for name in self.reads)
+
     def decide_one(self, params: tuple[float, ...], obs: Observation, rng) -> Action:
         raise NotImplementedError
 
     def decide_batch(self, P: np.ndarray, state, view: SlotView) -> np.ndarray:
-        """One round's decisions, a bool per row of ``P``. Called once per
-        round from round 0 on ``new_state(P)``; the round-0 call may fill
-        the state's constants that need ``view.params`` or ``view.col``."""
+        """One round's decisions, a new bool array with one entry per row
+        of ``P``. Called once per round from round 0 on ``new_state(P)``;
+        the round-0 call may fill the state's constants that need
+        ``view.params`` or ``view.col``. ``view`` is the same object every
+        round, refilled, so its arrays are valid for this call only."""
         raise NotImplementedError
 
 
@@ -133,6 +168,9 @@ class Constant(KernelFamily):
 
     def new_state(self, P):
         return P[:, 0] >= 0.5
+
+    def slot_words(self, width, params):
+        return width  # a byte of state, and no temporaries
 
     def decide_batch(self, P, state, view):
         return state.copy()
@@ -221,6 +259,9 @@ class Reciprocator(KernelFamily):
     def new_state(self, P):
         return SimpleNamespace(limit=None, forgive=P[:, 1].copy())
 
+    def slot_words(self, width, params):
+        return super().slot_words(width, params) + 1  # a second state array
+
     def decide_batch(self, P, state, view):
         if view.t == 0:
             state.limit = P[:, 0] * (view.params.n - 1) - _EPS
@@ -288,6 +329,9 @@ class Endgame(KernelFamily):
 
     def new_state(self, P):
         return SimpleNamespace(horizon=P[:, 0].copy(), limit=None)
+
+    def slot_words(self, width, params):
+        return super().slot_words(width, params) + 1  # a second state array
 
     def decide_batch(self, P, state, view):
         closing = (view.params.rounds - view.t) <= state.horizon
@@ -373,6 +417,11 @@ class Rota(KernelFamily):
             period=P[:, 0].astype(np.int64), phase=P[:, 1].astype(np.int64),
             punish=punish, punishing=bool(punish.any()),
         )
+
+    def slot_words(self, width, params):
+        # five state arrays, some filled in round 0, and the punishing
+        # slots' expected counts
+        return super().slot_words(width, params) + 4
 
     def decide_batch(self, P, state, view):
         # ``since`` counts the rounds since the slot was last on duty, (t +
@@ -466,6 +515,12 @@ class PolicyTable(KernelFamily):
                 value, prob, "stock_frac" in (lhs, den),
             )
         return tuple(float(x) for x in row)
+
+    def slot_words(self, width, params):
+        # per rule: five state arrays and three of each round's temporaries;
+        # and a row of the round's observable matrix
+        rules = (width - len(self.param_names)) // len(self.RULE_LAYOUT)
+        return super().slot_words(width, params) + 8 * rules + len(self.FIELDS)
 
     def stack(self, rows):
         """Pad rows to the longest table (at least one rule) and stack them."""

@@ -36,7 +36,7 @@ def forced_views(kind: GameKind, params: GameParams, history: np.ndarray, seed: 
             t=t, kind=kind, params=params, u=rng.random(games * n), rng=[rng] * (games * n),
             col=np.tile(np.arange(n), games),
             stock_frac=None if stock is None else np.repeat(stock / params.capacity, n),
-            slots=np.arange(games * n),
+            slots=np.arange(games * n), stock=stock,
         )
         if t > 0:
             last = history[t - 1]
@@ -44,9 +44,9 @@ def forced_views(kind: GameKind, params: GameParams, history: np.ndarray, seed: 
             view.prev_c = last.ravel()
             view.opp_coop = (last.sum(axis=1)[:, None] - last).ravel().astype(float)
             view.opp_rate = ((cum.sum(axis=1)[:, None] - cum) / ((n - 1) * t)).ravel()
-            view.last = last
+            view.last, view.last_payoffs = last, payoffs
         yield view
-        stock = batch_round_payoffs(kind, params, history[t], stock)[1]
+        payoffs, stock = batch_round_payoffs(kind, params, history[t], stock)
 
 
 FRACTIONS = [0.0, 0.25, 0.5, 0.75, 1.0]

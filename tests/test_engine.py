@@ -1,6 +1,8 @@
 """The game loop: determinism, bookkeeping, faults, and path equivalence."""
 
+import gc
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,15 +197,17 @@ def test_play_blocks_packs_whole_blocks_that_play_as_they_do_alone(kind, per_sta
     """Five blocks of three games, each game holding every member once in a
     shuffled seat, under a budget with room for ``per_stack`` blocks (and
     not quite one more): the stacks hold whole blocks in order, a block is
-    drawn only when its stack is packed, and each block's output equals the
-    block played as a stack of its own."""
+    drawn only once the stack before it is full (it is the one that does
+    not fit), and each block's output equals the block played as a stack of
+    its own."""
     table = MemberTable.compile(PACKED_MEMBERS, warn=False)
     n, games = len(PACKED_MEMBERS), 3
     params = GameParams(n=n, rounds=8, k=2.0)
-    # the kernel-less coin weighs its history, five words per slot per round
-    words = engine.slot_words(table, params.rounds)
-    assert words == 8 + max(P.shape[1] for P in table.params) + 5 * params.rounds
-    block_words = words * games * n
+    # the kernel-less coin weighs its game's history, more every round
+    words = engine.slot_words(table, params)
+    grows = words > engine.slot_words(table, GameParams(n=n, rounds=7, k=2.0))
+    assert grows.tolist() == [member.kernel is None for member in PACKED_MEMBERS]
+    block_words = int(words.sum()) * games
     monkeypatch.setattr(engine, "STACK_WORDS", block_words * (per_stack + 1) - 1)
     rng = np.random.default_rng(per_stack)
     blocks = [(np.array([rng.permutation(n) for _ in range(games)]), 100 + b) for b in range(5)]
@@ -222,7 +226,7 @@ def test_play_blocks_packs_whole_blocks_that_play_as_they_do_alone(kind, per_sta
     played = list(play_blocks(kind, params, table, lazily()))
     seeds = [seed for _, seed in blocks]
     assert stacks == [
-        (seeds[i : i + per_stack], seeds[: i + per_stack]) for i in range(0, 5, per_stack)
+        (seeds[i : i + per_stack], seeds[: i + per_stack + 1]) for i in range(0, 5, per_stack)
     ]
     assert len(played) == len(blocks)
     for (lineups, seed), (totals, welfare) in zip(blocks, played):
@@ -233,13 +237,38 @@ def test_play_blocks_packs_whole_blocks_that_play_as_they_do_alone(kind, per_sta
     assert list(play_blocks(kind, params, table, [])) == []
 
 
+def test_play_blocks_charges_each_block_the_words_of_its_own_slots(monkeypatch):
+    """A block of light members weighs less than one of heavy members, so
+    a budget that holds two heavy blocks holds more light ones; the stacks
+    follow the running sum of each block's ``slot_words``."""
+    light, heavy = make_reference("allc"), _policy_member(40)
+    table = MemberTable.compile([light, heavy], warn=False)
+    params = GameParams(n=4, rounds=3, k=2.0)
+    light_words, heavy_words = engine.slot_words(table, params)
+    assert heavy_words > 5 * light_words
+    monkeypatch.setattr(engine, "STACK_WORDS", 2 * 4 * heavy_words)
+    member = [0, 0, 0, 0, 0, 1, 1, 0, 1]  # each block is one game of one member
+    blocks = [(np.full((1, 4), m), b) for b, m in enumerate(member)]
+    stacks = []
+
+    def recorded(kind, params, groups, n_games, seed):
+        stacks.append(list(seed))
+        return simulate_batch(kind, params, groups, n_games, seed)
+
+    monkeypatch.setattr(engine, "simulate_batch", recorded)
+    assert len(list(play_blocks(GameKind.PUBLIC_GOODS, params, table, blocks))) == len(blocks)
+    assert stacks == [[0, 1, 2, 3, 4, 5], [6, 7], [8]]
+
+
 def test_play_blocks_names_a_faulting_block_by_its_place_in_the_input(monkeypatch):
     """Blocks of two games pack two to a stack; the raising member sits only
     in block 3, the second block of the second stack."""
     good, bad = make_reference("allc"), Strategy("broken", "file", _raises)
     table = MemberTable.compile([good, bad], warn=False)
     params = GameParams(n=3, rounds=2, k=2.0)
-    monkeypatch.setattr(engine, "STACK_WORDS", engine.slot_words(table, 2) * 2 * 3 * 2)
+    good_words, bad_words = engine.slot_words(table, params)
+    # room for blocks 2 and 3: eleven good slots and the bad one
+    monkeypatch.setattr(engine, "STACK_WORDS", 11 * good_words + bad_words)
     blocks = [(np.zeros((2, 3), dtype=np.int64), b) for b in range(5)]
     blocks[3] = (np.array([[0, 0, 0], [0, 0, 1]]), 3)
     with pytest.raises(StrategyFault) as info:
@@ -336,12 +365,12 @@ def _stacked_one_by_one(lineup: list[Strategy]) -> list[KernelGroup]:
         rows, slots = by_family.setdefault(name, ([], []))
         rows.append(vec)
         slots.append(slot)
-    groups = []
+    groups, lineup = [], np.arange(len(lineup))
     for name, (rows, slots) in by_family.items():
         family = FAMILIES[name]
         P = family.stack(rows)
         slots = np.array(slots)
-        groups.append(KernelGroup(family, P, slots, slots, table, family.new_state(P)))
+        groups.append(KernelGroup(family, P, slots, lineup, table, family.new_state(P)))
     return groups
 
 
@@ -363,7 +392,8 @@ def test_gathered_groups_match_groups_stacked_one_by_one(kind, n, games, data):
     assert [g.family.name for g in gathered] == [g.family.name for g in reference]
     for got, want in zip(gathered, reference):
         assert np.array_equal(got.slots, want.slots)
-        assert list(table.labels[got.members]) == list(want.table.labels[want.members])
+        assert list(table.labels[got.lineup[got.slots]]) == list(
+            want.table.labels[want.lineup[want.slots]])
         width = want.params.shape[1]
         assert np.array_equal(got.params[:, :width], want.params, equal_nan=True)
         extra = got.params[:, width:]
@@ -388,7 +418,7 @@ def test_kernel_less_members_form_their_own_group():
     assert (kernel.family.name, callable_.family.name) == ("constant", "callable")
     assert kernel.slots.tolist() == [0, 2]
     assert callable_.slots.tolist() == [1, 3]
-    assert list(table.labels[callable_.members]) == ["AllD", "AllD"]
+    assert list(table.labels[callable_.lineup[callable_.slots]]) == ["AllD", "AllD"]
     assert all(s is bare for s in callable_.params[:, 0])
 
 
@@ -510,3 +540,65 @@ def test_stochastic_strategies_reproducible(seed):
     a = play_game(GameKind.COLLECTIVE_RISK, params, lineup, seed=seed)
     b = play_game(GameKind.COLLECTIVE_RISK, params, lineup, seed=seed)
     assert np.array_equal(a.coop, b.coop)
+
+
+def _members(family: str, rows) -> list[Strategy]:
+    return [kernel_strategy(family, *row, label=f"{family}{i}") for i, row in enumerate(rows)]
+
+
+# One stack per case, of a single family but for "callable": games of
+# constants that each seat one kernel-less member. (members, game)
+HELD_CASES = {
+    "constant": (_members("constant", [(0.0,), (1.0,)]), GameKind.PUBLIC_GOODS),
+    "bernoulli": (_members("bernoulli", [(0.2,), (0.7,)]), GameKind.PUBLIC_GOODS),
+    "threshold_trigger": (
+        _members("threshold_trigger", [(1.0, 3.0, 1.0), (0.0, 8.0, 0.0)]), GameKind.PUBLIC_GOODS,
+    ),
+    "reciprocator": (_members("reciprocator", [(0.5, 0.1), (0.9, 0.3)]), GameKind.PUBLIC_GOODS),
+    "grim": (_members("grim", [(0.25,), (0.75,)]), GameKind.PUBLIC_GOODS),
+    "endgame": (_members("endgame", [(2.0, 0.5), (5.0, 0.25)]), GameKind.PUBLIC_GOODS),
+    "stock_guardian": (_members("stock_guardian", [(0.3,), (0.6,)]), GameKind.COMMON_POOL),
+    "rota": (_members("rota", [(3.0, 1.0, 1.0), (2.0, 0.0, 0.0)]), GameKind.PUBLIC_GOODS),
+    "callable": (
+        _members("constant", [(0.0,), (1.0,)]) + [kernel_strategy("bernoulli", 0.2).without_kernel()],
+        GameKind.PUBLIC_GOODS,
+    ),
+    "policy-1": ([_policy_member(1)], GameKind.COMMON_POOL),
+    "policy-5": ([_policy_member(5)], GameKind.COMMON_POOL),
+    "policy-40": ([_policy_member(40)], GameKind.COMMON_POOL),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HELD_CASES))
+def test_a_stack_holds_what_slot_words_charges(case):
+    """A stack as large as the default budget lets it be holds (its
+    tracemalloc peak) within a factor of 1.5, either way, of the
+    ``slot_words`` its slots are charged, so a full stack holds about
+    ``STACK_WORDS``. Held against charged, in words per slot, at n = 16 and
+    20 rounds: constant 6.1/6, bernoulli 8.3/10, threshold_trigger
+    12.1/11, reciprocator 12.9/14, grim 9.9/9, endgame 11.8/11,
+    stock_guardian 10.1/9, rota 19.1/16, one kernel-less slot a game among
+    constants 152/147, and policy tables of 1, 5 and 40 rules 40/41, 95/97
+    and 580/587."""
+    members, kind = HELD_CASES[case]
+    table = MemberTable.compile(members, warn=False)
+    n, params = 16, GameParams(n=16, rounds=20, k=2.0)
+    words = engine.slot_words(table, params)
+    rng = np.random.default_rng(1)
+    lineups = rng.integers(0, len(members), (4096, n))
+    if case == "callable":
+        lineups = rng.integers(0, len(members) - 1, (4096, n))
+        lineups[:, 0] = len(members) - 1
+    charged = np.cumsum(words[lineups].sum(axis=1))
+    lineups = lineups[: np.searchsorted(charged, engine.STACK_WORDS, side="right")]
+    list(play_blocks(kind, params, table, [(lineups[:1], 1)]))  # first-call allocations
+    gc.collect()  # so that no earlier garbage is collected, and counted, in the stack
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        list(play_blocks(kind, params, table, [(lineups, 1)]))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    held, charge = peak / (8 * lineups.size), words[lineups].mean()
+    assert 1 / 1.5 <= held / charge <= 1.5, f"{case}: holds {held:.1f} words, charged {charge:.1f}"

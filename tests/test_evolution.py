@@ -337,19 +337,30 @@ class TestBatchRuns:
         assert summary.threshold_reached == 5
         assert summary.average_generations == 0.0
 
-    def test_each_run_is_a_lone_run_on_its_derived_seed(self, monkeypatch):
+    @pytest.mark.parametrize("words, per_stack", [(1, 1), (None, None), (1 << 40, 5)],
+                             ids=["run-per-stack", "default-stacks", "all-runs-per-stack"])
+    def test_each_run_is_a_lone_run_on_its_derived_seed(self, monkeypatch, words, per_stack):
         """A run's record and history depend only on its address (master
         seed, run), whatever the runs beside it in a stack: stochastic
         families, policy members with rule probabilities inside (0, 1) and a
         kernel-less coin all draw on the run's own stream, runs end at
-        different generations, and the runs span several stacks."""
+        different generations, and the runs play one to a stack, as the
+        default budget packs them, or all five in one."""
         config = lockstep_config()
         seeds = [derive_seed(LOCKSTEP_SEED, run) for run in range(5)]
         lone = [run_evolution(replace(config, master_seed=seed)) for seed in seeds]
-        # room for two runs per stack
-        monkeypatch.setattr(engine, "STACK_WORDS", engine.slot_words(
-            config.member_table, config.params.rounds) * config.population * 4 * 2)
+        if words is not None:
+            monkeypatch.setattr(engine, "STACK_WORDS", words)
+        stacked, play = [], engine.simulate_batch
+
+        def recorded(kind, params, groups, n_games, seed):
+            stacked.append(len(seed))
+            return play(kind, params, groups, n_games, seed)
+
+        monkeypatch.setattr(engine, "simulate_batch", recorded)
         summary = batch_runs(config, 5)
+        if per_stack is not None:
+            assert max(stacked) == per_stack
         assert summary.runs == [
             RunRecord(run, result.winner, result.terminated_by, result.generations_run,
                       result.history[-1].welfare_efficiency)

@@ -100,3 +100,39 @@ def test_an_undeclared_draw_is_caught(monkeypatch):
     monkeypatch.setattr(type(FAMILIES["bernoulli"]), "reads", ())
     with pytest.raises(AssertionError):
         assert_reads_suffice(*case)
+
+
+def _state_arrays(state, depth=3):
+    """Every array a family's state holds, through namespaces, records and
+    dicts, ``depth`` levels down."""
+    if isinstance(state, np.ndarray):
+        yield state
+    elif depth and isinstance(state, dict):
+        for value in state.values():
+            yield from _state_arrays(value, depth - 1)
+    elif depth and hasattr(state, "__dict__") and not isinstance(state, type):
+        for value in vars(state).values():
+            yield from _state_arrays(value, depth - 1)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FAMILIES))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_decisions_are_new_arrays_the_family_leaves_alone(name, data):
+    """The engine keeps a round's decisions as the next round's ``prev_c``,
+    so ``decide_batch`` returns an array that is no part of its state and
+    that the next round's call leaves as it was."""
+    name, kind, params, rows, history, seed = data.draw(cases(name))
+    family = ALL_FAMILIES[name]
+    P = family.stack(rows)
+    state = family.new_state(P)
+    kept = []
+    for view in forced_views(kind, params, history, seed):
+        try:
+            acts = decide_group(family, P, state, view)
+        except SlotFault:
+            break
+        assert not any(np.shares_memory(acts, a) for a in _state_arrays(state))
+        kept.append((acts, acts.copy()))
+    for acts, copy in kept:
+        assert np.array_equal(acts, copy)

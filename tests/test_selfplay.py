@@ -122,12 +122,28 @@ SYNTH_C = {"type": "synth", "size": 16, "families": [
 ]}
 
 
+def _policy_pool_file(path) -> dict:
+    """A pool source of eight policy members that decide at random."""
+    members = [
+        {"label": f"mixed{i}", "default_prob": 0.1 * i, "rules": [
+            {"when": {"op": "last_coop_ge", "value": i % 4}, "cooperate_prob": 0.9},
+            {"when": {"op": "coop_rate_ge", "value": 0.25 * (i % 3)}, "cooperate_prob": 0.4},
+        ]}
+        for i in range(8)
+    ]
+    path.write_text(json.dumps({"schema_version": 1, "gene_tag": "e",
+                                "attitude": "exploitative", "members": members}))
+    return {"type": "file", "path": str(path)}
+
+
+@pytest.mark.parametrize("pool_e", ["synth", "policy"])
 @pytest.mark.parametrize("kind", ["pgg", "cpr", "crd"])
-def test_a_grid_cell_depends_only_on_its_address(kind, tmp_path, monkeypatch):
-    """Stochastic synth pools, one of whose members has no kernel, write the
-    same ``grid.csv`` whether a stack holds every cell of a group size, a few
-    or one; each row is its cell's lineups played as a stack of their own on
-    the cell's kernel seed."""
+def test_a_grid_cell_depends_only_on_its_address(kind, pool_e, tmp_path, monkeypatch):
+    """Stochastic pools, synth or a policy file beside a synth pool, one of
+    whose members has no kernel, write the same ``grid.csv`` whether a stack
+    holds every cell of a group size, a few or one, at the default budget
+    and smaller ones; each row is its cell's lineups played as a stack of
+    their own on the cell's kernel seed."""
     real_load = cli.load_pool_source
 
     def one_bare(spec, seed, index):
@@ -152,11 +168,12 @@ def test_a_grid_cell_depends_only_on_its_address(kind, tmp_path, monkeypatch):
     path.write_text(json.dumps({
         "schema_version": 1, "seed": 3, "game": {"kind": kind, "k": 2.0, "rounds": 6},
         "group_sizes": [4, 8], "samples_per_cell": 10,
-        "pool_e": {"gene_tag": "e", "attitude": "exploitative", "source": SYNTH_E},
+        "pool_e": {"gene_tag": "e", "attitude": "exploitative", "source": (
+            SYNTH_E if pool_e == "synth" else _policy_pool_file(tmp_path / "policy.json"))},
         "pool_c": {"gene_tag": "c", "attitude": "collective", "source": SYNTH_C},
     }))
     digests = set()
-    for budget in (1 << 17, 1 << 13, 1 << 10):
+    for budget in (engine.STACK_WORDS, 1 << 17, 1 << 13, 1 << 10):
         monkeypatch.setattr(engine, "STACK_WORDS", budget)
         out = tmp_path / f"out{budget}"
         assert cli.main(["selfplay", "--config", str(path), "--out", str(out)]) == 0
