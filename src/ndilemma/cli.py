@@ -184,7 +184,15 @@ def _load_config(args: argparse.Namespace) -> tuple[_Entry, int]:
             f"expected {CONFIG_SCHEMA_VERSION}"
         )
     seed = config.get("seed", int, 0)
-    return config, seed if args.seed is None else args.seed
+    if args.seed is not None:
+        seed = args.seed
+    _check_seed(seed)
+    return config, seed
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
 
 
 def _game_params(game: _Entry, n: int | None = None) -> tuple[GameKind, GameParams]:
@@ -261,6 +269,8 @@ def _pool_from_source(pool: _Entry, master_seed: int, pool_index: int) -> Strate
     for member in source.entries("members"):
         kind = member.need("kind", str).lower()
         count = member.get("count", int, 1)
+        if count < 1:
+            raise ConfigError(f"{member.where('count')} must be >= 1, got {count}")
         if kind == "rnd":
             ref = make_reference(kind, p=member.get("p", float, 0.5))
         elif kind in ("cc", "cd"):
@@ -483,6 +493,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     params.validate_for(kind)
     if args.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {args.trials}")
+    _check_seed(args.seed)
     pool = load_pool(args.pool)
     reports = validate_pool(pool, kind, params, trials=args.trials, seed=args.seed)
     failed = [rep for rep in reports if not rep.passed]

@@ -7,10 +7,7 @@ compiled policy files) decide per family for all their slots at once. A
 strategy without a kernel, such as a user-written callable, plays as the
 ``callable`` family: its ``decide`` is called once per decision on the
 ``Observation`` a per-decision loop would build, so only its own slots pay
-the per-decision cost. A kernel strategy's own ``decide`` (a family's
-``decide_one`` or the policy interpreter) is the reference that its
-``without_kernel()`` copy plays; deterministic strategies give identical
-games either way (asserted by the test suite).
+the per-decision cost. A strategy with a kernel always plays it.
 
 ``play_blocks`` packs independent blocks of games (grid cells, evolution
 runs) into stacks; a block draws only from its own kernel seed, so it plays
@@ -85,7 +82,7 @@ class HistoryAccumulator:
 
     Tracks completed rounds plus the running aggregates needed to build
     observations in O(1) per player. The ``callable`` family keeps one per
-    game; the per-decision fingerprint reference keeps one per rollout.
+    game and records each round as the stack played it.
     """
 
     def __init__(self, kind: GameKind, params: GameParams):
@@ -119,21 +116,12 @@ class HistoryAccumulator:
         )
 
     def push_round(
-        self,
-        coop: Sequence[bool],
-        payoffs: np.ndarray | None = None,
-        stock_after: float | None = None,
+        self, coop: np.ndarray, payoffs: np.ndarray, stock_after: float | None
     ) -> RoundRecord:
-        """Record a completed round. ``payoffs`` and ``stock_after`` are its
-        payoff row and next stock (None outside the common-pool game), which
-        the engine hands over; without them they come from
-        ``batch_round_payoffs`` on this one game."""
-        row = np.asarray(coop, dtype=bool)
-        if payoffs is None:
-            stock = None if self.stock is None else np.array([self.stock])
-            pays, next_stock = batch_round_payoffs(self.kind, self.params, row[None], stock)
-            payoffs, stock_after = pays[0], None if next_stock is None else next_stock[0]
-        coop = row.tolist()
+        """Record a completed round: its bool actions, its payoff row and
+        its next stock (None outside the common-pool game), as the engine
+        played them."""
+        coop = coop.tolist()
         record = RoundRecord(
             actions=tuple(Action.C if c else Action.D for c in coop),
             payoffs=tuple(payoffs.tolist()),

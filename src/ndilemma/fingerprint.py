@@ -20,11 +20,8 @@ such a family plays each node once, and that game's action is the node's
 value. Each strategy still draws from its own random stream, in the order
 it would alone: depth by depth, chunk by chunk, round by round. A strategy
 without a kernel plays as the engine's ``callable`` family, one ``decide``
-call per row on the ``Observation`` a per-decision replay would build.
-``_fingerprint_node_scalar`` is that per-decision replay, kept as the
-reference: deterministic strategies give identical values on both, faults
-included. Of several faulting strategies, the lowest-listed one's lone fault
-is raised.
+call per row on the ``Observation`` a per-decision replay would build. Of
+several faulting strategies, the lowest-listed one's lone fault is raised.
 
 Variation within and between labelled sets of fingerprints is summarised by
 the normalised mean pairwise distance, Cohen's d between set centroids, and
@@ -42,15 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import (
-    CALLABLE,
-    HistoryAccumulator,
-    MemberTable,
-    StrategyFault,
-    decide_checked,
-    decide_group,
-)
-from .games import Action, GameKind, GameParams, batch_round_payoffs, cpr_next_stock
+from .engine import CALLABLE, MemberTable, StrategyFault, decide_group
+from .games import GameKind, GameParams, batch_round_payoffs, cpr_next_stock
 from .kernels import KernelFamily, SlotFault, SlotView
 from .seeding import derive_seed, rng_for
 from .strategies import Strategy
@@ -87,33 +77,6 @@ def enumerate_nodes(n_players: int = 4, rounds: int = 5) -> list[DecisionNode]:
         for counts in itertools.product(range(n_players), repeat=depth):
             nodes.append(DecisionNode(depth, counts))
     return nodes
-
-
-def _forced_opponent_actions(count: int, n: int) -> list[Action]:
-    # opponents occupy indices 1..n-1; the first `count` of them cooperate
-    return [Action.C] * count + [Action.D] * (n - 1 - count)
-
-
-def _fingerprint_node_scalar(
-    strategy: Strategy,
-    kind: GameKind,
-    params: GameParams,
-    node: DecisionNode,
-    rollouts: int,
-    rng: np.random.Generator,
-) -> float:
-    cooperations = 0
-    for _ in range(rollouts):
-        acc = HistoryAccumulator(kind, params)
-        for forced in node.counts:
-            own = decide_checked(strategy, acc.observation_for(0), rng, 0)
-            acc.push_round(
-                [own is Action.C] + [a is Action.C for a in _forced_opponent_actions(forced, params.n)]
-            )
-        final = decide_checked(strategy, acc.observation_for(0), rng, 0)
-        if final is Action.C:
-            cooperations += 1
-    return cooperations / rollouts
 
 
 # Rows per stack; deeper levels of large games are split into several stacks,

@@ -107,9 +107,6 @@ class RoundRecord:
     stock_before: float | None = None
     stock_after: float | None = None
 
-    def cooperator_count(self) -> int:
-        return sum(1 for a in self.actions if a is Action.C)
-
 
 def _check_actions(actions: Sequence[Action], n: int) -> None:
     if len(actions) != n:
@@ -125,14 +122,10 @@ def cpr_next_stock(
     """Stock after extraction by ``n_c`` cooperators plus logistic regrowth.
 
     ``stock`` and ``n_c`` are numbers or arrays that broadcast together.
-    Numbers give a plain float (its ``repr`` goes into the CSVs), arrays an
-    array.
     """
     remaining = stock * n_c / (2 * params.n)
     grown = remaining + 2.0 * remaining * (1.0 - remaining / params.capacity)
-    if isinstance(grown, np.ndarray):
-        return np.minimum(grown, params.capacity)
-    return min(grown, params.capacity)
+    return np.minimum(grown, params.capacity)
 
 
 # ---------------------------------------------------------------------------

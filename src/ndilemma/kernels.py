@@ -1,19 +1,16 @@
-"""Built-in strategy families: batched deciders and per-decision references.
+"""Built-in strategy families, each written once, as a batched decider.
 
 Each family's ``decide_batch`` works on arrays over many (game, player)
 slots at once; every game plays it, from one ``play_game`` to grids with
-tens of thousands of games and group sizes in the hundreds. Each family
-keeps the same rule as ``decide_one`` on a single ``Observation``: the
-reference the tests compare against. It is a kernel strategy's ``decide``,
-which its ``without_kernel()`` copy plays one decision at a time as the
-engine's ``callable`` family; deterministic families must produce identical
-games both ways. The ``policy`` family is the exception: its rows are rule
-tables compiled from policy files, and its per-decision reference is the
-rule interpreter in ``policy``.
+tens of thousands of games and group sizes in the hundreds. A kernel
+strategy is its family and parameter row, with no ``decide`` of its own;
+the per-decision twins that the tests compare the kernels with are in
+``tests/reference.py``. The ``policy`` family's rows are rule tables
+compiled from policy files; its members keep the rule interpreter in
+``policy`` as their ``decide``.
 
 A family that draws names ``u`` in its ``reads``: one uniform per slot per
-round, drawn by the engine. Its ``decide_one`` draws at most once per
-decision, so handed the same uniform it decides alike.
+round, drawn by the engine.
 
 Kernel state: ``decide_batch`` is called once per round, from round 0 on,
 on the state ``new_state`` made for the same rows of ``P``. A family keeps
@@ -36,8 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .games import Action, GameKind, GameParams
-from .strategies import Observation, Strategy
+from .games import GameKind, GameParams
+from .strategies import Strategy
 
 _EPS = 1e-9
 
@@ -140,9 +137,6 @@ class KernelFamily:
         says otherwise."""
         return width + 1 + sum(FIELD_WORDS.get(name, 0) for name in self.reads)
 
-    def decide_one(self, params: tuple[float, ...], obs: Observation, rng) -> Action:
-        raise NotImplementedError
-
     def decide_batch(self, P: np.ndarray, state, view: SlotView) -> np.ndarray:
         """One round's decisions, a new bool array with one entry per row
         of ``P``. Called once per round from round 0 on ``new_state(P)``;
@@ -162,9 +156,6 @@ class Constant(KernelFamily):
         super().validate(params)
         if params[0] not in (0.0, 1.0):
             raise ValueError(f"constant cooperate flag must be 0 or 1, got {params[0]}")
-
-    def decide_one(self, params, obs, rng):
-        return Action.C if params[0] >= 0.5 else Action.D
 
     def new_state(self, P):
         return P[:, 0] >= 0.5
@@ -187,9 +178,6 @@ class Bernoulli(KernelFamily):
         super().validate(params)
         if not 0.0 <= params[0] <= 1.0:
             raise ValueError(f"bernoulli p must be in [0, 1], got {params[0]}")
-
-    def decide_one(self, params, obs, rng):
-        return Action.C if rng.random() < params[0] else Action.D
 
     def new_state(self, P):
         return P[:, 0].copy()
@@ -218,12 +206,6 @@ class ThresholdTrigger(KernelFamily):
         if params[1] < 0 or params[1] != int(params[1]):
             raise ValueError(f"threshold must be a non-negative integer, got {params[1]}")
 
-    def decide_one(self, params, obs, rng):
-        if obs.round_index == 0:
-            return Action.C if params[0] >= 0.5 else Action.D
-        meets = obs.opp_coop_last >= params[1]
-        return Action.C if meets == (params[2] >= 0.5) else Action.D
-
     def new_state(self, P):
         return SimpleNamespace(
             first=P[:, 0] >= 0.5, threshold=P[:, 1].copy(), sense=P[:, 2] >= 0.5
@@ -248,13 +230,6 @@ class Reciprocator(KernelFamily):
         super().validate(params)
         if not 0.0 <= params[0] <= 1.0 or not 0.0 <= params[1] <= 1.0:
             raise ValueError("reciprocator params must be fractions in [0, 1]")
-
-    def decide_one(self, params, obs, rng):
-        if obs.round_index == 0:
-            return Action.C
-        if obs.opp_coop_last >= params[0] * (obs.n_players - 1) - _EPS:
-            return Action.C
-        return Action.C if rng.random() < params[1] else Action.D
 
     def new_state(self, P):
         return SimpleNamespace(limit=None, forgive=P[:, 1].copy())
@@ -283,16 +258,6 @@ class Grim(KernelFamily):
         if not 0.0 <= params[0] <= 1.0:
             raise ValueError(f"grim tolerance must be in [0, 1], got {params[0]}")
 
-    def decide_one(self, params, obs, rng):
-        n_opp = obs.n_players - 1
-        limit = params[0] * n_opp + _EPS
-        me = obs.my_index
-        for rec in obs.history:
-            opp_coop = rec.cooperator_count() - (1 if rec.actions[me] is Action.C else 0)
-            if n_opp - opp_coop > limit:
-                return Action.D
-        return Action.C
-
     def new_state(self, P):
         return SimpleNamespace(limit=None, broken=np.zeros(len(P), dtype=bool))
 
@@ -318,14 +283,6 @@ class Endgame(KernelFamily):
             raise ValueError(f"endgame horizon must be a positive integer, got {params[0]}")
         if not 0.0 <= params[1] <= 1.0:
             raise ValueError("endgame threshold_frac must be in [0, 1]")
-
-    def decide_one(self, params, obs, rng):
-        if obs.rounds_left <= params[0]:
-            return Action.D
-        if obs.round_index == 0:
-            return Action.C
-        meets = obs.opp_coop_last >= params[1] * (obs.n_players - 1) - _EPS
-        return Action.C if meets else Action.D
 
     def new_state(self, P):
         return SimpleNamespace(horizon=P[:, 0].copy(), limit=None)
@@ -357,12 +314,6 @@ class StockGuardian(KernelFamily):
         if not 0.0 < params[0] <= 1.0:
             raise ValueError(f"guard_frac must be in (0, 1], got {params[0]}")
 
-    def decide_one(self, params, obs, rng):
-        frac = obs.stock_fraction
-        if frac is None:
-            raise KernelError("stock_guardian requires a common-pool game")
-        return Action.C if frac >= params[0] - _EPS else Action.D
-
     def new_state(self, P):
         return P[:, 0] - _EPS
 
@@ -391,25 +342,6 @@ class Rota(KernelFamily):
             raise ValueError(f"rota phase must be an integer in [0, period), got {phase}")
         if punish not in (0.0, 1.0):
             raise ValueError("rota punish flag must be 0 or 1")
-
-    @staticmethod
-    def _scheduled_count(t: int, period: int, phase: int, n: int) -> int:
-        # number of player indices j in [0, n) with (t + j) % period == phase
-        resid = (phase - t) % period
-        if resid >= n:
-            return 0
-        return (n - 1 - resid) // period + 1
-
-    def decide_one(self, params, obs, rng):
-        period, phase = int(params[0]), int(params[1])
-        if params[2] >= 0.5 and obs.round_index > 0:
-            last = obs.round_index - 1
-            own_sched = (last + obs.my_index) % period == phase
-            expected = self._scheduled_count(last, period, phase, obs.n_players) - own_sched
-            if obs.opp_coop_last < expected:
-                return Action.D
-        on_duty = (obs.round_index + obs.my_index) % period == phase
-        return Action.C if on_duty else Action.D
 
     def new_state(self, P):
         punish = P[:, 2] >= 0.5
@@ -478,8 +410,7 @@ class PolicyTable(KernelFamily):
     ``ratio_ge``), the comparison, the value, the cooperation probability
     and a flag for rules that read ``stock_frac``. Fields index ``FIELDS``
     and comparisons index ``COMPARISONS``; ``row`` encodes a table. The rule
-    interpreter in ``policy`` is the per-decision form of the same rules, so
-    this family has no ``decide_one``.
+    interpreter in ``policy`` is the per-decision form of the same rules.
 
     ``decide_batch`` evaluates every rule of every slot at once against a
     (slots, fields) matrix of observables in which undefined fields are NaN,
@@ -629,11 +560,7 @@ def kernel_strategy(
     fam.validate(vec)
     if label is None:
         label = f"{family}({', '.join(repr(p) for p in vec)})"
-
-    def decide(obs: Observation, rng: np.random.Generator) -> Action:
-        return fam.decide_one(vec, obs, rng)
-
-    return Strategy(label=label, origin=origin, decide=decide, kernel=(family, vec))
+    return Strategy(label=label, origin=origin, kernel=(family, vec))
 
 
 def make_reference(

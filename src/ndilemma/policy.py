@@ -16,10 +16,10 @@ into rejections.
 Each member is compiled to a rule table (``compile_spec``) that the
 ``policy`` kernel family evaluates for whole stacks of games at once, and
 every game plays that table on the one engine, ``play_game`` and the
-validation gate included. The interpreter here is the per-decision
-reference the tests compare against: it is the ``decide`` of a member's
-``without_kernel()`` copy. A trap names the same exception type and message
-on both; the table adds the index of the rule that trapped.
+validation gate included. The interpreter here is a member's ``decide``:
+the per-decision form of its rules that the tests compare the table with.
+A trap names the same exception type and message on both; the table adds
+the index of the rule that trapped.
 
 File schema (JSON, versioned; see docs/formats.md for the byte-level
 description)::

@@ -1,11 +1,13 @@
 """Strategy and observation types.
 
-A strategy is a value object wrapping a decision rule ``(Observation, rng) ->
-Action``. Decision rules see only completed rounds (actions and payoffs) plus
-the common-pool stock; the in-progress round is never observable, which is
-what makes the games simultaneous-move. Strategies must be reproducible given
-the random stream and must not retain state across games; the engine hands
-each decision a fresh ``Observation``.
+A strategy is a value object holding a kernel (a family and its parameter
+row), a decision rule ``(Observation, rng) -> Action`` that plays one
+decision at a time, or, for a policy member, both. Decision rules see
+only completed rounds (actions and payoffs) plus the common-pool stock; the
+in-progress round is never observable, which is what makes the games
+simultaneous-move. Strategies must be reproducible given the random stream
+and must not retain state across games; the engine hands each decision a
+fresh ``Observation``.
 """
 
 from __future__ import annotations
@@ -85,27 +87,27 @@ DecideFn = Callable[[Observation, np.random.Generator], Action]
 
 @dataclass(frozen=True)
 class Strategy:
-    """A labelled decision rule, optionally with a vectorisable kernel.
+    """A labelled strategy: a vectorisable kernel, a decision rule, or both.
 
     ``kernel`` is ``(family_name, params)`` for strategies drawn from the
     built-in parametric families and for policy-file members (family
     ``policy``, whose params are the compiled rule table); the engine uses
-    it to run whole stacks of games as array operations. There is one
-    engine: a strategy without a kernel, such as a user-written callable,
-    plays inside the same stacks as the ``callable`` family, which calls
-    ``decide`` once per decision. For a kernel strategy ``decide`` is the
-    per-decision reference (a family's ``decide_one`` or the policy
-    interpreter), played by its ``without_kernel()`` copy.
+    it to run whole stacks of games as array operations, and a strategy
+    with a kernel always plays it. There is one engine: a strategy without
+    a kernel, such as a user-written callable, plays inside the same stacks
+    as the ``callable`` family, which calls ``decide`` once per decision.
+    A built-in member's ``decide`` is None; a policy member's is the rule
+    interpreter.
     """
 
     label: str
     origin: str  # "reference" | "parametric" | "file"
-    decide: DecideFn
+    decide: DecideFn | None = None
     kernel: tuple[str, tuple[float, ...]] | None = None
 
-    def without_kernel(self) -> "Strategy":
-        """Copy of this strategy that plays ``decide`` once per decision."""
-        return Strategy(self.label, self.origin, self.decide, None)
+    def __post_init__(self) -> None:
+        if self.decide is None and self.kernel is None:
+            raise ValueError(f"strategy {self.label!r} has neither a decide nor a kernel")
 
 
 @dataclass(frozen=True)

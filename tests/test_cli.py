@@ -675,9 +675,10 @@ class TestUnknownConfigKeys:
 
 
 class TestInexactConfigValues:
-    """A boolean, or a fractional number for an integer key, exits 1 naming
-    its key before the output directory is created, instead of being cast
-    (2.7 rollouts used to play 2, and true played as 1)."""
+    """A boolean, a fractional number for an integer key, or a reference
+    member's count below 1, exits 1 naming its key before the output
+    directory is created, instead of being cast or dropped (2.7 rollouts
+    used to play 2, true played as 1, and a count of -3 as none)."""
 
     CASES = {
         "fractional-rollouts": (
@@ -703,6 +704,13 @@ class TestInexactConfigValues:
             "evolve",
             _with_source(0, {"type": "reference", "members": [{"kind": "allc", "count": 2.5}]}),
             "genes[0].source.members[0].count must be ",
+        ),
+        "count-below-one": (
+            "evolve",
+            _with_source(0, {"type": "reference", "members": [
+                {"kind": "allc", "count": -3}, {"kind": "alld", "count": 2},
+            ]}),
+            "genes[0].source.members[0].count must be >= 1, got -3",
         ),
         "string-p": (
             "selfplay",
@@ -758,6 +766,34 @@ class TestInexactConfigValues:
             assert main(["fingerprint", "--config", str(config), "--out", str(out)]) == 0
             outputs.append((out / "fingerprints.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestNegativeSeed:
+    """A negative master seed, from the config or ``--seed``, exits 1 naming
+    ``seed`` before the output directory is created."""
+
+    @pytest.mark.parametrize("command, doc, flags, seed", [
+        ("selfplay", selfplay_config(seed=-2), [], -2),
+        ("evolve", TestEvolve().evolve_config(), ["--seed", "-3"], -3),
+        ("fingerprint", TestFingerprintCmd().fingerprint_config(), ["--seed", "-1"], -1),
+    ], ids=["selfplay", "evolve", "fingerprint"])
+    def test_pipeline_command_exits_one(self, tmp_path, capsys, command, doc, flags, seed):
+        config = write_json(tmp_path / "cfg.json", doc)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: seed must be a non-negative integer, got {seed}\n"
+        assert not out.exists()
+
+    def test_validate_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "rep"
+        code = main([
+            "validate", str(REPO / "configs" / "pool_example.json"),
+            "--game", "pgg", "--n", "4", "--seed", "-3", "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -3\n"
+        assert not out.exists()
 
 
 class _Built(Exception):

@@ -4,8 +4,9 @@ by round over forced histories.
 Each family's ``decide_batch`` keeps whatever does not change between
 rounds in its state: thresholds and flags from ``P``, and for ``rota`` the
 place of every slot in its schedule, stepped by one a round. Played on fresh
-state from round 0, it must decide every slot exactly as ``decide_one`` does
-on the ``HistoryAccumulator`` observation of the same history. From round 1
+state from round 0, it must decide every slot exactly as its reference in
+``reference`` does on the ``HistoryAccumulator`` observation of the same
+history. From round 1
 on the kernel is handed a parameter matrix of NaN, so a family that still
 read ``P`` after round 0 would decide differently or fail.
 """
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from conftest import forced_views, kernel_row
+from reference import push_round, reference_decide
 
 from ndilemma import Action, GameKind, GameParams
 from ndilemma.engine import HistoryAccumulator
@@ -47,10 +49,10 @@ def test_each_slot_decides_as_its_reference_every_round(name, data):
         acts = family.decide_batch(P if t == 0 else poisoned, state, view)
         for slot, member in enumerate(lineup):
             game, player = divmod(slot, n)
-            want = member.decide(accumulators[game].observation_for(player), None)
+            want = reference_decide(member)(accumulators[game].observation_for(player), None)
             assert acts[slot] == (want is Action.C), (t, slot, member.label)
         for game, accumulator in enumerate(accumulators):
-            accumulator.push_round(history[t, game])
+            push_round(accumulator, history[t, game])
 
 
 @pytest.mark.parametrize("punish", [0.0, 1.0])
@@ -72,8 +74,8 @@ def test_rota_schedules_wrap_over_many_rounds(punish):
         for slot in range(games * n):
             game, player = divmod(slot, n)
             member = lineup[slot % games]
-            want = member.decide(accumulators[game].observation_for(player), None)
+            want = reference_decide(member)(accumulators[game].observation_for(player), None)
             assert acts[slot] == (want is Action.C), (t, slot, member.label)
         for game, accumulator in enumerate(accumulators):
-            accumulator.push_round(history[t, game])
+            push_round(accumulator, history[t, game])
 

@@ -3,7 +3,7 @@ uniform.
 
 ``bernoulli``, ``reciprocator`` and ``policy`` decide with the one uniform
 per slot that the engine hands them in ``SlotView.u``. Their references
-(``decide_one`` and the policy interpreter) draw at most once per decision,
+(in ``reference`` and the policy interpreter) draw at most once per decision,
 so a reference handed a generator that returns that slot's uniform must
 decide exactly as the kernel did, at every probability inside (0, 1). From
 round 1 on the kernel is handed a parameter matrix of NaN: what it needs of
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from conftest import forced_views
+from reference import push_round, reference_decide
 
 from ndilemma import Action, GameKind, GameParams
 from ndilemma.engine import HistoryAccumulator
@@ -90,7 +91,7 @@ def test_each_slot_decides_as_its_reference_on_its_uniform(name, data):
         for slot, (member, u) in enumerate(zip(lineup, view.u)):
             game, player = divmod(slot, n)
             obs = accumulators[game].observation_for(player)
-            want = member.decide(obs, OneDraw(float(u)))
+            want = reference_decide(member)(obs, OneDraw(float(u)))
             assert acts[slot] == (want is Action.C), (t, slot, member.label, u)
         for game, accumulator in enumerate(accumulators):
-            accumulator.push_round(history[t, game])
+            push_round(accumulator, history[t, game])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import lineup_groups
+from reference import without_kernel
 
 from ndilemma import (
     Action,
@@ -137,13 +138,13 @@ DETERMINISTIC_LINEUPS = [
 )
 def test_batch_engine_matches_scalar_engine(kind, specs):
     """Deterministic families must play identical games on both paths: the
-    reference plays each family's ``decide_one`` on ``without_kernel()``
-    copies."""
+    reference plays each family's twin in ``reference`` on
+    ``without_kernel`` copies."""
     lineup = [kernel_strategy(name, *params) for name, params in specs]
     if kind is GameKind.COMMON_POOL:
         lineup[-1] = kernel_strategy("stock_guardian", 0.6)
     params = GameParams(n=4, rounds=9, k=2.0)
-    scalar = play_game(kind, params, [s.without_kernel() for s in lineup], seed=1)
+    scalar = play_game(kind, params, [without_kernel(s) for s in lineup], seed=1)
     batch = simulate_batch(kind, params, lineup_groups(lineup), 1, seed=2, record=True)
     assert np.array_equal(scalar.coop, batch.coop[:, 0, :])
     assert np.array_equal(scalar.payoffs, batch.payoffs[:, 0, :])
@@ -324,7 +325,7 @@ def test_scalar_fallback_matches_kernel_path():
     blocks = [(np.array([[0, 1, 2, 3], [3, 2, 1, 0]]), 7)]
     kernels = MemberTable.compile(lineup)
     [(fast_totals, fast_welfare)] = play_blocks(GameKind.PUBLIC_GOODS, params, kernels, blocks)
-    bare = MemberTable.compile([s.without_kernel() for s in lineup])
+    bare = MemberTable.compile([without_kernel(s) for s in lineup])
     [(slow_totals, slow_welfare)] = play_blocks(GameKind.PUBLIC_GOODS, params, bare, blocks)
     assert np.array_equal(fast_totals, slow_totals)
     assert np.array_equal(fast_welfare, slow_welfare)
@@ -411,7 +412,7 @@ def test_gathered_groups_match_groups_stacked_one_by_one(kind, n, games, data):
 
 
 def test_kernel_less_members_form_their_own_group():
-    allc, bare = make_reference("allc"), make_reference("alld").without_kernel()
+    allc, bare = make_reference("allc"), without_kernel(make_reference("alld"))
     table = MemberTable.compile([allc, bare])
     assert [g.family.name for g in build_groups(np.array([0, 0, 0]), table)] == ["constant"]
     kernel, callable_ = build_groups(np.array([0, 1, 0, 1]), table)
@@ -451,9 +452,9 @@ def test_mixed_stacks_match_all_kernel_less_stacks(kind, n, games, data):
     picks = data.draw(st.lists(st.integers(0, len(members) - 1), min_size=n * games,
                                max_size=n * games))
     stripped = data.draw(st.lists(st.booleans(), min_size=n * games, max_size=n * games))
-    mixed = [members[m].without_kernel() if bare else members[m]
+    mixed = [without_kernel(members[m]) if bare else members[m]
              for m, bare in zip(picks, stripped)]
-    reference = [s.without_kernel() for s in mixed]
+    reference = [without_kernel(s) for s in mixed]
     params = GameParams(n=n, rounds=7, k=(1 + n) / 2)
     a = simulate_batch(kind, params, lineup_groups(mixed), games, seed=3, record=True)
     b = simulate_batch(kind, params, lineup_groups(reference), games, seed=4, record=True)
@@ -519,7 +520,7 @@ def test_lowest_faulting_slot_wins_across_groups():
 
 
 def test_kernel_less_members_log_one_warning(caplog):
-    bare = [make_reference("alld").without_kernel() for _ in range(5)]
+    bare = [without_kernel(make_reference("alld")) for _ in range(5)]
     with caplog.at_level(logging.WARNING, logger="ndilemma"):
         MemberTable.compile([make_reference("allc")] + bare)
     assert len(caplog.records) == 1
@@ -560,7 +561,8 @@ HELD_CASES = {
     "stock_guardian": (_members("stock_guardian", [(0.3,), (0.6,)]), GameKind.COMMON_POOL),
     "rota": (_members("rota", [(3.0, 1.0, 1.0), (2.0, 0.0, 0.0)]), GameKind.PUBLIC_GOODS),
     "callable": (
-        _members("constant", [(0.0,), (1.0,)]) + [kernel_strategy("bernoulli", 0.2).without_kernel()],
+        _members("constant", [(0.0,), (1.0,)])
+        + [without_kernel(kernel_strategy("bernoulli", 0.2))],
         GameKind.PUBLIC_GOODS,
     ),
     "policy-1": ([_policy_member(1)], GameKind.COMMON_POOL),

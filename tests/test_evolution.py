@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import reference_pool
+from reference import without_kernel
 
 from ndilemma import (
     Action,
@@ -214,7 +215,7 @@ class TestOneStackPerGeneration:
         )
         bare = replace(config, pools={
             gene: StrategyPool(
-                pool.gene_tag, pool.attitude, tuple(m.without_kernel() for m in pool.members)
+                pool.gene_tag, pool.attitude, tuple(without_kernel(m) for m in pool.members)
             )
             for gene, pool in config.pools.items()
         })

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import fingerprint_node, without_kernel
 
 from ndilemma import (
     Action,
@@ -97,7 +98,7 @@ class TestFingerprint:
     )
     def test_batched_path_matches_per_decision_path(self, strategy):
         fast = fingerprint(strategy, KIND, PARAMS, NODES, 50, seed=7)
-        slow = fingerprint(strategy.without_kernel(), KIND, PARAMS, NODES, 50, seed=7)
+        slow = fingerprint(without_kernel(strategy), KIND, PARAMS, NODES, 50, seed=7)
         assert np.array_equal(fast, slow)
         assert set(np.unique(fast)) <= {0.0, 1.0}  # deterministic strategies
 
@@ -170,7 +171,7 @@ class TestStackedFingerprint:
     @pytest.mark.parametrize("strategy", DETERMINISTIC_MEMBERS, ids=lambda s: s.label)
     def test_batched_path_matches_per_decision_path_in_every_game(self, strategy, kind):
         fast, fast_fault = _fingerprint_or_fault(strategy, kind)
-        slow, slow_fault = _fingerprint_or_fault(strategy.without_kernel(), kind)
+        slow, slow_fault = _fingerprint_or_fault(without_kernel(strategy), kind)
         assert fast_fault == slow_fault
         if fast_fault is None:
             assert np.array_equal(fast, slow)
@@ -193,7 +194,7 @@ class TestStackedFingerprint:
         first at node 1.0, the fifth node of depth 2."""
         member = policy_strategy(LATE_DIVIDER)
         faults = []
-        for strategy in (member, member.without_kernel()):
+        for strategy in (member, without_kernel(member)):
             with pytest.raises(StrategyFault) as info:
                 fingerprint(strategy, KIND, PARAMS, NODES, 20, seed=11)
             faults.append(info.value)
@@ -239,9 +240,7 @@ def _reference_or_fault(strategy, kind, rollouts):
     values = np.empty(len(NODES))
     for i, node in enumerate(NODES):
         try:
-            values[i] = fingerprint_module._fingerprint_node_scalar(
-                strategy, kind, PARAMS, node, rollouts, rng
-            )
+            values[i] = fingerprint_node(strategy, kind, PARAMS, node, rollouts, rng)
         except StrategyFault as fault:
             return None, _fault_key(fault, node.column_name())
     return values, None
@@ -285,7 +284,7 @@ class TestOneDriver:
     )
     def test_driver_matches_the_per_decision_reference(self, strategy, kind, with_kernel):
         if not with_kernel:
-            strategy = strategy.without_kernel()
+            strategy = without_kernel(strategy)
         values, fault = _driver_or_fault(strategy, kind, rollouts=2)
         expected, expected_fault = _reference_or_fault(strategy, kind, rollouts=2)
         assert fault == expected_fault
@@ -402,7 +401,7 @@ SHARED_MEMBERS = [
     kernel_strategy("endgame", 1, 1.0),
     kernel_strategy("rota", 2, 0, 0),
     policy_strategy(LONG_POLICY),
-    kernel_strategy("reciprocator", 0.5, 0.3).without_kernel(),
+    without_kernel(kernel_strategy("reciprocator", 0.5, 0.3)),
 ]
 
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from conftest import forced_views, kernel_row
+from reference import without_kernel
 
 from ndilemma import GameKind, GameParams
 from ndilemma.engine import CALLABLE, decide_group
@@ -37,8 +38,9 @@ def cases(draw, name):
         rows = []
         for _ in range(games * n):
             family = draw(inner)
-            rows.append(kernel_strategy(family, *kernel_row(draw, family, n, rounds))
-                        .without_kernel())
+            rows.append(without_kernel(
+                kernel_strategy(family, *kernel_row(draw, family, n, rounds))
+            ))
     else:
         rows = [kernel_row(draw, name, n, rounds) for _ in range(games * n)]
     cells = rounds * games * n

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from conftest import lineup_groups
+from reference import without_kernel
 
 from ndilemma import GameKind, GameParams, SchemaError, StrategyFault, play_game
 from ndilemma.engine import simulate_batch
@@ -83,7 +84,7 @@ def test_compiled_tables_play_like_the_interpreter(game):
     lineups fault with the same reason, round, label and player."""
     kind, params, lineup = game
     scalar, scalar_fault = _outcome(
-        lambda: play_game(kind, params, [s.without_kernel() for s in lineup], seed=1)
+        lambda: play_game(kind, params, [without_kernel(s) for s in lineup], seed=1)
     )
     batch, batch_fault = _outcome(
         lambda: simulate_batch(kind, params, lineup_groups(lineup), 1, seed=2, record=True)
@@ -134,7 +135,7 @@ def test_fault_names_the_member_that_divides_by_zero():
     )
     assert "game 0 of batch" in fault.detail
     with pytest.raises(StrategyFault) as scalar:
-        play_game(GameKind.PUBLIC_GOODS, params, [s.without_kernel() for s in lineup], seed=0)
+        play_game(GameKind.PUBLIC_GOODS, params, [without_kernel(s) for s in lineup], seed=0)
     assert (scalar.value.label, scalar.value.player, scalar.value.round_index) == ("divider", 2, 3)
 
 
@@ -157,7 +158,7 @@ def test_table_faults_name_the_interpreters_exception(trap, kind, expected):
     with pytest.raises(StrategyFault) as table:
         play_game(kind, params, [member, member], seed=0)
     with pytest.raises(StrategyFault) as interpreted:
-        play_game(kind, params, [member.without_kernel()] * 2, seed=0)
+        play_game(kind, params, [without_kernel(member)] * 2, seed=0)
     suffix = " (game 0 of batch)"
     assert table.value.detail == expected + suffix
     assert interpreted.value.detail == expected.replace(" (rule 1)", "") + suffix
@@ -228,7 +229,7 @@ def test_batched_fingerprint_matches_scalar_fingerprint(game):
     nodes = enumerate_nodes(params.n, min(params.rounds, 3))
     fast, fast_fault = _outcome(lambda: fingerprint(lineup[0], kind, params, nodes, 4, seed=3))
     slow, slow_fault = _outcome(
-        lambda: fingerprint(lineup[0].without_kernel(), kind, params, nodes, 4, seed=3)
+        lambda: fingerprint(without_kernel(lineup[0]), kind, params, nodes, 4, seed=3)
     )
     assert fast_fault == slow_fault
     if fast_fault is None:

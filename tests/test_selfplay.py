@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_pool
+from reference import without_kernel
 
 from ndilemma import (
     Attitude,
@@ -90,9 +91,9 @@ def test_scalar_fallback_matches_kernel_path(small_pools):
     pool_e, pool_c = small_pools
     fast = run_mix_grid(small_grid(GameKind.COMMON_POOL, pool_e, pool_c, samples_per_cell=10))
     bare_e = StrategyPool(pool_e.gene_tag, pool_e.attitude,
-                          tuple(m.without_kernel() for m in pool_e.members))
+                          tuple(without_kernel(m) for m in pool_e.members))
     bare_c = StrategyPool(pool_c.gene_tag, pool_c.attitude,
-                          tuple(m.without_kernel() for m in pool_c.members))
+                          tuple(without_kernel(m) for m in pool_c.members))
     slow = run_mix_grid(small_grid(GameKind.COMMON_POOL, bare_e, bare_c, samples_per_cell=10))
     assert fast == slow
 
@@ -151,7 +152,7 @@ def test_a_grid_cell_depends_only_on_its_address(kind, pool_e, tmp_path, monkeyp
         if index == 1:  # pool_c's first bernoulli member draws per decision
             members = list(pool.members)
             at = next(i for i, m in enumerate(members) if m.kernel[0] == "bernoulli")
-            members[at] = members[at].without_kernel()
+            members[at] = without_kernel(members[at])
             pool = StrategyPool(pool.gene_tag, pool.attitude, tuple(members))
         return pool
 

@@ -5,7 +5,8 @@ import pytest
 
 from ndilemma import Action, GameKind, GameParams, Observation, make_reference, play_game
 from ndilemma.kernels import FAMILIES, kernel_strategy
-from ndilemma.strategies import Attitude, StrategyPool
+from ndilemma.strategies import Attitude, Strategy, StrategyPool
+from reference import DECIDE_ONE, reference_decide
 
 C, D = Action.C, Action.D
 
@@ -24,7 +25,7 @@ def obs_with(n=4, round_index=1, opp_coop_last=0, kind=GameKind.PUBLIC_GOODS, **
 
 
 def decide(strategy, obs):
-    return strategy.decide(obs, np.random.default_rng(0))
+    return reference_decide(strategy)(obs, np.random.default_rng(0))
 
 
 class TestReferences:
@@ -53,9 +54,9 @@ class TestReferences:
                     assert (decide(cd, obs) is D) == (count >= t)
 
     def test_rnd_rate(self):
-        strat = make_reference("rnd", p=0.25)
+        rnd = reference_decide(make_reference("rnd", p=0.25))
         rng = np.random.default_rng(7)
-        draws = [strat.decide(obs_with(round_index=0), rng) is C for _ in range(4000)]
+        draws = [rnd(obs_with(round_index=0), rng) is C for _ in range(4000)]
         assert abs(np.mean(draws) - 0.25) < 3 * np.sqrt(0.25 * 0.75 / 4000)
 
     def test_parameter_validation(self):
@@ -147,11 +148,19 @@ class TestFamilies:
         assert (fault.reason, fault.player, fault.round_index) == ("exception", 2, 0)
         assert "KernelError: stock_guardian requires a common-pool game" in str(fault)
 
-    def test_every_family_has_scalar_and_batch(self):
+    def test_every_built_in_family_has_a_reference(self):
+        assert set(FAMILIES) - {"policy"} == set(DECIDE_ONE)
         for family in FAMILIES.values():
             assert family.param_names
-            assert callable(family.decide_one)
             assert callable(family.decide_batch)
+
+    def test_a_kernel_strategy_has_no_decide(self):
+        assert kernel_strategy("grim", 0.5).decide is None
+        assert make_reference("allc").decide is None
+
+    def test_a_strategy_needs_a_decide_or_a_kernel(self):
+        with pytest.raises(ValueError, match="'empty'"):
+            Strategy("empty", "test")
 
 
 class TestStrategyPool:
