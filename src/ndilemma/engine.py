@@ -262,9 +262,9 @@ class MemberTable:
 
     Member ``m`` plays kernel family ``families[family[m]]`` with parameter
     row ``params[family[m]][row[m]]``; each family's rows are stacked once
-    with ``family.stack``, so policy tables are padded once, to the widest
-    table. A member without a kernel plays the ``callable`` family, whose
-    row is the strategy itself.
+    with ``family.stack``, so policy tables are decoded and padded once, to
+    the widest table. A member without a kernel plays the ``callable``
+    family, whose row is the strategy itself.
     """
 
     labels: np.ndarray  # (members,) object array

@@ -121,7 +121,10 @@ class KernelFamily:
             )
 
     def stack(self, rows: list[tuple[float, ...]]) -> np.ndarray:
-        """Stack parameter vectors into the (slots, params) matrix."""
+        """Stack parameter vectors into the (slots, params) matrix, once per
+        compiled pool: a family may decode its rows here, and pad them to
+        one width, into the matrix its ``new_state`` and ``decide_batch``
+        read."""
         return np.asarray(rows, dtype=float)
 
     def new_state(self, P: np.ndarray):
@@ -385,35 +388,49 @@ class Rota(KernelFamily):
         return on_duty if punished is None else on_duty & ~punished
 
 
-@dataclass(frozen=True)
+@dataclass
 class _PolicyState:
-    """A stack of rule tables decoded once per run into (slots, rules)
-    arrays. ``lhs``/``den`` index the flattened observable matrix, and each
-    comparison is the closed interval ``lo <= lhs <= hi``."""
+    """The per-run state of a stack of rule tables, which ``stack`` decoded
+    once when their pool was compiled. ``X`` is the round's field-major
+    observable matrix, (fields, slots), kept and refilled every round;
+    ``lhs``/``den`` index it flattened, one entry per rule of each slot.
+    ``lo``, ``hi`` and ``prob`` are (slots, rules) copies of the decoded
+    columns, and ``row_start`` is where each slot's rules start in them
+    flattened. ``traps`` marks the rules that fault whatever they read;
+    round 0 fills it, once the game is known."""
 
+    X: np.ndarray
     lhs: np.ndarray
     den: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     prob: np.ndarray
-    touches: np.ndarray
-    over_budget: np.ndarray
+    row_start: np.ndarray
     default_prob: np.ndarray
+    traps: np.ndarray | None = None
 
 
 class PolicyTable(KernelFamily):
     """Policy-file members compiled to first-match rule tables.
 
-    A parameter row is the header ``(step_budget, default_prob, n_rules)``
-    followed by ``n_rules`` records laid out as ``RULE_LAYOUT``: the
-    left-hand field, the denominator field (``one`` for every op except
-    ``ratio_ge``), the comparison, the value, the cooperation probability
-    and a flag for rules that read ``stock_frac``. Fields index ``FIELDS``
-    and comparisons index ``COMPARISONS``; ``row`` encodes a table. The rule
-    interpreter in ``policy`` is the per-decision form of the same rules.
+    A member's parameter row, as ``row`` encodes it, is the header
+    ``(step_budget, default_prob, n_rules)`` followed by ``n_rules`` records
+    laid out as ``RULE_LAYOUT``: the left-hand field, the denominator field
+    (``one`` for every op except ``ratio_ge``), the comparison, the value,
+    the cooperation probability and a flag for rules that read
+    ``stock_frac``. Fields index ``FIELDS`` and comparisons index
+    ``COMPARISONS``. The rule interpreter in ``policy`` is the per-decision
+    form of the same rules.
+
+    ``stack`` decodes every table once, when a pool is compiled, into
+    records laid out as ``DECODED_LAYOUT``, padded to the longest table with
+    ``_PAD_RULE``: the two field codes, the closed interval ``lo..hi`` on
+    which the comparison holds, the probability, and a trap code:
+    ``TRAP_OUTSIDE_CPR`` for a rule that reads ``stock_frac``, and
+    ``TRAP_ALWAYS`` for a rule at or past the step budget.
 
     ``decide_batch`` evaluates every rule of every slot at once against a
-    (slots, fields) matrix of observables in which undefined fields are NaN,
+    (fields, slots) matrix of observables in which undefined fields are NaN,
     so their comparisons fail as the interpreter's ``None`` checks do. The
     first rule that matches or traps stops a slot; faults fire only at that
     rule, exactly where the interpreter would raise: a rule index at or past
@@ -427,101 +444,116 @@ class PolicyTable(KernelFamily):
     param_names = ("step_budget", "default_prob", "n_rules")
     reads = ("opp_coop", "opp_rate", "prev_c", "stock_frac", "u")
     RULE_LAYOUT = ("lhs", "den", "cmp", "value", "cooperate_prob", "touches_stock")
+    DECODED_LAYOUT = ("lhs", "den", "lo", "hi", "cooperate_prob", "trap")
     FIELDS = (
         "one", "round", "rounds_left", "rounds_left_after",
         "last_opp_coop", "opp_coop_rate", "my_last_c", "stock_frac",
     )
     COMPARISONS = ("eq", "lt", "ge", "le")
-    # "one == NaN" never matches and never traps
-    _PAD_RULE = (0.0, 0.0, 0.0, np.nan, 0.0, 0.0)
+    TRAP_OUTSIDE_CPR, TRAP_ALWAYS = 1.0, 2.0
+    # "NaN <= one <= NaN" never holds, and the rule never traps
+    _PAD_RULE = (0.0, 0.0, np.nan, np.nan, 0.0, 0.0)
+    _FIELD_CODES = {name: float(i) for i, name in enumerate(FIELDS)}
+    _COMPARISON_CODES = {name: float(i) for i, name in enumerate(COMPARISONS)}
 
     @classmethod
     def row(cls, step_budget: int, default_prob: float, rules) -> tuple[float, ...]:
         """Encode a rule table. ``rules`` holds ``(lhs, den, comparison,
         value, cooperate_prob)`` with field and comparison names."""
-        row = [step_budget, default_prob, len(rules)]
+        fields, comparisons = cls._FIELD_CODES, cls._COMPARISON_CODES
+        row = [float(step_budget), float(default_prob), float(len(rules))]
         for lhs, den, cmp, value, prob in rules:
             row += (
-                cls.FIELDS.index(lhs), cls.FIELDS.index(den), cls.COMPARISONS.index(cmp),
-                value, prob, "stock_frac" in (lhs, den),
+                fields[lhs], fields[den], comparisons[cmp], float(value), float(prob),
+                float("stock_frac" in (lhs, den)),
             )
-        return tuple(float(x) for x in row)
+        return tuple(row)
 
     def slot_words(self, width, params):
-        # per rule: five state arrays and three of each round's temporaries;
-        # and a row of the round's observable matrix
-        rules = (width - len(self.param_names)) // len(self.RULE_LAYOUT)
+        # per rule: five state arrays, and the round's two float temporaries
+        # and its masks; and a column of the observable matrix
+        rules = (width - len(self.param_names)) // len(self.DECODED_LAYOUT)
         return super().slot_words(width, params) + 8 * rules + len(self.FIELDS)
 
     def stack(self, rows):
-        """Pad rows to the longest table (at least one rule) and stack them."""
-        header, width = len(self.param_names), len(self.RULE_LAYOUT)
-        n_rules = max(1, max((len(row) - header) // width for row in rows))
-        P = np.empty((len(rows), header + n_rules * width))
+        """Decode each table's rules, pad the tables to the longest (at
+        least one rule) and stack them."""
+        header = len(self.param_names)
+        counts = np.array([(len(row) - header) // len(self.RULE_LAYOUT) for row in rows])
+        n_rules = max(1, counts.max())
+        P = np.empty((len(rows), header + n_rules * len(self.DECODED_LAYOUT)))
+        P[:, :header] = [row[:header] for row in rows]
         P[:, header:] = np.tile(self._PAD_RULE, n_rules)
-        for i, row in enumerate(rows):
-            P[i, : len(row)] = row
+        coded = np.array([x for row in rows for x in row[header:]])
+        lhs, den, cmp, value, prob, touches = coded.reshape(-1, len(self.RULE_LAYOUT)).T
+        real = np.arange(n_rules) < counts[:, None]  # (tables, rules), in the order of ``coded``
+        lo = np.where((cmp == 1) | (cmp == 3), -np.inf, value)
+        hi = np.where(cmp == 2, np.inf, value)
+        lt = cmp == 1
+        hi[lt] = np.nextafter(value[lt], -np.inf)  # lhs < v is lhs <= (the float below v)
+        over = (np.arange(n_rules) >= P[:, :1])[real]
+        trap = np.where(over, self.TRAP_ALWAYS, touches * self.TRAP_OUTSIDE_CPR)
+        self._records(P)[real] = np.column_stack((lhs, den, lo, hi, prob, trap))
         return P
 
+    def _records(self, P):
+        """The (slots, rules, DECODED_LAYOUT) view of a stack's rules."""
+        return P[:, len(self.param_names):].reshape(len(P), -1, len(self.DECODED_LAYOUT))
+
     def new_state(self, P):
-        slots = len(P)
-        R = P[:, len(self.param_names):].reshape(slots, -1, len(self.RULE_LAYOUT))
-        base = np.arange(slots)[:, None] * len(self.FIELDS)
-        cmp, value = R[..., 2], R[..., 3]
-        eq, lt, ge = cmp == 0, cmp == 1, cmp == 2
-        # lhs < v is lhs <= (the float just below v)
-        lo = np.where(eq | ge, value, -np.inf)
-        hi = np.where(ge, np.inf, np.where(lt, np.nextafter(value, -np.inf), value))
-        index = np.arange(R.shape[1])
+        slots, records = len(P), self._records(P)
+        col = np.arange(slots)[:, None]  # field f of slot s is X[f, s]
+        X = np.empty((len(self.FIELDS), slots))
+        X[0] = 1.0
         return _PolicyState(
-            lhs=base + R[..., 0].astype(np.int64),
-            den=base + R[..., 1].astype(np.int64),
-            lo=lo,
-            hi=hi,
-            prob=R[..., 4],
-            touches=R[..., 5] > 0.5,
-            over_budget=(index >= P[:, :1]) & (index < P[:, 2:3]),
+            X=X,
+            lhs=records[..., 0].astype(np.intp) * slots + col,
+            den=records[..., 1].astype(np.intp) * slots + col,
+            lo=np.ascontiguousarray(records[..., 2]),
+            hi=np.ascontiguousarray(records[..., 3]),
+            prob=np.ascontiguousarray(records[..., 4]),
+            row_start=np.arange(slots) * records.shape[1],
             default_prob=P[:, 1].copy(),
         )
 
     def decide_batch(self, P, state, view):
-        slots = len(P)
-        X = np.empty((slots, len(self.FIELDS)))  # columns in FIELDS order
-        X[:, :4] = (1.0, view.t, view.params.rounds - view.t, view.params.rounds - view.t - 1)
-        if view.t == 0:
-            X[:, 4:7] = np.nan
+        X, t = state.X, view.t  # rows in FIELDS order
+        X[1], X[2], X[3] = t, view.params.rounds - t, view.params.rounds - t - 1
+        if t == 0:
+            X[4:] = np.nan
+            limit = self.TRAP_OUTSIDE_CPR if view.stock_frac is None else self.TRAP_ALWAYS
+            state.traps = self._records(P)[..., 5] >= limit
         else:
-            X[:, 4] = view.opp_coop
-            X[:, 5] = view.opp_rate
-            X[:, 6] = view.prev_c
-        X[:, 7] = np.nan if view.stock_frac is None else view.stock_frac
+            X[4], X[5], X[6] = view.opp_coop, view.opp_rate, view.prev_c
+        if view.stock_frac is not None:
+            X[7] = view.stock_frac
         flat = X.ravel()
-        num, den = flat[state.lhs], flat[state.den]
+        lhs, den = flat.take(state.lhs), flat.take(state.den)
+        fault = (den == 0.0) & (lhs == lhs)  # a zero denominator, the numerator defined
+        fault |= state.traps
         with np.errstate(divide="ignore", invalid="ignore"):
-            lhs = num / den
-        match = (lhs >= state.lo) & (lhs <= state.hi)
-        zero_den = (den == 0.0) & ~np.isnan(num)
-        trap = zero_den | state.touches if view.stock_frac is None else zero_den
-        fault = trap | state.over_budget
-        stop = match | fault
+            lhs /= den
+        stop = lhs >= state.lo
+        stop &= lhs <= state.hi
+        stop |= fault
         first = stop.argmax(axis=1)
-        rows = np.arange(slots)
-        faulted = fault[rows, first]
+        at = state.row_start + first  # each slot's first stopping rule, flattened
+        faulted = fault.take(at)
         if faulted.any():
             slot = int(faulted.argmax())
-            self._raise_fault(P, state, view, slot, int(first[slot]))
-        prob = np.where(stop[rows, first], state.prob[rows, first], state.default_prob)
+            self._raise_fault(P, view, slot, int(first[slot]))
+        prob = np.where(stop.take(at), state.prob.take(at), state.default_prob)
         return view.u < prob
 
-    @staticmethod
-    def _raise_fault(P, state: _PolicyState, view: SlotView, slot: int, rule: int):
-        if state.over_budget[slot, rule]:
+    def _raise_fault(self, P, view: SlotView, slot: int, rule: int):
+        trap = self._records(P)[slot, rule, 5]
+        if trap == self.TRAP_ALWAYS:
             raise SlotFault(
                 slot, "step_budget",
                 f"exceeded {int(P[slot, 0])} predicate evaluations in one decision",
             )
         # the interpreter's exception type and message
-        if view.stock_frac is None and state.touches[slot, rule]:
+        if view.stock_frac is None and trap == self.TRAP_OUTSIDE_CPR:
             detail = "PolicyEvaluationError: stock_frac is undefined outside the common-pool game"
         else:
             detail = "ZeroDivisionError: float division by zero"

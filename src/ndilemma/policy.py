@@ -249,11 +249,21 @@ def policy_strategy(
 # ---------------------------------------------------------------------------
 
 
-def _fail(path: str, message: str) -> SchemaError:
-    return SchemaError(f"{path}: {message}")
+# A JSON path is a string, or a tuple of its pieces (strings, list indices
+# and nested paths) that is joined only when an error names it, so a file
+# that parses formats none.
+JsonPath = str | tuple
 
 
-def _require(obj: dict, key: str, path: str) -> Any:
+def _joined(path: JsonPath) -> str:
+    return "".join(map(_joined, path)) if isinstance(path, tuple) else str(path)
+
+
+def _fail(path: JsonPath, message: str) -> SchemaError:
+    return SchemaError(f"{_joined(path)}: {message}")
+
+
+def _require(obj: dict, key: str, path: JsonPath) -> Any:
     if not isinstance(obj, dict):
         raise _fail(path, f"expected an object, got {type(obj).__name__}")
     if key not in obj:
@@ -261,7 +271,9 @@ def _require(obj: dict, key: str, path: str) -> Any:
     return obj[key]
 
 
-def _number(value: Any, path: str, lo: float | None = None, hi: float | None = None) -> float:
+def _number(
+    value: Any, path: JsonPath, lo: float | None = None, hi: float | None = None
+) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(path, f"expected a number, got {value!r}")
     try:
@@ -277,16 +289,16 @@ def _number(value: Any, path: str, lo: float | None = None, hi: float | None = N
     return number
 
 
-def parse_predicate(raw: Any, path: str) -> Predicate:
+def parse_predicate(raw: Any, path: JsonPath) -> Predicate:
     op = _require(raw, "op", path)
     if op not in PREDICATE_OPS:
-        raise _fail(f"{path}.op", f"unknown predicate {op!r}")
+        raise _fail((path, ".op"), f"unknown predicate {op!r}")
     if op == "always":
         return Predicate(op)
     if op == "my_last_is":
         value = _require(raw, "value", path)
         if value not in ("C", "D"):
-            raise _fail(f"{path}.value", f"expected 'C' or 'D', got {value!r}")
+            raise _fail((path, ".value"), f"expected 'C' or 'D', got {value!r}")
         return Predicate(op, value=value)
     if op == "ratio_ge":
         num = _require(raw, "num", path)
@@ -294,34 +306,34 @@ def parse_predicate(raw: Any, path: str) -> Predicate:
         for name, field in (("num", num), ("den", den)):
             if field not in RATIO_FIELDS:
                 raise _fail(
-                    f"{path}.{name}",
+                    (path, ".", name),
                     f"unknown field {field!r}; expected one of {RATIO_FIELDS}",
                 )
-        value = _number(_require(raw, "value", path), f"{path}.value")
+        value = _number(_require(raw, "value", path), (path, ".value"))
         return Predicate(op, value=value, num=num, den=den)
     value = _require(raw, "value", path)
     if op in ("coop_rate_ge", "coop_rate_le", "stock_frac_ge", "stock_frac_le"):
-        return Predicate(op, value=_number(value, f"{path}.value", 0.0, 1.0))
-    return Predicate(op, value=_number(value, f"{path}.value"))
+        return Predicate(op, value=_number(value, (path, ".value"), 0.0, 1.0))
+    return Predicate(op, value=_number(value, (path, ".value")))
 
 
-def parse_member(raw: Any, path: str) -> PolicySpec:
+def parse_member(raw: Any, path: JsonPath) -> PolicySpec:
     label = _require(raw, "label", path)
     if not isinstance(label, str) or not label:
-        raise _fail(f"{path}.label", "expected a non-empty string")
+        raise _fail((path, ".label"), "expected a non-empty string")
     raw_rules = _require(raw, "rules", path)
     if not isinstance(raw_rules, list):
-        raise _fail(f"{path}.rules", "expected a list")
+        raise _fail((path, ".rules"), "expected a list")
     rules = []
     for j, raw_rule in enumerate(raw_rules):
-        rule_path = f"{path}.rules[{j}]"
-        when = parse_predicate(_require(raw_rule, "when", rule_path), f"{rule_path}.when")
+        rule_path = (path, ".rules[", j, "]")
+        when = parse_predicate(_require(raw_rule, "when", rule_path), (rule_path, ".when"))
         prob = _number(
             _require(raw_rule, "cooperate_prob", rule_path),
-            f"{rule_path}.cooperate_prob", 0.0, 1.0,
+            (rule_path, ".cooperate_prob"), 0.0, 1.0,
         )
         rules.append(PolicyRule(when, prob))
-    default = _number(_require(raw, "default_prob", path), f"{path}.default_prob", 0.0, 1.0)
+    default = _number(_require(raw, "default_prob", path), (path, ".default_prob"), 0.0, 1.0)
     return PolicySpec(label=label, rules=tuple(rules), default_prob=default)
 
 
@@ -347,7 +359,7 @@ def parse_pool(data: Any, source: str) -> StrategyPool:
     if not isinstance(raw_members, list) or not raw_members:
         raise _fail(f"{source}.members", "expected a non-empty list of members")
     members = tuple(
-        policy_strategy(parse_member(raw, f"{source}.members[{i}]"))
+        policy_strategy(parse_member(raw, (source, ".members[", i, "]")))
         for i, raw in enumerate(raw_members)
     )
     return StrategyPool(gene_tag=gene_tag, attitude=attitude, members=members)

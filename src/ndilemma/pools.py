@@ -143,11 +143,14 @@ def synth_pool(
     if size < 1:
         raise ValueError(f"pool size must be >= 1, got {size}")
     rng = rng_for(seed)
+    # the draw ``rng.choice(len(families), p=weights)`` makes, with its
+    # cumulative weights built once rather than checked at every member
     weights = np.array([f.weight for f in families], dtype=float)
-    weights /= weights.sum()
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
     members = []
     for i in range(size):
-        spec = families[int(rng.choice(len(families), p=weights))]
+        spec = families[int(cdf.searchsorted(rng.random(), side="right"))]
         members.append(_draw_member(spec, i, rng))
     return StrategyPool(gene_tag=gene_tag, attitude=attitude, members=tuple(members))
 

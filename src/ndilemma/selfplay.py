@@ -113,22 +113,31 @@ def _draw_cell(config: MixGridConfig, n: int, n_e: int) -> np.ndarray:
     )
 
 
-def _cell_row(
-    config: MixGridConfig, n: int, n_e: int, welfare: np.ndarray, limits: WelfareBounds
-) -> MixGridRow:
-    std_error = (
-        float(welfare.std(ddof=1) / np.sqrt(len(welfare))) if len(welfare) > 1 else 0.0
-    )
-    return MixGridRow(
-        game=config.kind.value,
-        n=n,
-        n_e=n_e,
-        mean_welfare=float(welfare.mean()),
-        std_error=std_error,
-        welfare_min=limits.min_mean,
-        welfare_max=limits.max_mean,
-        samples=len(welfare),
-    )
+def _cell_rows(
+    config: MixGridConfig, n: int, welfare: np.ndarray, limits: WelfareBounds
+) -> list[MixGridRow]:
+    """The rows of one group size's cells, ``n_e = 0..n``, from their
+    (cells, samples) welfare: each row's mean, and the standard error of
+    the mean, taken row by row."""
+    samples = welfare.shape[1]
+    means = welfare.mean(axis=1)
+    if samples > 1:
+        errors = welfare.std(axis=1, ddof=1) / np.sqrt(samples)
+    else:
+        errors = np.zeros(len(welfare))
+    return [
+        MixGridRow(
+            game=config.kind.value,
+            n=n,
+            n_e=n_e,
+            mean_welfare=mean,
+            std_error=error,
+            welfare_min=limits.min_mean,
+            welfare_max=limits.max_mean,
+            samples=samples,
+        )
+        for n_e, (mean, error) in enumerate(zip(means.tolist(), errors.tolist()))
+    ]
 
 
 def run_mix_grid(config: MixGridConfig) -> list[MixGridRow]:
@@ -150,13 +159,13 @@ def run_mix_grid(config: MixGridConfig) -> list[MixGridRow]:
             for n_e in range(n + 1)
         )
         try:
-            for n_e, (_, welfare) in enumerate(play_blocks(config.kind, params, table, cells)):
-                out.append(_cell_row(config, n, n_e, welfare, limits))
+            welfare = np.array([w for _, w in play_blocks(config.kind, params, table, cells)])
         except StrategyFault as fault:
             raise StrategyFault(
                 fault.label, fault.player, fault.round_index, fault.reason,
                 f"{fault.cause} (sample {fault.game} of cell ({n}, {fault.block}))",
             ) from fault
+        out += _cell_rows(config, n, welfare, limits)
     return out
 
 

@@ -580,8 +580,8 @@ def test_a_stack_holds_what_slot_words_charges(case):
     20 rounds: constant 6.1/6, bernoulli 8.3/10, threshold_trigger
     12.1/11, reciprocator 12.9/14, grim 9.9/9, endgame 11.8/11,
     stock_guardian 10.1/9, rota 19.1/16, one kernel-less slot a game among
-    constants 152/147, and policy tables of 1, 5 and 40 rules 40/41, 95/97
-    and 580/587."""
+    constants 152/147, and policy tables of 1, 5 and 40 rules 39.5/41,
+    93/97 and 566/587."""
     members, kind = HELD_CASES[case]
     table = MemberTable.compile(members, warn=False)
     n, params = 16, GameParams(n=16, rounds=20, k=2.0)

@@ -192,6 +192,44 @@ def test_step_budget_fault_reason_on_batched_paths():
     assert (fp.value.label, fp.value.reason) == ("rule-mill", "step_budget")
 
 
+def test_the_lowest_of_two_faults_in_one_group_and_round_wins():
+    """In the last round of a 4-round game, a member divides by zero at its
+    rule 1 and, two seats later in the same policy group, another runs past
+    its step budget at its rule 2; the earlier slot's fault is raised, on
+    the table and on the interpreter alike."""
+    divider = policy_strategy(_spec("divider", [
+        (Predicate("round_is", value=99.0), 1.0),
+        (Predicate("ratio_ge", value=0.5, num="round", den="rounds_left_after"), 1.0),
+    ], default=0.5))
+    mill = policy_strategy(_spec("mill", [
+        (Predicate("rounds_left_ge", value=2.0), 0.0),
+        (Predicate("round_is", value=99.0), 1.0),
+        (Predicate("round_is", value=98.0), 1.0),
+    ]), step_budget=2)
+    plain = policy_strategy(_spec("plain", [(Predicate("always"), 1.0)]))
+    lineup = [plain, divider, plain, mill]
+    params = GameParams(n=4, rounds=4, k=2.0)
+    groups = lineup_groups(lineup * 3)
+    assert len(groups) == 1
+    with pytest.raises(StrategyFault) as table:
+        simulate_batch(GameKind.COMMON_POOL, params, groups, 3, seed=0)
+    with pytest.raises(StrategyFault) as interpreted:
+        play_game(GameKind.COMMON_POOL, params, [without_kernel(s) for s in lineup], seed=0)
+    for fault in (table.value, interpreted.value):
+        assert (fault.label, fault.player, fault.round_index, fault.reason) == (
+            "divider", 1, 3, "exception",
+        )
+    assert table.value.detail == (
+        "ZeroDivisionError: float division by zero (rule 1) (game 0 of batch)"
+    )
+    # alone, the later slot faults at its own rule, for its own reason
+    with pytest.raises(StrategyFault) as alone:
+        simulate_batch(GameKind.COMMON_POOL, params, lineup_groups([plain, plain, plain, mill]),
+                       1, seed=0)
+    assert (alone.value.label, alone.value.player, alone.value.round_index,
+            alone.value.reason) == ("mill", 3, 3, "step_budget")
+
+
 def test_stock_rule_faults_outside_cpr_on_fingerprint_path():
     guard = policy_strategy(_spec("cpr-only", [(Predicate("stock_frac_ge", value=0.5), 1.0)]))
     params = GameParams(n=3, rounds=2, k=2.0)

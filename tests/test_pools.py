@@ -15,7 +15,7 @@ from ndilemma import (
     validate_strategy,
 )
 from ndilemma.policy import PolicyRule, PolicySpec, Predicate, policy_strategy
-from ndilemma.pools import admit_pool
+from ndilemma.pools import _draw_member, admit_pool
 from ndilemma.seeding import rng_for
 from ndilemma.strategies import StrategyPool
 
@@ -45,6 +45,24 @@ class TestSynthPool:
         a = synth_pool(families, 50, seed=1, gene_tag="x", attitude=Attitude.COLLECTIVE)
         b = synth_pool(families, 50, seed=2, gene_tag="x", attitude=Attitude.COLLECTIVE)
         assert [m.kernel for m in a.members] != [m.kernel for m in b.members]
+
+    @pytest.mark.parametrize("weights", [
+        (1.0, 1.0, 1.0), (0.2, 1e-12, 3.5), (1e-9, 1e-9, 1.0), (1e-9, 1.0, 7.0), (3.0, 0.1, 2.0),
+    ])
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_family_draws_are_those_of_rng_choice(self, weights, seed):
+        """Each member's family is the one ``rng.choice(len(families),
+        p=weights)`` would draw at that point of the stream, so a seed gives
+        the pool it gave when the draw was made that way."""
+        names = ("bernoulli", "grim", "reciprocator")
+        families = [FamilySpec(name, weight=w) for name, w in zip(names, weights)]
+        pool = synth_pool(families, 80, seed=seed, gene_tag="x", attitude=Attitude.COLLECTIVE)
+        rng, p = rng_for(seed), np.array(weights) / sum(weights)
+        expected = [
+            _draw_member(families[int(rng.choice(len(families), p=p))], i, rng)
+            for i in range(80)
+        ]
+        assert [m.kernel for m in pool.members] == [m.kernel for m in expected]
 
     def test_endgame_family_shape(self):
         """Every endgame member cooperates in round 0 and defects at the end

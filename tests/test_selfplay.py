@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from ndilemma import (
     run_mix_grid,
 )
 from ndilemma import cli, engine, selfplay
+from ndilemma.bounds import WelfareBounds
 from ndilemma.engine import CALLABLE, MemberTable, build_groups, simulate_batch
 from ndilemma.seeding import derive_seed
 
@@ -193,6 +195,22 @@ def test_a_grid_cell_depends_only_on_its_address(kind, pool_e, tmp_path, monkeyp
         assert row.mean_welfare == float(alone.mean_welfare.mean())
         assert row.std_error == float(alone.mean_welfare.std(ddof=1) / np.sqrt(10))
     assert len({row.std_error for row in rows}) > 1
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3, 17, 200, 1000])
+def test_cell_rows_match_each_cells_own_reductions(samples):
+    """A group size's rows, summarised in array calls over its (cells,
+    samples) welfare, hold each cell's own mean and standard error, bit
+    for bit."""
+    welfare = np.random.default_rng(samples).random((9, samples)) * 2.1
+    config = SimpleNamespace(kind=GameKind.COMMON_POOL)
+    rows = selfplay._cell_rows(config, 8, welfare, WelfareBounds(0.2, 2.1, "exact"))
+    assert [row.n_e for row in rows] == list(range(9))
+    for row, cell in zip(rows, welfare):
+        assert row.mean_welfare == float(cell.mean())
+        assert row.std_error == (
+            float(cell.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0)
+        assert (row.game, row.n, row.samples) == ("cpr", 8, samples)
 
 
 def test_draw_rows_hold_distinct_members_of_each_pool(small_pools, monkeypatch):
