@@ -253,7 +253,6 @@ class KernelGroup:
     slots: np.ndarray  # flat indices into the (S * n) slot space
     lineup: np.ndarray  # (S * n,) the stack's member indices, shared by its groups
     table: MemberTable
-    state: object = None
 
 
 @dataclass(frozen=True)
@@ -262,9 +261,9 @@ class MemberTable:
 
     Member ``m`` plays kernel family ``families[family[m]]`` with parameter
     row ``params[family[m]][row[m]]``; each family's rows are stacked once
-    with ``family.stack``, so policy tables are decoded and padded once, to
-    the widest table. A member without a kernel plays the ``callable``
-    family, whose row is the strategy itself.
+    with ``family.stack``, so policy tables are padded once, to the widest
+    table. A member without a kernel plays the ``callable`` family, whose
+    row is the strategy itself.
     """
 
     labels: np.ndarray  # (members,) object array
@@ -324,7 +323,6 @@ def build_groups(members: np.ndarray, table: MemberTable) -> list[KernelGroup]:
             slots=slots,
             lineup=members,
             table=table,
-            state=family.new_state(params),
         ))
     return groups
 
@@ -346,7 +344,7 @@ def slot_words(table: MemberTable, params: GameParams) -> np.ndarray:
     the engine's and its family's ``slot_words``. The figures are
     tracemalloc peaks of stacks that tests/test_engine.py compares with
     their charge: built-in slots hold 6 (constant) to 19 words (a punishing
-    rota), policy slots about 14 words per rule plus 27, and a game with one
+    rota), policy slots about 13.5 words per rule plus 26, and a game with one
     kernel-less slot its history besides."""
     family = np.array([
         family.slot_words(P.shape[1], params)
@@ -368,14 +366,15 @@ class BatchResult:
 
 @dataclass
 class _Playing:
-    """A group as ``simulate_batch`` plays it: its view, built once, the
-    fields its family reads, where its decisions go in the stack, each
-    slot's game (when it reads a per-game observable), its place in the
-    round's uniforms (when it draws but not all of them) and its decisions
-    so far."""
+    """A group as ``simulate_batch`` plays it: its view, built once, its
+    family's state for the run, the fields its family reads, where its
+    decisions go in the stack, each slot's game (when it reads a per-game
+    observable), its place in the round's uniforms (when it draws but not
+    all of them) and its decisions so far."""
 
     group: KernelGroup
     view: SlotView
+    state: object
     reads: frozenset[str]
     at: slice | np.ndarray
     games: np.ndarray | None
@@ -397,8 +396,8 @@ def simulate_batch(
     ``seed`` is one kernel seed per block of consecutive games, the blocks
     of equal size; a single int makes the stack one block. Each round, a
     block's generator draws the ``u`` of its slots that read it, in slot
-    order, before its ``callable`` slots draw. ``groups`` must come fresh
-    from ``build_groups``: every family's state is consumed by the run.
+    order, before its ``callable`` slots draw. The run makes each group's
+    state, so one list of groups plays the same games every time.
 
     Each group's view is built once per stack and refilled every round. A
     round counts each game's cooperators once: the payoffs take that count,
@@ -448,7 +447,7 @@ def simulate_batch(
             view.u = u if draws is None else np.empty(len(idx))
         per_game = names & {"opp_coop", "opp_rate"} or (is_cpr and "stock_frac" in names)
         playing.append(_Playing(
-            group, view, names,
+            group, view, group.family.new_state(group.params), names,
             at=slice(None) if whole else idx,  # a group that holds every slot writes them all
             games=idx // n if per_game else None,
             draws=draws,
@@ -496,7 +495,7 @@ def simulate_batch(
                 view.stock = stock
             group = g.group
             try:
-                acts = decide_group(group.family, group.params, group.state, view)
+                acts = decide_group(group.family, group.params, g.state, view)
             except SlotFault as fault:
                 faults.append((int(group.slots[fault.slot]), group, fault))
                 continue

@@ -22,6 +22,7 @@ Games:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -94,8 +95,12 @@ class GameParams:
             raise GameConfigError(
                 f"collective risk requires 1 <= m <= n, got m={self.m}, n={self.n}"
             )
-        if kind is GameKind.COMMON_POOL and not self.capacity > 0:
-            raise GameConfigError(f"common pool requires capacity > 0, got {self.capacity}")
+        if kind is GameKind.COLLECTIVE_RISK and not math.isfinite(self.k):
+            raise GameConfigError(f"collective risk requires a finite k, got k={self.k}")
+        if kind is GameKind.COMMON_POOL and not 0 < self.capacity < math.inf:
+            raise GameConfigError(
+                f"common pool requires a finite capacity > 0, got capacity={self.capacity}"
+            )
 
 
 @dataclass(frozen=True)

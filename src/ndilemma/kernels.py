@@ -27,6 +27,7 @@ be a new one, not part of the state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Sequence
@@ -122,9 +123,8 @@ class KernelFamily:
 
     def stack(self, rows: list[tuple[float, ...]]) -> np.ndarray:
         """Stack parameter vectors into the (slots, params) matrix, once per
-        compiled pool: a family may decode its rows here, and pad them to
-        one width, into the matrix its ``new_state`` and ``decide_batch``
-        read."""
+        compiled pool, that ``new_state`` and ``decide_batch`` read; a
+        family whose rows differ in width pads them here."""
         return np.asarray(rows, dtype=float)
 
     def new_state(self, P: np.ndarray):
@@ -390,13 +390,12 @@ class Rota(KernelFamily):
 
 @dataclass
 class _PolicyState:
-    """The per-run state of a stack of rule tables, which ``stack`` decoded
-    once when their pool was compiled. ``X`` is the round's field-major
-    observable matrix, (fields, slots), kept and refilled every round;
-    ``lhs``/``den`` index it flattened, one entry per rule of each slot.
-    ``lo``, ``hi`` and ``prob`` are (slots, rules) copies of the decoded
-    columns, and ``row_start`` is where each slot's rules start in them
-    flattened. ``traps`` marks the rules that fault whatever they read;
+    """The per-run state of a stack of rule tables. ``X`` is the round's
+    field-major observable matrix, (fields, slots), kept and refilled every
+    round; ``lhs``/``den`` index it flattened, one entry per rule of each
+    slot. ``lo``, ``hi`` and ``prob`` are (slots, rules) copies of the
+    records' columns, and ``row_start`` is where each slot's rules start in
+    them flattened. ``traps`` marks the rules that fault whatever they read;
     round 0 fills it, once the game is known."""
 
     X: np.ndarray
@@ -413,21 +412,16 @@ class _PolicyState:
 class PolicyTable(KernelFamily):
     """Policy-file members compiled to first-match rule tables.
 
-    A member's parameter row, as ``row`` encodes it, is the header
-    ``(step_budget, default_prob, n_rules)`` followed by ``n_rules`` records
-    laid out as ``RULE_LAYOUT``: the left-hand field, the denominator field
-    (``one`` for every op except ``ratio_ge``), the comparison, the value,
-    the cooperation probability and a flag for rules that read
-    ``stock_frac``. Fields index ``FIELDS`` and comparisons index
-    ``COMPARISONS``. The rule interpreter in ``policy`` is the per-decision
-    form of the same rules.
-
-    ``stack`` decodes every table once, when a pool is compiled, into
-    records laid out as ``DECODED_LAYOUT``, padded to the longest table with
-    ``_PAD_RULE``: the two field codes, the closed interval ``lo..hi`` on
-    which the comparison holds, the probability, and a trap code:
-    ``TRAP_OUTSIDE_CPR`` for a rule that reads ``stock_frac``, and
-    ``TRAP_ALWAYS`` for a rule at or past the step budget.
+    A member's parameter row, as ``row`` writes it, is the header
+    ``(step_budget, default_prob)`` followed by one record per rule, laid
+    out as ``RECORD_LAYOUT``: the left-hand field, the denominator field
+    (``one`` for every op except ``ratio_ge``), the closed interval
+    ``lo..hi`` of left-hand values on which the comparison holds, the
+    cooperation probability, and a trap code: ``TRAP_ALWAYS`` for a rule at
+    or past the step budget, and otherwise ``TRAP_OUTSIDE_CPR`` for a rule
+    that reads ``stock_frac``. Fields index ``FIELDS``. The rule
+    interpreter in ``policy`` is the per-decision form of the same rules.
+    ``stack`` pads the tables to the longest with ``_PAD_RULE``.
 
     ``decide_batch`` evaluates every rule of every slot at once against a
     (fields, slots) matrix of observables in which undefined fields are NaN,
@@ -441,64 +435,58 @@ class PolicyTable(KernelFamily):
     """
 
     name = "policy"
-    param_names = ("step_budget", "default_prob", "n_rules")
+    param_names = ("step_budget", "default_prob")
     reads = ("opp_coop", "opp_rate", "prev_c", "stock_frac", "u")
-    RULE_LAYOUT = ("lhs", "den", "cmp", "value", "cooperate_prob", "touches_stock")
-    DECODED_LAYOUT = ("lhs", "den", "lo", "hi", "cooperate_prob", "trap")
+    RECORD_LAYOUT = ("lhs", "den", "lo", "hi", "cooperate_prob", "trap")
     FIELDS = (
         "one", "round", "rounds_left", "rounds_left_after",
         "last_opp_coop", "opp_coop_rate", "my_last_c", "stock_frac",
     )
-    COMPARISONS = ("eq", "lt", "ge", "le")
+    # each comparison with a value v as the closed interval of left-hand
+    # values on which it holds; lhs < v is lhs <= (the float below v)
+    _INTERVALS = {
+        "eq": lambda v: (v, v),
+        "lt": lambda v: (-math.inf, math.nextafter(v, -math.inf)),
+        "ge": lambda v: (v, math.inf),
+        "le": lambda v: (-math.inf, v),
+    }
+    COMPARISONS = tuple(_INTERVALS)
     TRAP_OUTSIDE_CPR, TRAP_ALWAYS = 1.0, 2.0
     # "NaN <= one <= NaN" never holds, and the rule never traps
     _PAD_RULE = (0.0, 0.0, np.nan, np.nan, 0.0, 0.0)
     _FIELD_CODES = {name: float(i) for i, name in enumerate(FIELDS)}
-    _COMPARISON_CODES = {name: float(i) for i, name in enumerate(COMPARISONS)}
 
     @classmethod
     def row(cls, step_budget: int, default_prob: float, rules) -> tuple[float, ...]:
-        """Encode a rule table. ``rules`` holds ``(lhs, den, comparison,
-        value, cooperate_prob)`` with field and comparison names."""
-        fields, comparisons = cls._FIELD_CODES, cls._COMPARISON_CODES
-        row = [float(step_budget), float(default_prob), float(len(rules))]
-        for lhs, den, cmp, value, prob in rules:
-            row += (
-                fields[lhs], fields[den], comparisons[cmp], float(value), float(prob),
-                float("stock_frac" in (lhs, den)),
-            )
+        """A rule table's parameter row. ``rules`` holds ``(lhs, den,
+        comparison, value, cooperate_prob)`` with field and comparison
+        names."""
+        fields = cls._FIELD_CODES
+        row = [float(step_budget), float(default_prob)]
+        for i, (lhs, den, cmp, value, prob) in enumerate(rules):
+            lo, hi = cls._INTERVALS[cmp](float(value))
+            if i >= step_budget:
+                trap = cls.TRAP_ALWAYS
+            else:
+                trap = cls.TRAP_OUTSIDE_CPR if "stock_frac" in (lhs, den) else 0.0
+            row += (fields[lhs], fields[den], lo, hi, float(prob), trap)
         return tuple(row)
 
     def slot_words(self, width, params):
         # per rule: five state arrays, and the round's two float temporaries
         # and its masks; and a column of the observable matrix
-        rules = (width - len(self.param_names)) // len(self.DECODED_LAYOUT)
+        rules = (width - len(self.param_names)) // len(self.RECORD_LAYOUT)
         return super().slot_words(width, params) + 8 * rules + len(self.FIELDS)
 
     def stack(self, rows):
-        """Decode each table's rules, pad the tables to the longest (at
-        least one rule) and stack them."""
-        header = len(self.param_names)
-        counts = np.array([(len(row) - header) // len(self.RULE_LAYOUT) for row in rows])
-        n_rules = max(1, counts.max())
-        P = np.empty((len(rows), header + n_rules * len(self.DECODED_LAYOUT)))
-        P[:, :header] = [row[:header] for row in rows]
-        P[:, header:] = np.tile(self._PAD_RULE, n_rules)
-        coded = np.array([x for row in rows for x in row[header:]])
-        lhs, den, cmp, value, prob, touches = coded.reshape(-1, len(self.RULE_LAYOUT)).T
-        real = np.arange(n_rules) < counts[:, None]  # (tables, rules), in the order of ``coded``
-        lo = np.where((cmp == 1) | (cmp == 3), -np.inf, value)
-        hi = np.where(cmp == 2, np.inf, value)
-        lt = cmp == 1
-        hi[lt] = np.nextafter(value[lt], -np.inf)  # lhs < v is lhs <= (the float below v)
-        over = (np.arange(n_rules) >= P[:, :1])[real]
-        trap = np.where(over, self.TRAP_ALWAYS, touches * self.TRAP_OUTSIDE_CPR)
-        self._records(P)[real] = np.column_stack((lhs, den, lo, hi, prob, trap))
-        return P
+        """Pad the tables to the longest (at least one rule) and stack them."""
+        pad = self._PAD_RULE
+        width = max(len(self.param_names) + len(pad), *map(len, rows))
+        return np.array([row + pad * ((width - len(row)) // len(pad)) for row in rows])
 
     def _records(self, P):
-        """The (slots, rules, DECODED_LAYOUT) view of a stack's rules."""
-        return P[:, len(self.param_names):].reshape(len(P), -1, len(self.DECODED_LAYOUT))
+        """The (slots, rules, RECORD_LAYOUT) view of a stack's rules."""
+        return P[:, len(self.param_names):].reshape(len(P), -1, len(self.RECORD_LAYOUT))
 
     def new_state(self, P):
         slots, records = len(P), self._records(P)

@@ -13,7 +13,8 @@ example a ratio predicate dividing by zero rounds remaining) aborts the game
 with a fault that names the strategy; the validation gate turns such faults
 into rejections.
 
-Each member is compiled to a rule table (``compile_spec``) that the
+Each member is compiled to a rule table (``compile_spec``), one record per
+rule holding the interval on which its comparison holds, that the
 ``policy`` kernel family evaluates for whole stacks of games at once, and
 every game plays that table on the one engine, ``play_game`` and the
 validation gate included. The interpreter here is a member's ``decide``:

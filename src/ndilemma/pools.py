@@ -71,8 +71,8 @@ class FamilySpec:
         if self.family not in DEFAULT_FAMILY_PARAMS:
             # policy tables come from policy files, not parameter draws
             raise ValueError(f"unknown or unsynthesizable strategy family {self.family!r}")
-        if self.weight <= 0:
-            raise ValueError(f"family weight must be positive, got {self.weight}")
+        if not 0 < self.weight < math.inf:
+            raise ValueError(f"family weight must be finite and positive, got {self.weight}")
         known = FAMILIES[self.family].param_names
         for name, dist in self.params.items():
             if name not in known:

@@ -68,6 +68,17 @@ class TestBounds:
         assert main(["bounds", "tictactoe", "--n", "4"]) == 1
         assert "unknown game" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("game, flag, value", [
+        ("crd", "k", "nan"), ("crd", "k", "inf"), ("crd", "k", "-inf"), ("cpr", "capacity", "inf"),
+    ])
+    def test_a_value_that_is_not_finite_exits_one_naming_it(self, capsys, game, flag, value):
+        assert main(["bounds", game, "--n", "4", f"--{flag}={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.endswith(f"finite {flag}{' > 0' * (flag == 'capacity')}, "
+                                     f"got {flag}={value}\n")
+
     def test_out_dir_gets_manifest(self, tmp_path):
         out = tmp_path / "bounds"
         assert main(["bounds", "pgg", "--n", "4", "--out", str(out)]) == 0
@@ -468,6 +479,12 @@ def _with_pool_c(**changes) -> dict:
     return doc
 
 
+def _with_fingerprint_source(index: int, source: dict) -> dict:
+    doc = TestFingerprintCmd().fingerprint_config()
+    doc["pools"][index]["source"] = source
+    return doc
+
+
 class TestPoolSourceErrors:
     """A bad pool entry exits 1 naming its config key (a policy file that
     cannot be read, its path), before the output directory is created."""
@@ -517,6 +534,16 @@ class TestPoolSourceErrors:
             )
             for name, dist in BAD_DISTRIBUTIONS.items()
         },
+        **{
+            f"weight-{name}": (
+                "fingerprint",
+                _with_fingerprint_source(1, {"type": "synth", "size": 8, "families": [
+                    {"family": "grim"}, {"family": "bernoulli", "weight": weight},
+                ]}),
+                "pools[1]",
+            )
+            for name, weight in (("nan", float("nan")), ("infinity", float("inf")))
+        },
     }
 
     @pytest.mark.parametrize("name", list(CASES))
@@ -533,6 +560,23 @@ class TestPoolSourceErrors:
 
 def _with_source(index: int, source: dict) -> dict:
     return _with_gene(index, source=source)
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("selfplay", selfplay_config(game={"kind": "crd", "k": float("nan"), "rounds": 10}),
+     "collective risk requires a finite k, got k=nan"),
+    ("evolve", _with_game(TestEvolve().evolve_config(), kind="crd", k=float("-inf")),
+     "collective risk requires a finite k, got k=-inf"),
+    ("fingerprint", {**TestFingerprintCmd().fingerprint_config(),
+                     "game": {"kind": "cpr", "n": 4, "rounds": 3, "capacity": float("inf")}},
+     "common pool requires a finite capacity > 0, got capacity=inf"),
+], ids=["selfplay-k", "evolve-k", "fingerprint-capacity"])
+def test_a_game_value_that_is_not_finite_exits_one(tmp_path, capsys, command, doc, message):
+    config = write_json(tmp_path / "cfg.json", doc)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_reference_copies_are_numbered_by_their_place_in_the_pool():
@@ -1048,11 +1092,59 @@ def every_family_pool(attitude: str, families: list[str]) -> dict:
 SYNTH_FAMILIES = [
     "constant", "bernoulli", "threshold_trigger", "reciprocator", "grim", "endgame", "rota",
 ]
+
+
+def policy_member(label: str, rules: list[tuple[dict, float]], default_prob: float) -> dict:
+    return {"label": label, "default_prob": default_prob,
+            "rules": [{"when": when, "cooperate_prob": prob} for when, prob in rules]}
+
+
+# Two policy files of eight members each whose members use every predicate
+# op between them, with every cooperate probability strictly between 0 and
+# 1, so that every decision reads its uniform, and no rule that can trap in
+# the common-pool game: the ratios divide by ``rounds_left``, which is never 0.
+POLICY_FILES = {
+    "policy_e.json": {
+        "schema_version": 1, "gene_tag": "pe", "attitude": "exploitative", "members": [
+            *(policy_member(f"opener{i}", [
+                ({"op": "round_lt", "value": 1 + i}, 0.9 - 0.1 * i),
+                ({"op": "round_is", "value": 5 + i}, 0.15),
+                ({"op": "last_coop_ge", "value": 1 + i / 2}, 0.7),
+                ({"op": "always"}, 0.35 + 0.1 * i),
+            ], 0.5) for i in range(4)),
+            *(policy_member(f"closer{i}", [
+                ({"op": "rounds_left_le", "value": 2 + i}, 0.05),
+                ({"op": "stock_frac_le", "value": 0.2 + 0.1 * i}, 0.95),
+                ({"op": "rounds_left_ge", "value": 9 + i}, 0.8),
+                ({"op": "ratio_ge", "num": "last_opp_coop", "den": "rounds_left",
+                  "value": 0.25 * (i + 1)}, 0.4),
+                ({"op": "round_ge", "value": 3.5 + i}, 0.25),
+                ({"op": "my_last_is", "value": "CD"[i % 2]}, 0.6),
+            ], 0.45) for i in range(4)),
+        ]},
+    "policy_c.json": {
+        "schema_version": 1, "gene_tag": "pc", "attitude": "collective", "members": [
+            *(policy_member(f"steward{i}", [
+                ({"op": "stock_frac_ge", "value": 0.6 + 0.1 * i}, 0.3),
+                ({"op": "coop_rate_ge", "value": 0.5 + 0.125 * i}, 0.85),
+                ({"op": "coop_rate_le", "value": 0.125 * i}, 0.1),
+            ], 0.65) for i in range(4)),
+            *(policy_member(f"mirror{i}", [
+                ({"op": "my_last_is", "value": "DC"[i % 2]}, 0.55),
+                ({"op": "last_coop_le", "value": i}, 0.2),
+                ({"op": "ratio_ge", "num": "stock_frac", "den": "rounds_left",
+                  "value": 0.0625 * (i + 1)}, 0.75),
+            ], 0.9 - 0.2 * i) for i in range(4)),
+        ]},
+}
+
 # Synth pools of every family at its default parameter distributions, so
 # they hold rota members with period 2-4 and punish on, drawing members and
-# stateful ones; stock_guardian plays only the common-pool game.
+# stateful ones; stock_guardian plays only the common-pool game. The last
+# run plays the policy files above, which the test writes where the run's
+# relative paths find them.
 PINNED_STREAM_RUNS = [
-    ("selfplay", "grid.csv", {
+    pytest.param("selfplay", "grid.csv", {
         "schema_version": 1,
         "seed": 13,
         "game": {"kind": "cpr", "rounds": 12},
@@ -1060,8 +1152,8 @@ PINNED_STREAM_RUNS = [
         "samples_per_cell": 6,
         "pool_e": every_family_pool("exploitative", SYNTH_FAMILIES + ["stock_guardian"]),
         "pool_c": every_family_pool("collective", SYNTH_FAMILIES + ["stock_guardian"]),
-    }, "4c1660330b24a4430738342889fd103edfb788e126f8125cf421affaca709a13"),
-    ("evolve", "summary.json", {
+    }, "4c1660330b24a4430738342889fd103edfb788e126f8125cf421affaca709a13", id="selfplay"),
+    pytest.param("evolve", "summary.json", {
         "schema_version": 1,
         "seed": 17,
         "game": {"kind": "pgg", "k": 2.0, "rounds": 10},
@@ -1077,14 +1169,24 @@ PINNED_STREAM_RUNS = [
             every_family_pool("exploitative", SYNTH_FAMILIES),
             every_family_pool("collective", SYNTH_FAMILIES),
         ],
-    }, "f19fbd5746187e91d1c0202880e7945e2995b6cd407913de34e899b6f02622b0"),
+    }, "f19fbd5746187e91d1c0202880e7945e2995b6cd407913de34e899b6f02622b0", id="evolve"),
+    pytest.param("selfplay", "grid.csv", {
+        "schema_version": 1,
+        "seed": 19,
+        "game": {"kind": "cpr", "rounds": 12},
+        "group_sizes": [3, 8],
+        "samples_per_cell": 6,
+        "pool_e": {"source": {"type": "file", "path": "policy_e.json"}},
+        "pool_c": {"source": {"type": "file", "path": "policy_c.json"}},
+    }, "41f9af1fc9efb475afa6c22526568315dded61707363709b822c13ded6b75582", id="selfplay-policy"),
 ]
 
 
-@pytest.mark.parametrize(
-    "command, name, config, sha256", PINNED_STREAM_RUNS, ids=[run[0] for run in PINNED_STREAM_RUNS]
-)
-def test_stream_outputs_are_pinned(tmp_path, command, name, config, sha256):
+@pytest.mark.parametrize("command, name, config, sha256", PINNED_STREAM_RUNS)
+def test_stream_outputs_are_pinned(tmp_path, monkeypatch, command, name, config, sha256):
+    monkeypatch.chdir(tmp_path)
+    for file_name, doc in POLICY_FILES.items():
+        write_json(tmp_path / file_name, doc)
     out = tmp_path / "out"
     path = write_json(tmp_path / "config.json", config)
     assert main([command, "--config", str(path), "--out", str(out)]) == 0

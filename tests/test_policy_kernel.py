@@ -2,6 +2,8 @@
 fault attribution on the batched paths, and parse_pool's error contract."""
 
 import json
+import math
+import operator
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from reference import without_kernel
 from ndilemma import GameKind, GameParams, SchemaError, StrategyFault, play_game
 from ndilemma.engine import simulate_batch
 from ndilemma.fingerprint import enumerate_nodes, fingerprint
-from ndilemma.kernels import FAMILIES, KernelFamily
+from ndilemma.kernels import FAMILIES, KernelFamily, PolicyTable
 from ndilemma.policy import (
     PREDICATE_OPS,
     RATIO_FIELDS,
@@ -228,6 +230,53 @@ def test_the_lowest_of_two_faults_in_one_group_and_round_wins():
                        1, seed=0)
     assert (alone.value.label, alone.value.player, alone.value.round_index,
             alone.value.reason) == ("mill", 3, 3, "step_budget")
+
+
+HOLDS = {"eq": operator.eq, "lt": operator.lt, "ge": operator.ge, "le": operator.le}
+
+
+@pytest.mark.parametrize("comparison", PolicyTable.COMPARISONS)
+@pytest.mark.parametrize("value", [-1.0, -0.0, 0.0, 0.5, 3.0])
+def test_a_rule_record_holds_where_its_comparison_holds(comparison, value):
+    """A rule's record is its two field codes, the closed interval lo..hi
+    of left-hand values on which its comparison holds, its probability and
+    its trap code, after the header (step_budget, default_prob)."""
+    row = PolicyTable.row(1, 0.75, [("rounds_left", "one", comparison, value, 0.25)])
+    assert len(row) == len(PolicyTable.param_names) + len(PolicyTable.RECORD_LAYOUT)
+    assert row[:2] == (1.0, 0.75)
+    lhs, den, lo, hi, prob, trap = row[2:]
+    assert (lhs, den, prob, trap) == (PolicyTable.FIELDS.index("rounds_left"), 0.0, 0.25, 0.0)
+    for x in (value, math.nextafter(value, -math.inf), math.nextafter(value, math.inf)):
+        assert (lo <= x <= hi) == HOLDS[comparison](x, value), x
+
+
+def test_rule_records_trap_at_the_step_budget_and_on_the_stock():
+    """Rules at or past the step budget trap always; before it, a rule that
+    reads stock_frac, as its left-hand field or its denominator, traps
+    outside the common-pool game."""
+    rules = [
+        ("round", "one", "ge", 0.0, 1.0),
+        ("stock_frac", "one", "le", 0.5, 1.0),
+        ("opp_coop_rate", "stock_frac", "ge", 0.5, 1.0),
+        ("stock_frac", "one", "ge", 0.5, 1.0),
+        ("round", "one", "eq", 0.0, 1.0),
+    ]
+    layout = PolicyTable.RECORD_LAYOUT
+    traps = slice(len(PolicyTable.param_names) + layout.index("trap"), None, len(layout))
+    outside, always = PolicyTable.TRAP_OUTSIDE_CPR, PolicyTable.TRAP_ALWAYS
+    assert PolicyTable.row(3, 0.0, rules)[traps] == (0.0, outside, outside, always, always)
+    assert PolicyTable.row(0, 0.0, rules[:2])[traps] == (always, always)
+
+
+@pytest.mark.parametrize("rule", [
+    ("rounds", "one", "ge", 0.0, 1.0),
+    ("round", "two", "ge", 0.0, 1.0),
+    ("round", "one", "gt", 0.0, 1.0),
+], ids=["lhs", "den", "comparison"])
+@pytest.mark.parametrize("step_budget", [0, 5])
+def test_an_unknown_name_in_a_rule_raises(rule, step_budget):
+    with pytest.raises(KeyError):
+        PolicyTable.row(step_budget, 0.5, [rule])
 
 
 def test_stock_rule_faults_outside_cpr_on_fingerprint_path():

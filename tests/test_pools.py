@@ -207,8 +207,33 @@ class TestValidateStrategy:
             (make_reference("allc"), policy_strategy(spec), make_reference("alld")),
         )
         admitted, reports = admit_pool(pool, GameKind.PUBLIC_GOODS, self.PARAMS, trials=5, seed=0)
+        assert [r.label for r in reports] == ["AllC", "divider", "AllD"]
         assert [r.passed for r in reports] == [True, False, True]
-        assert len(admitted) == 2
+        assert not reports[1].step_ok and reports[1].failures
+        assert (admitted.gene_tag, admitted.attitude) == ("mixed", Attitude.COLLECTIVE)
+        assert [m.label for m in admitted.members] == ["AllC", "AllD"]
+
+    def test_admit_pool_of_failures_admits_none(self):
+        """A pool whose members all fail, each for its own reason, admits no
+        pool, and reports on every member."""
+        mill = PolicySpec(
+            label="mill", rules=(PolicyRule(Predicate("always"), 1.0),), default_prob=1.0,
+        )
+        outsider = PolicySpec(
+            label="outsider",
+            rules=(PolicyRule(Predicate("stock_frac_ge", value=0.5), 1.0),),
+            default_prob=1.0,
+        )
+        pool = StrategyPool(
+            "faulty", Attitude.EXPLOITATIVE,
+            (policy_strategy(mill, step_budget=0), policy_strategy(outsider)),
+        )
+        admitted, reports = admit_pool(pool, GameKind.PUBLIC_GOODS, self.PARAMS, trials=3, seed=0)
+        assert admitted is None
+        assert [r.label for r in reports] == ["mill", "outsider"]
+        assert not any(r.passed or r.step_ok for r in reports)
+        assert "step_budget" in reports[0].failures[0]
+        assert "stock_frac is undefined" in reports[1].failures[0]
 
 
 @pytest.mark.slow
