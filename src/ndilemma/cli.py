@@ -206,7 +206,11 @@ def _game_params(game: _Entry, n: int | None = None) -> tuple[GameKind, GamePara
         raise ConfigError(f"{game.where('n')} is {given['n']} but group_size is {n}")
     game.done()
     params = GameParams(**given)
-    params.validate_for(kind)
+    try:
+        params.validate_for(kind)
+    except GameConfigError as exc:
+        where = "group_size" if exc.key == "n" and "n" not in game.data else game.path
+        raise ConfigError(f"{where}: {exc}") from None
     return kind, params
 
 
@@ -407,6 +411,15 @@ def cmd_selfplay(args: argparse.Namespace) -> int:
     config.done()
     try:
         grid.validate()
+    except GameConfigError as exc:
+        # each group size is a game's n, and --k overrides game.k
+        if exc.key == "n":
+            where = "group_sizes"
+        elif exc.key == "k" and args.k is not None:
+            where = "--k"
+        else:
+            where = game.path
+        raise ConfigError(f"{where}: {exc}") from None
     except ValueError as exc:
         raise ConfigError(str(exc))
     rows = run_mix_grid(grid)

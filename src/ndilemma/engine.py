@@ -5,9 +5,10 @@ every game plays through it, ``play_game`` as a stack of one that keeps the
 round-by-round record. Kernel strategies (the built-in families and
 compiled policy files) decide per family for all their slots at once. A
 strategy without a kernel, such as a user-written callable, plays as the
-``callable`` family: its ``decide`` is called once per decision on the
-``Observation`` a per-decision loop would build, so only its own slots pay
-the per-decision cost. A strategy with a kernel always plays it.
+``callable`` family: its ``decide`` is called once per decision on an
+``Observation`` of the engine's own counts and its game's history, so only
+its own slots pay the per-decision cost. A strategy with a kernel always
+plays it.
 
 ``play_blocks`` packs independent blocks of games (grid cells, evolution
 runs) into stacks; a block draws only from its own kernel seed, so it plays
@@ -19,9 +20,10 @@ aborts the game with a ``StrategyFault`` naming the offender.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -78,67 +80,31 @@ class StrategyFault(RuntimeError):
 
 
 class HistoryAccumulator:
-    """Incremental state of one game, for the per-decision ``Observation``.
+    """The completed rounds of one game, as a kernel-less slot sees them.
 
-    Tracks completed rounds plus the running aggregates needed to build
-    observations in O(1) per player. The ``callable`` family keeps one per
-    game and records each round as the stack played it.
+    The ``callable`` family keeps one per game that seats such a slot and
+    records each round as the stack played it; a slot's other observables
+    come from the engine's own counts.
     """
 
-    def __init__(self, kind: GameKind, params: GameParams):
-        params.validate_for(kind)
-        self.kind = kind
-        self.params = params
-        self.round_index = 0
+    def __init__(self, stock: float | None):
         self.history: tuple[RoundRecord, ...] = ()
-        self.stock: float | None = params.capacity if kind is GameKind.COMMON_POOL else None
-        self._coop_cum = [0] * params.n
-        self._total_cum = 0
-        self._last_coop: list[bool] | None = None
-        self._last_total = 0
-
-    def observation_for(self, player: int) -> Observation:
-        t = self.round_index
-        if t == 0:
-            return Observation(self.kind, self.params, 0, player, self.history, self.stock)
-        n = self.params.n
-        my_last_c = self._last_coop[player]
-        return Observation(
-            self.kind,
-            self.params,
-            t,
-            player,
-            self.history,
-            self.stock,
-            opp_coop_last=self._last_total - (1 if my_last_c else 0),
-            opp_coop_rate=(self._total_cum - self._coop_cum[player]) / ((n - 1) * t),
-            my_last_action=Action.C if my_last_c else Action.D,
-        )
+        self.stock = stock  # entering the next round; None outside the common-pool game
 
     def push_round(
         self, coop: np.ndarray, payoffs: np.ndarray, stock_after: float | None
-    ) -> RoundRecord:
+    ) -> None:
         """Record a completed round: its bool actions, its payoff row and
         its next stock (None outside the common-pool game), as the engine
         played them."""
-        coop = coop.tolist()
         record = RoundRecord(
-            actions=tuple(Action.C if c else Action.D for c in coop),
+            actions=tuple(Action.C if c else Action.D for c in coop.tolist()),
             payoffs=tuple(payoffs.tolist()),
             stock_before=self.stock,
             stock_after=None if stock_after is None else float(stock_after),
         )
-        self.history = self.history + (record,)
-        for i, c in enumerate(coop):
-            if c:
-                self._coop_cum[i] += 1
-        n_c = sum(coop)
-        self._total_cum += n_c
-        self._last_coop = coop
-        self._last_total = n_c
+        self.history += (record,)
         self.stock = record.stock_after
-        self.round_index += 1
-        return record
 
 
 def decide_checked(
@@ -186,28 +152,25 @@ def decide_group(family: KernelFamily, P: np.ndarray, state, view: SlotView) -> 
 class CallableFamily(KernelFamily):
     """Strategies without a kernel, such as user-written callables.
 
-    A parameter row holds the strategy itself. Each game that holds a slot
-    of this family keeps one ``HistoryAccumulator``, so every slot's
-    ``decide`` sees the ``Observation`` a per-decision loop would build. It
-    is called through ``decide_checked``, slot by slot in slot order on its
-    block's generator, and a fault is raised at the slot that made it.
+    A parameter row holds the strategy itself. Each game that seats a slot
+    of this family keeps one ``HistoryAccumulator``; a slot's
+    ``Observation`` holds that history and stock and, from round 1, the
+    engine's ``opp_coop``, ``opp_rate`` and ``prev_c`` as an int, a float
+    and an ``Action``. ``decide`` runs through ``decide_checked``, slot by
+    slot on its block's generator; a fault is raised at its slot.
     """
 
     name = "callable"
     param_names = ("strategy",)
-    reads = ("slots", "last", "last_payoffs", "stock", "rng")
+    reads = ("slots", "opp_coop", "opp_rate", "prev_c", "last", "last_payoffs", "stock", "rng")
 
     def stack(self, rows):
         return np.array(rows, dtype=object)[:, None]
 
     def slot_words(self, width, params):
-        """A slot's share of its game's accumulator and observations, and
-        its game's whole history: every round about five words per player
-        (an action and a boxed payoff) and 32 for the round's record. A game
-        holds one history however many of its slots are of this family, so
-        a game of several such slots holds less than they are charged."""
-        history = params.rounds * (5 * params.n + 32)
-        return super().slot_words(width, params) + 7 + history
+        # its share of its game's accumulator, and its observations; the
+        # history is charged once per game (``block_words``)
+        return super().slot_words(width, params) + 7
 
     def new_state(self, P):
         return {}  # game index -> HistoryAccumulator, filled in round 0
@@ -215,18 +178,24 @@ class CallableFamily(KernelFamily):
     def decide_batch(self, P, state, view):
         games, players = np.divmod(view.slots, view.params.n)
         if view.t == 0:
+            stock = None if view.stock is None else view.params.capacity
             for game in set(games.tolist()):
-                state[game] = HistoryAccumulator(view.kind, view.params)
+                state[game] = HistoryAccumulator(stock)
+            aggregates = itertools.repeat((None, None, None))
         else:
             for game, acc in state.items():
                 stock = None if view.stock is None else view.stock[game]
                 acc.push_round(view.last[game], view.last_payoffs[game], stock)
+            # each slot's opp_coop_last, opp_coop_rate and my_last_action
+            mine = [Action.C if c else Action.D for c in view.prev_c.tolist()]
+            aggregates = zip(view.opp_coop.astype(int).tolist(), view.opp_rate.tolist(), mine)
         acts = np.empty(len(P), dtype=bool)
-        for i, (strategy, game, player, rng) in enumerate(
-            zip(P[:, 0], games.tolist(), players.tolist(), view.rng)
+        for i, (strategy, game, player, rng, seen) in enumerate(
+            zip(P[:, 0], games.tolist(), players.tolist(), view.rng, aggregates)
         ):
+            acc = state[game]
+            obs = Observation(view.kind, view.params, view.t, player, acc.history, acc.stock, *seen)
             try:
-                obs = state[game].observation_for(player)
                 action = decide_checked(strategy, obs, rng, player)
             except StrategyFault as fault:
                 raise SlotFault(i, fault.reason, fault.detail) from fault
@@ -344,13 +313,26 @@ def slot_words(table: MemberTable, params: GameParams) -> np.ndarray:
     the engine's and its family's ``slot_words``. The figures are
     tracemalloc peaks of stacks that tests/test_engine.py compares with
     their charge: built-in slots hold 6 (constant) to 19 words (a punishing
-    rota), policy slots about 13.5 words per rule plus 26, and a game with one
-    kernel-less slot its history besides."""
+    rota), and policy slots about 13.5 words per rule plus 26."""
     family = np.array([
         family.slot_words(P.shape[1], params)
         for family, P in zip(table.families, table.params)
     ])
     return _ENGINE_WORDS + family[table.family]
+
+
+def block_words(table: MemberTable, params: GameParams) -> Callable[[np.ndarray], int]:
+    """The charge of a block of (S, n) ``lineups`` of ``table`` members: the
+    ``slot_words`` of its slots and, once per game that seats a kernel-less
+    member, the history all its kernel-less slots share."""
+    words = slot_words(table, params)
+    if CALLABLE not in table.families:
+        return lambda lineups: int(words[lineups].sum())
+    bare = table.family == table.families.index(CALLABLE)
+    # a round of history: about five words per player (an action and a
+    # boxed payoff) and 32 for its record
+    history = params.rounds * (5 * params.n + 32)
+    return lambda lineups: int(words[lineups].sum() + history * bare[lineups].any(axis=1).sum())
 
 
 @dataclass
@@ -544,16 +526,16 @@ def play_blocks(
 
     ``lineups`` is an (S, n) array of ``table`` member indices, one row per
     game, the same S for every block. Blocks are drawn as needed and packed
-    whole, in order, into ``simulate_batch`` stacks while the ``slot_words``
-    of their slots fit in ``STACK_WORDS`` (one block at least); the first
+    whole, in order, into ``simulate_batch`` stacks while their
+    ``block_words`` fit in ``STACK_WORDS`` (one block at least); the first
     block that does not fit starts the next stack. Each plays on its own
     kernel seed, so as it does alone. The fault raised is the
     earliest-listed faulting block's lone fault: when block ``b`` of a stack
     faults, the stack's first ``b`` blocks play again and raise theirs if
     they have one. Its ``block`` is the block's index in ``blocks``.
     """
-    words = slot_words(table, params)
-    blocks = ((lineups, seed, int(words[lineups].sum())) for lineups, seed in blocks)
+    charge = block_words(table, params)
+    blocks = ((lineups, seed, charge(lineups)) for lineups, seed in blocks)
     block = next(blocks, None)
     done = 0
     while block is not None:

@@ -110,8 +110,9 @@ def fingerprint(
     fields the subject's family reads: ``u`` is one uniform per row each
     round from the stream. A strategy without a kernel plays as the
     ``callable`` family, which alone reads each row's slot, the stream
-    (``rng``) and the previous round's (rows, n) actions: the subject's
-    own, then opponents 1..n-1, the first ``count`` cooperating.
+    (``rng``) and the previous round's (rows, n) actions besides the
+    forced observables: the subject's own, then opponents 1..n-1, the
+    first ``count`` cooperating.
 
     This is ``fingerprint_many``'s driver on a list of one. There the
     strategies of a family share stacks, and each keeps its own stream and

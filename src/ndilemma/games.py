@@ -21,11 +21,9 @@ Games:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -55,7 +53,12 @@ class Action(Enum):
 
 
 class GameConfigError(ValueError):
-    """Invalid game parameters or malformed game configuration."""
+    """Invalid game parameters or malformed game configuration; ``key``
+    names the ``GameParams`` field at fault, when there is one."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass(frozen=True)
@@ -84,22 +87,23 @@ class GameParams:
     def validate_for(self, kind: GameKind) -> None:
         """Raise GameConfigError if the parameters are invalid for ``kind``."""
         if self.n < 2:
-            raise GameConfigError(f"player count must be >= 2, got {self.n}")
+            raise GameConfigError(f"player count must be >= 2, got {self.n}", "n")
         if self.rounds < 1:
-            raise GameConfigError(f"round count must be >= 1, got {self.rounds}")
+            raise GameConfigError(f"round count must be >= 1, got {self.rounds}", "rounds")
         if kind is GameKind.PUBLIC_GOODS and not 1 < self.k < self.n:
             raise GameConfigError(
-                f"public goods requires 1 < k < n, got k={self.k}, n={self.n}"
+                f"public goods requires 1 < k < n, got k={self.k}, n={self.n}", "k"
             )
         if kind is GameKind.COLLECTIVE_RISK and not 1 <= self.m <= self.n:
             raise GameConfigError(
-                f"collective risk requires 1 <= m <= n, got m={self.m}, n={self.n}"
+                f"collective risk requires 1 <= m <= n, got m={self.m}, n={self.n}", "m"
             )
         if kind is GameKind.COLLECTIVE_RISK and not math.isfinite(self.k):
-            raise GameConfigError(f"collective risk requires a finite k, got k={self.k}")
+            raise GameConfigError(f"collective risk requires a finite k, got k={self.k}", "k")
         if kind is GameKind.COMMON_POOL and not 0 < self.capacity < math.inf:
             raise GameConfigError(
-                f"common pool requires a finite capacity > 0, got capacity={self.capacity}"
+                f"common pool requires a finite capacity > 0, got capacity={self.capacity}",
+                "capacity",
             )
 
 
@@ -302,6 +306,3 @@ class GameResult:
             "mean_welfare": self.mean_welfare,
             "round_data": rounds,
         }
-
-    def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")

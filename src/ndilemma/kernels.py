@@ -70,11 +70,12 @@ class SlotView:
     every round; ``col`` is each slot's player index; ``prev_c``,
     ``opp_coop`` and ``opp_rate`` are None in round 0; ``stock_frac`` is
     None outside the common-pool game. The engine's ``callable`` family
-    reads the whole stack instead: ``slots`` holds each slot's flat
-    ``game * n + player`` index, ``last`` and ``last_payoffs`` the previous
-    round's (games, n) actions and payoffs, None in round 0, ``stock`` each
-    game's stock at the start of the round, None outside the common-pool
-    game, and ``rng`` each slot's generator.
+    reads ``opp_coop``, ``opp_rate`` and ``prev_c`` like a kernel, and its
+    games' histories besides: ``slots`` holds each slot's flat ``game * n +
+    player`` index, ``last`` and ``last_payoffs`` the previous round's
+    (games, n) actions and payoffs, None in round 0, ``stock`` each game's
+    stock at the start of the round, None outside the common-pool game, and
+    ``rng`` each slot's generator.
 
     A driver builds a group's view once per stack, with the fields that
     stay fixed (``slots``, ``col``, ``rng``), and each round sets ``t`` and

@@ -19,11 +19,12 @@ from functools import partial
 
 import numpy as np
 
-from ndilemma import Action, GameKind, GameParams, Strategy
-from ndilemma.engine import HistoryAccumulator, decide_checked
+from ndilemma import Action, Attitude, GameKind, GameParams, Strategy, StrategyPool
+from ndilemma.engine import decide_checked
 from ndilemma.fingerprint import DecisionNode
 from ndilemma.games import RoundRecord, batch_round_payoffs
 from ndilemma.kernels import _EPS, KernelError
+from ndilemma.pools import DEFAULT_FAMILY_PARAMS, FamilySpec, synth_pool
 from ndilemma.strategies import DecideFn, Observation
 
 
@@ -129,13 +130,52 @@ def without_kernel(strategy: Strategy) -> Strategy:
     return Strategy(strategy.label, strategy.origin, reference_decide(strategy))
 
 
-def push_round(acc: HistoryAccumulator, coop) -> RoundRecord:
-    """Record a round of the given actions on ``acc``, its payoffs and next
-    stock played as a one-game stack."""
-    row = np.asarray(coop, dtype=bool)
-    stock = None if acc.stock is None else np.array([acc.stock])
-    payoffs, next_stock = batch_round_payoffs(acc.kind, acc.params, row[None], stock)
-    return acc.push_round(row, payoffs[0], None if next_stock is None else next_stock[0])
+def twin_pool(kind: GameKind, per_family: int, seed: int, attitude: Attitude) -> StrategyPool:
+    """A pool of ``per_family`` members of every built-in family at its
+    default parameter draws (``stock_guardian`` only in the common-pool
+    game), each played as its kernel-less twin."""
+    members = []
+    for i, name in enumerate(DEFAULT_FAMILY_PARAMS):
+        if name != "stock_guardian" or kind is GameKind.COMMON_POOL:
+            pool = synth_pool([FamilySpec(name)], per_family, seed + i, "twins", attitude)
+            members += map(without_kernel, pool.members)
+    return StrategyPool("twins", attitude, tuple(members))
+
+
+class ReplayedGame:
+    """One game replayed from its actions, round by round, for the
+    per-decision references: its record, and each player's
+    ``Observation`` counted from that record alone."""
+
+    def __init__(self, kind: GameKind, params: GameParams):
+        self.kind = kind
+        self.params = params
+        self.history: tuple[RoundRecord, ...] = ()
+        self.stock = params.capacity if kind is GameKind.COMMON_POOL else None
+
+    def push_round(self, coop) -> None:
+        """Record a round of the given bool actions, its payoffs and next
+        stock played as a one-game stack."""
+        row = np.asarray(coop, dtype=bool)
+        stock = None if self.stock is None else np.array([self.stock])
+        payoffs, next_stock = batch_round_payoffs(self.kind, self.params, row[None], stock)
+        after = None if next_stock is None else float(next_stock[0])
+        actions = tuple(Action.C if c else Action.D for c in row.tolist())
+        self.history += (RoundRecord(actions, tuple(payoffs[0].tolist()), self.stock, after),)
+        self.stock = after
+
+    def observation_for(self, player: int) -> Observation:
+        t = len(self.history)
+        obs = Observation(self.kind, self.params, t, player, self.history, self.stock)
+        if t:
+            opp_coop = [
+                sum(a is Action.C for j, a in enumerate(rec.actions) if j != player)
+                for rec in self.history
+            ]
+            obs.opp_coop_last = opp_coop[-1]
+            obs.opp_coop_rate = sum(opp_coop) / ((self.params.n - 1) * t)
+            obs.my_last_action = self.history[-1].actions[player]
+        return obs
 
 
 def fingerprint_node(
@@ -154,11 +194,11 @@ def fingerprint_node(
     subject = without_kernel(strategy)
     cooperations = 0
     for _ in range(rollouts):
-        acc = HistoryAccumulator(kind, params)
+        game = ReplayedGame(kind, params)
         for forced in node.counts:
-            own = decide_checked(subject, acc.observation_for(0), rng, 0)
-            push_round(acc, [own is Action.C] + [j <= forced for j in range(1, params.n)])
-        final = decide_checked(subject, acc.observation_for(0), rng, 0)
+            own = decide_checked(subject, game.observation_for(0), rng, 0)
+            game.push_round([own is Action.C] + [j <= forced for j in range(1, params.n)])
+        final = decide_checked(subject, game.observation_for(0), rng, 0)
         if final is Action.C:
             cooperations += 1
     return cooperations / rollouts

@@ -564,17 +564,40 @@ def _with_source(index: int, source: dict) -> dict:
 
 @pytest.mark.parametrize("command, doc, message", [
     ("selfplay", selfplay_config(game={"kind": "crd", "k": float("nan"), "rounds": 10}),
-     "collective risk requires a finite k, got k=nan"),
+     "game: collective risk requires a finite k, got k=nan"),
     ("evolve", _with_game(TestEvolve().evolve_config(), kind="crd", k=float("-inf")),
-     "collective risk requires a finite k, got k=-inf"),
+     "game: collective risk requires a finite k, got k=-inf"),
     ("fingerprint", {**TestFingerprintCmd().fingerprint_config(),
                      "game": {"kind": "cpr", "n": 4, "rounds": 3, "capacity": float("inf")}},
-     "common pool requires a finite capacity > 0, got capacity=inf"),
-], ids=["selfplay-k", "evolve-k", "fingerprint-capacity"])
+     "game: common pool requires a finite capacity > 0, got capacity=inf"),
+    ("selfplay", selfplay_config(game={"kind": "pgg", "k": 4.5, "rounds": 10}),
+     "game: public goods requires 1 < k < n, got k=4.5, n=4"),
+    ("selfplay", selfplay_config(group_sizes=[1]),
+     "group_sizes: player count must be >= 2, got 1"),
+    ("evolve", {**TestEvolve().evolve_config(), "group_size": 1},
+     "group_size: player count must be >= 2, got 1"),
+], ids=[
+    "selfplay-k", "evolve-k", "fingerprint-capacity", "selfplay-pgg-k", "selfplay-n", "evolve-n",
+])
 def test_a_game_value_that_is_not_finite_exits_one(tmp_path, capsys, command, doc, message):
     config = write_json(tmp_path / "cfg.json", doc)
     out = tmp_path / "out"
     assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k, rounds, message", [
+    ("4.0", 10, "--k: public goods requires 1 < k < n, got k=4.0, n=4"),
+    ("3.0", 0, "game: round count must be >= 1, got 0"),
+], ids=["k", "rounds"])
+def test_a_selfplay_game_error_names_the_flag_or_entry_at_fault(tmp_path, capsys, k, rounds, message):
+    """A ``--k`` out of range is named as the flag; another game value under
+    a valid ``--k`` is named by the game entry."""
+    doc = selfplay_config(game={"kind": "pgg", "k": 2.0, "rounds": rounds})
+    config = write_json(tmp_path / "cfg.json", doc)
+    out = tmp_path / "out"
+    assert main(["selfplay", "--config", str(config), "--out", str(out), "--k", k]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
@@ -1140,9 +1163,10 @@ POLICY_FILES = {
 
 # Synth pools of every family at its default parameter distributions, so
 # they hold rota members with period 2-4 and punish on, drawing members and
-# stateful ones; stock_guardian plays only the common-pool game. The last
+# stateful ones; stock_guardian plays only the common-pool game. The third
 # run plays the policy files above, which the test writes where the run's
-# relative paths find them.
+# relative paths find them; the last is a common-pool fingerprint, whose
+# stock follows each node's forced counts.
 PINNED_STREAM_RUNS = [
     pytest.param("selfplay", "grid.csv", {
         "schema_version": 1,
@@ -1179,6 +1203,26 @@ PINNED_STREAM_RUNS = [
         "pool_e": {"source": {"type": "file", "path": "policy_e.json"}},
         "pool_c": {"source": {"type": "file", "path": "policy_c.json"}},
     }, "41f9af1fc9efb475afa6c22526568315dded61707363709b822c13ded6b75582", id="selfplay-policy"),
+    pytest.param("selfplay", "grid.csv", {
+        "schema_version": 1,
+        "seed": 29,
+        "game": {"kind": "crd", "k": 2.0, "rounds": 10},
+        "group_sizes": [3, 6],
+        "samples_per_cell": 6,
+        "pool_e": every_family_pool("exploitative", SYNTH_FAMILIES),
+        "pool_c": every_family_pool("collective", SYNTH_FAMILIES),
+    }, "0e365a76dde9eb588f258a582720ffd20d892bd19f4eb74a35f2851f58d46b10", id="selfplay-crd"),
+    pytest.param("fingerprint", "fingerprints.csv", {
+        "schema_version": 1,
+        "seed": 31,
+        "game": {"kind": "cpr", "n": 4, "rounds": 4},
+        "rollouts": 8,
+        "include_references": True,
+        "pools": [
+            every_family_pool("exploitative", SYNTH_FAMILIES + ["stock_guardian"]),
+            every_family_pool("collective", SYNTH_FAMILIES + ["stock_guardian"]),
+        ],
+    }, "ee5da46be9dcdc3b4c081d6cb9b3812ebfedc8bf9f6d050e91349c6cbaf5b2a6", id="fingerprint-cpr"),
 ]
 
 

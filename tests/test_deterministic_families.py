@@ -5,7 +5,7 @@ Each family's ``decide_batch`` keeps whatever does not change between
 rounds in its state: thresholds and flags from ``P``, and for ``rota`` the
 place of every slot in its schedule, stepped by one a round. Played on fresh
 state from round 0, it must decide every slot exactly as its reference in
-``reference`` does on the ``HistoryAccumulator`` observation of the same
+``reference`` does on the ``ReplayedGame`` observation of the same
 history. From round 1
 on the kernel is handed a parameter matrix of NaN, so a family that still
 read ``P`` after round 0 would decide differently or fail.
@@ -16,10 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from conftest import forced_views, kernel_row
-from reference import push_round, reference_decide
+from reference import ReplayedGame, reference_decide
 
 from ndilemma import Action, GameKind, GameParams
-from ndilemma.engine import HistoryAccumulator
 from ndilemma.kernels import FAMILIES, kernel_strategy
 
 DETERMINISTIC = ["constant", "threshold_trigger", "grim", "endgame", "stock_guardian", "rota"]
@@ -44,15 +43,15 @@ def test_each_slot_decides_as_its_reference_every_round(name, data):
     P = family.stack(vecs)
     poisoned = np.full_like(P, np.nan)
     state = family.new_state(P)
-    accumulators = [HistoryAccumulator(kind, params) for _ in range(games)]
+    replays = [ReplayedGame(kind, params) for _ in range(games)]
     for t, view in enumerate(forced_views(kind, params, history, 0)):
         acts = family.decide_batch(P if t == 0 else poisoned, state, view)
         for slot, member in enumerate(lineup):
             game, player = divmod(slot, n)
-            want = reference_decide(member)(accumulators[game].observation_for(player), None)
+            want = reference_decide(member)(replays[game].observation_for(player), None)
             assert acts[slot] == (want is Action.C), (t, slot, member.label)
-        for game, accumulator in enumerate(accumulators):
-            push_round(accumulator, history[t, game])
+        for game, replay in enumerate(replays):
+            replay.push_round(history[t, game])
 
 
 @pytest.mark.parametrize("punish", [0.0, 1.0])
@@ -68,14 +67,14 @@ def test_rota_schedules_wrap_over_many_rounds(punish):
     family = FAMILIES["rota"]
     P = family.stack([vecs[slot % games] for slot in range(games * n)])
     state = family.new_state(P)
-    accumulators = [HistoryAccumulator(GameKind.PUBLIC_GOODS, params) for _ in range(games)]
+    replays = [ReplayedGame(GameKind.PUBLIC_GOODS, params) for _ in range(games)]
     for t, view in enumerate(forced_views(GameKind.PUBLIC_GOODS, params, history, 0)):
         acts = family.decide_batch(P, state, view)
         for slot in range(games * n):
             game, player = divmod(slot, n)
             member = lineup[slot % games]
-            want = reference_decide(member)(accumulators[game].observation_for(player), None)
+            want = reference_decide(member)(replays[game].observation_for(player), None)
             assert acts[slot] == (want is Action.C), (t, slot, member.label)
-        for game, accumulator in enumerate(accumulators):
-            push_round(accumulator, history[t, game])
+        for game, replay in enumerate(replays):
+            replay.push_round(history[t, game])
 

@@ -15,10 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from conftest import forced_views
-from reference import push_round, reference_decide
+from reference import ReplayedGame, reference_decide
 
 from ndilemma import Action, GameKind, GameParams
-from ndilemma.engine import HistoryAccumulator
 from ndilemma.kernels import FAMILIES, kernel_strategy
 from ndilemma.policy import PolicyRule, PolicySpec, Predicate, policy_strategy
 
@@ -84,14 +83,14 @@ def test_each_slot_decides_as_its_reference_on_its_uniform(name, data):
     P = family.stack([member.kernel[1] for member in lineup])
     poisoned = np.full_like(P, np.nan)
     state = family.new_state(P)
-    accumulators = [HistoryAccumulator(kind, params) for _ in range(games)]
+    replays = [ReplayedGame(kind, params) for _ in range(games)]
     views = forced_views(kind, params, history, data.draw(st.integers(0, 2**32 - 1)))
     for t, view in enumerate(views):
         acts = family.decide_batch(P if t == 0 else poisoned, state, view)
         for slot, (member, u) in enumerate(zip(lineup, view.u)):
             game, player = divmod(slot, n)
-            obs = accumulators[game].observation_for(player)
+            obs = replays[game].observation_for(player)
             want = reference_decide(member)(obs, OneDraw(float(u)))
             assert acts[slot] == (want is Action.C), (t, slot, member.label, u)
-        for game, accumulator in enumerate(accumulators):
-            push_round(accumulator, history[t, game])
+        for game, replay in enumerate(replays):
+            replay.push_round(history[t, game])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import lineup_groups
-from reference import without_kernel
+from reference import ReplayedGame, without_kernel
 
 from ndilemma import (
     Action,
@@ -103,6 +103,58 @@ def test_observation_contract():
     assert [(t, h) for t, h, _ in seen] == [(0, 0), (1, 1), (2, 2), (3, 3)]
     assert seen[0][2] is None  # no last round yet
     assert all(c == 0 for _, _, c in seen[1:])  # both opponents defect
+
+
+OBSERVATION_FIELDS = (
+    "kind", "params", "round_index", "my_index", "history", "current_stock",
+    "opp_coop_last", "opp_coop_rate", "my_last_action",
+)
+
+
+@pytest.mark.parametrize("kind", list(GameKind))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_kernel_less_slot_sees_the_observation_its_history_gives(kind, data):
+    """Recording probes play among kernels and kernel-less twins in a stack
+    of two blocks. Every ``Observation`` a probe is handed equals, field by
+    field and type by type, what ``ReplayedGame`` counts from the history
+    the stack played."""
+    n = data.draw(st.integers(2, 6))
+    rounds = data.draw(st.integers(1, 8))
+    games = data.draw(st.integers(1, 3))  # per block
+    params = GameParams(n=n, rounds=rounds, k=(1 + n) / 2)
+    others = [
+        kernel_strategy("bernoulli", 0.5), kernel_strategy("reciprocator", 0.5, 0.3),
+        kernel_strategy("grim", 0.25), kernel_strategy("constant", 1.0),
+        without_kernel(kernel_strategy("bernoulli", 0.4)),
+        without_kernel(kernel_strategy("threshold_trigger", 1.0, 1.0, 1.0)),
+    ]
+    if kind is GameKind.COMMON_POOL:
+        others.append(kernel_strategy("stock_guardian", 0.5))
+    seen = {}  # slot -> the observations its probe was handed
+
+    def probe(slot):
+        def decide(obs, rng):
+            seen.setdefault(slot, []).append(obs)
+            return Action.C if rng.random() < 0.5 else Action.D
+        return Strategy(f"probe{slot}", "file", decide)
+
+    lineup = [
+        probe(slot) if slot % n == 0 or data.draw(st.booleans())
+        else data.draw(st.sampled_from(others))
+        for slot in range(2 * games * n)
+    ]
+    result = simulate_batch(kind, params, lineup_groups(lineup), 2 * games, [3, 4], record=True)
+    for slot, observations in seen.items():
+        game, player = divmod(slot, n)
+        assert len(observations) == rounds
+        replay = ReplayedGame(kind, params)
+        for t, got in enumerate(observations):
+            want = replay.observation_for(player)
+            for name in OBSERVATION_FIELDS:
+                mine, theirs = getattr(got, name), getattr(want, name)
+                assert (type(mine), mine) == (type(theirs), theirs), (slot, t, name)
+            replay.push_round(result.coop[t, game])
 
 
 def test_strategy_fault_identifies_offender():
@@ -204,11 +256,13 @@ def test_play_blocks_packs_whole_blocks_that_play_as_they_do_alone(kind, per_sta
     table = MemberTable.compile(PACKED_MEMBERS, warn=False)
     n, games = len(PACKED_MEMBERS), 3
     params = GameParams(n=n, rounds=8, k=2.0)
-    # the kernel-less coin weighs its game's history, more every round
-    words = engine.slot_words(table, params)
-    grows = words > engine.slot_words(table, GameParams(n=n, rounds=7, k=2.0))
-    assert grows.tolist() == [member.kernel is None for member in PACKED_MEMBERS]
-    block_words = int(words.sum()) * games
+    # a game that seats the kernel-less coin weighs its history besides its
+    # slots, more every round
+    shorter = GameParams(n=n, rounds=7, k=2.0)
+    assert np.array_equal(engine.slot_words(table, params), engine.slot_words(table, shorter))
+    seated = np.arange(n)[None]
+    assert engine.block_words(table, params)(seated) > engine.block_words(table, shorter)(seated)
+    block_words = engine.block_words(table, params)(np.tile(seated, (games, 1)))
     monkeypatch.setattr(engine, "STACK_WORDS", block_words * (per_stack + 1) - 1)
     rng = np.random.default_rng(per_stack)
     blocks = [(np.array([rng.permutation(n) for _ in range(games)]), 100 + b) for b in range(5)]
@@ -262,16 +316,17 @@ def test_play_blocks_charges_each_block_the_words_of_its_own_slots(monkeypatch):
 
 
 def test_play_blocks_names_a_faulting_block_by_its_place_in_the_input(monkeypatch):
-    """Blocks of two games pack two to a stack; the raising member sits only
-    in block 3, the second block of the second stack."""
+    """Blocks of two games, each with one kernel-less member, pack two to a
+    stack; the raising member sits only in block 3, the second block of the
+    second stack."""
     good, bad = make_reference("allc"), Strategy("broken", "file", _raises)
-    table = MemberTable.compile([good, bad], warn=False)
+    table = MemberTable.compile([good, bad, without_kernel(good)], warn=False)
     params = GameParams(n=3, rounds=2, k=2.0)
-    good_words, bad_words = engine.slot_words(table, params)
-    # room for blocks 2 and 3: eleven good slots and the bad one
-    monkeypatch.setattr(engine, "STACK_WORDS", 11 * good_words + bad_words)
-    blocks = [(np.zeros((2, 3), dtype=np.int64), b) for b in range(5)]
+    blocks = [(np.array([[0, 0, 0], [0, 0, 2]]), b) for b in range(5)]
     blocks[3] = (np.array([[0, 0, 0], [0, 0, 1]]), 3)
+    charge = engine.block_words(table, params)
+    assert charge(blocks[0][0]) == charge(blocks[3][0])
+    monkeypatch.setattr(engine, "STACK_WORDS", 2 * charge(blocks[3][0]))
     with pytest.raises(StrategyFault) as info:
         list(play_blocks(GameKind.PUBLIC_GOODS, params, table, blocks))
     fault = info.value
@@ -569,7 +624,8 @@ def _members(family: str, rows) -> list[Strategy]:
 
 
 # One stack per case, of a single family but for "callable": games of
-# constants that each seat one kernel-less member. (members, game)
+# constants that each seat one kernel-less member; "kernel-less" games seat
+# only such members. (members, game)
 HELD_CASES = {
     "constant": (_members("constant", [(0.0,), (1.0,)]), GameKind.PUBLIC_GOODS),
     "bernoulli": (_members("bernoulli", [(0.2,), (0.7,)]), GameKind.PUBLIC_GOODS),
@@ -586,6 +642,11 @@ HELD_CASES = {
         + [without_kernel(kernel_strategy("bernoulli", 0.2))],
         GameKind.PUBLIC_GOODS,
     ),
+    "kernel-less": (
+        [without_kernel(kernel_strategy("bernoulli", 0.4)),
+         without_kernel(kernel_strategy("constant", 1.0))],
+        GameKind.PUBLIC_GOODS,
+    ),
     "policy-1": ([_policy_member(1)], GameKind.COMMON_POOL),
     "policy-5": ([_policy_member(5)], GameKind.COMMON_POOL),
     "policy-40": ([_policy_member(40)], GameKind.COMMON_POOL),
@@ -596,23 +657,24 @@ HELD_CASES = {
 def test_a_stack_holds_what_slot_words_charges(case):
     """A stack as large as the default budget lets it be holds (its
     tracemalloc peak) within a factor of 1.5, either way, of the
-    ``slot_words`` its slots are charged, so a full stack holds about
+    ``block_words`` its games are charged, so a full stack holds about
     ``STACK_WORDS``. Held against charged, in words per slot, at n = 16 and
     20 rounds: constant 6.1/6, bernoulli 8.3/10, threshold_trigger
     12.1/11, reciprocator 12.9/14, grim 9.9/9, endgame 11.8/11,
     stock_guardian 10.1/9, rota 19.1/16, one kernel-less slot a game among
-    constants 152/147, and policy tables of 1, 5 and 40 rules 39.5/40,
-    93.4/96 and 565/586."""
+    constants 149/147, only kernel-less slots 160/161 (0.96-1.05 of the
+    charge from n = 4 to 256), and policy tables of 1, 5 and 40 rules
+    39.5/40, 93.4/96 and 565/586."""
     members, kind = HELD_CASES[case]
     table = MemberTable.compile(members, warn=False)
     n, params = 16, GameParams(n=16, rounds=20, k=2.0)
-    words = engine.slot_words(table, params)
+    charge = engine.block_words(table, params)
     rng = np.random.default_rng(1)
     lineups = rng.integers(0, len(members), (4096, n))
     if case == "callable":
         lineups = rng.integers(0, len(members) - 1, (4096, n))
         lineups[:, 0] = len(members) - 1
-    charged = np.cumsum(words[lineups].sum(axis=1))
+    charged = np.cumsum([charge(lineups[i : i + 1]) for i in range(len(lineups))])
     lineups = lineups[: np.searchsorted(charged, engine.STACK_WORDS, side="right")]
     list(play_blocks(kind, params, table, [(lineups[:1], 1)]))  # first-call allocations
     gc.collect()  # so that no earlier garbage is collected, and counted, in the stack
@@ -623,5 +685,5 @@ def test_a_stack_holds_what_slot_words_charges(case):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    held, charge = peak / (8 * lineups.size), words[lineups].mean()
-    assert 1 / 1.5 <= held / charge <= 1.5, f"{case}: holds {held:.1f} words, charged {charge:.1f}"
+    held, charged = peak / (8 * lineups.size), charge(lineups) / lineups.size
+    assert 1 / 1.5 <= held / charged <= 1.5, f"{case}: holds {held:.1f} words, charged {charged:.1f}"

@@ -1,6 +1,7 @@
 """Fingerprints, PCA, and the three variation metrics."""
 
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -11,10 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import fingerprint_node, without_kernel
+from reference import fingerprint_node, twin_pool, without_kernel
 
 from ndilemma import (
     Action,
+    Attitude,
     GameKind,
     GameParams,
     PcaResult,
@@ -749,3 +751,19 @@ class TestSerialization:
         assert projections == reference_rows(
             ["label", "set", "pc1", "pc2"], zip(labels, sets), matrix[:, :2]
         )
+
+
+# sha256 of fingerprints.csv for kernel-less twins of every built-in family
+# on the common-pool game; a change to what a ``callable`` row observes or
+# to its draw order changes it
+KERNEL_LESS_FINGERPRINT_SHA256 = "aeadcbc032eeecaab2789d4cdcb310e283f6985f0b2baa4cdd61b41d529a488b"
+
+
+def test_kernel_less_fingerprint_outputs_are_pinned(tmp_path):
+    kind, params = GameKind.COMMON_POOL, GameParams(n=4, rounds=5)
+    nodes = enumerate_nodes(4, 4)
+    twins = twin_pool(kind, 1, 5, Attitude.COLLECTIVE).members
+    matrix = fingerprint_many(twins, kind, params, nodes, rollouts=6, seed=29)
+    write_fingerprint_csv([s.label for s in twins], matrix, nodes, tmp_path / "fingerprints.csv")
+    digest = hashlib.sha256((tmp_path / "fingerprints.csv").read_bytes()).hexdigest()
+    assert digest == KERNEL_LESS_FINGERPRINT_SHA256

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_pool
-from reference import without_kernel
+from reference import twin_pool, without_kernel
 
 from ndilemma import (
     Attitude,
@@ -309,3 +309,25 @@ class TestGridCsv:
         path.write_text("alpha,beta\n1,2\n")
         with pytest.raises(ValueError, match="header"):
             read_grid_csv(path)
+
+
+# sha256 of grid.csv for a grid of kernel-less twins of every built-in
+# family, drawing ones included, on each game; a change to what a
+# ``callable`` slot observes or to its draw order changes them
+KERNEL_LESS_GRID_SHA256 = {
+    GameKind.PUBLIC_GOODS: "5f539ca182e3167d22c70069a3bff83caa4f989183e42c06803b06cd4eb00604",
+    GameKind.COLLECTIVE_RISK: "e66272c48286c825dcbe3a4c7504ba31de145443763a606973a6318402d7ee5b",
+    GameKind.COMMON_POOL: "9e61380aed3ecc81bdbd86c45169a3ab854e17cb62db3a0049fd1e47459917d4",
+}
+
+
+@pytest.mark.parametrize("kind", list(GameKind))
+def test_kernel_less_grid_outputs_are_pinned(tmp_path, kind):
+    config = small_grid(
+        kind, twin_pool(kind, 2, 3, Attitude.EXPLOITATIVE),
+        twin_pool(kind, 2, 11, Attitude.COLLECTIVE),
+        rounds=8, group_sizes=(3, 6), samples_per_cell=5, master_seed=23,
+    )
+    emit_grid_csv(run_mix_grid(config), tmp_path / "grid.csv")
+    digest = hashlib.sha256((tmp_path / "grid.csv").read_bytes()).hexdigest()
+    assert digest == KERNEL_LESS_GRID_SHA256[kind]
