@@ -217,10 +217,9 @@ def _game_params(game: _Entry, n: int | None = None) -> tuple[GameKind, GamePara
 def _flag_game(args: argparse.Namespace) -> tuple[GameKind, GameParams]:
     """The game that the ``validate`` and ``bounds`` flags set; a flag left
     out keeps its ``GameParams`` default."""
-    flags = {f.name: getattr(args, f.name, None) for f in fields(GameParams)}
-    return GameKind.parse(args.game), GameParams(
-        **{name: value for name, value in flags.items() if value is not None}
-    )
+    flags = {f.name: getattr(args, f.name) for f in fields(GameParams)}
+    given = {name: value for name, value in flags.items() if value is not None}
+    return GameKind.parse(args.game), GameParams(**given)
 
 
 def load_pool_source(spec: dict | _Entry, master_seed: int, pool_index: int) -> StrategyPool:
@@ -610,6 +609,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
 
+    def game_flags(p: argparse.ArgumentParser) -> None:
+        hints = get_type_hints(GameParams)
+        for f in fields(GameParams):
+            p.add_argument(f"--{f.name}", type=hints[f.name], required=f.name == "n")
+
     p_fp = sub.add_parser("fingerprint", help="behavioral fingerprints, PCA, metrics")
     common(p_fp)
     p_fp.set_defaults(func=cmd_fingerprint)
@@ -626,9 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_va = sub.add_parser("validate", help="pre-admission checks for a policy pool")
     p_va.add_argument("pool", help="policy pool JSON file")
     p_va.add_argument("--game", required=True, help="pgg, crd, or cpr")
-    p_va.add_argument("--n", type=int, required=True, help="player count")
-    p_va.add_argument("--rounds", type=int)
-    p_va.add_argument("--k", type=float, default=None)
+    game_flags(p_va)
     p_va.add_argument("--trials", type=int, default=50)
     p_va.add_argument("--seed", type=int, default=0)
     p_va.add_argument("--out", default=None, help="optional report directory")
@@ -636,11 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bo = sub.add_parser("bounds", help="welfare bounds for a game setup")
     p_bo.add_argument("game", help="pgg, crd, or cpr")
-    p_bo.add_argument("--n", type=int, required=True)
-    p_bo.add_argument("--rounds", type=int)
-    p_bo.add_argument("--k", type=float, default=None)
-    p_bo.add_argument("--m", type=int, default=None)
-    p_bo.add_argument("--capacity", type=float, default=None)
+    game_flags(p_bo)
     p_bo.add_argument("--out", default=None)
     p_bo.set_defaults(func=cmd_bounds)
 

@@ -133,20 +133,22 @@ def decide_checked(
 def decide_group(family: KernelFamily, P: np.ndarray, state, view: SlotView) -> np.ndarray:
     """Run ``family.decide_batch`` with every misbehaviour pinned to a slot.
 
-    Raises ``SlotFault``: the family's own, one at slot 0 for any other
-    exception, or ``invalid_action`` at slot 0 unless the result is a bool
-    array with one entry per row of ``P``.
+    Raises ``SlotFault``, its ``round`` ``view.t``: the family's own, one
+    at slot 0 for any other exception, or ``invalid_action`` at slot 0
+    unless the result is a bool array with one entry per row of ``P``.
     """
     try:
         acts = family.decide_batch(P, state, view)
-    except SlotFault:
+    except SlotFault as fault:
+        fault.round = view.t
         raise
     except Exception as exc:  # noqa: BLE001 - any strategy error aborts the game
-        raise SlotFault(0, "exception", f"{type(exc).__name__}: {exc}") from exc
+        raise SlotFault(0, "exception", f"{type(exc).__name__}: {exc}", view.t) from exc
     if isinstance(acts, np.ndarray) and acts.dtype == bool and acts.shape == (len(P),):
         return acts
     got = f"{acts.dtype} array of shape {acts.shape}" if isinstance(acts, np.ndarray) else repr(acts)
-    raise SlotFault(0, "invalid_action", f"decide_batch returned {got}, expected {len(P)} bools")
+    detail = f"decide_batch returned {got}, expected {len(P)} bools"
+    raise SlotFault(0, "invalid_action", detail, view.t)
 
 
 class CallableFamily(KernelFamily):
@@ -492,7 +494,7 @@ def simulate_batch(
             game, player = divmod(slot, n)
             block, game = divmod(game, block_games)
             raise StrategyFault(
-                label, player, t, fault.reason, fault.detail,
+                label, player, fault.round, fault.reason, fault.detail,
                 game=game, block=None if len(seeds) == 1 else block,
             )
         coop = acts_flat.reshape(S, n)

@@ -12,16 +12,17 @@ that condition on their own history make the replays non-trivial.
 
 One driver fingerprints a list of strategies. The strategies of one kernel
 family share stacks: for each depth, from the root down, and each chunk of
-that depth's nodes (in node order, so that a stack stays bounded), a stack
-holds a batch of them, strategy-major, each strategy's ``(node, rollout)``
-rows node-major. A family whose ``reads`` hold neither ``u`` nor ``rng``
-draws no randomness, so every rollout of a node would repeat the same game:
-such a family plays each node once, and that game's action is the node's
-value. Each strategy still draws from its own random stream, in the order
-it would alone: depth by depth, chunk by chunk, round by round. A strategy
-without a kernel plays as the engine's ``callable`` family, one ``decide``
-call per row on the ``Observation`` a per-decision replay would build. Of
-several faulting strategies, the lowest-listed one's lone fault is raised.
+that depth's nodes (in node order, which fixes each strategy's draws), a
+stack holds as many as the engine's stack budget allows, strategy-major,
+each strategy's ``(node, rollout)`` rows node-major. A family whose
+``reads`` hold neither ``u`` nor ``rng`` draws no randomness, so every
+rollout of a node would repeat the same game: such a family plays each
+node once, and that game's action is the node's value. Each strategy still
+draws from its own random stream, in the order it would alone: depth by
+depth, chunk by chunk, round by round. A strategy without a kernel plays as
+the engine's ``callable`` family, one ``decide`` call per row on the
+``Observation`` a per-decision replay would build. Of several faulting
+strategies, the lowest-listed one's lone fault is raised.
 
 Variation within and between labelled sets of fingerprints is summarised by
 the normalised mean pairwise distance, Cohen's d between set centroids, and
@@ -39,6 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import engine
 from .engine import CALLABLE, MemberTable, StrategyFault, decide_group
 from .games import GameKind, GameParams, batch_round_payoffs, cpr_next_stock
 from .kernels import KernelFamily, SlotFault, SlotView
@@ -79,10 +81,10 @@ def enumerate_nodes(n_players: int = 4, rounds: int = 5) -> list[DecisionNode]:
     return nodes
 
 
-# Rows per stack; deeper levels of large games are split into several stacks,
-# in node order, so memory stays bounded. A row of a strategy without a kernel
-# keeps its own history (about 3.5 KB at n=8), so its stacks are smaller. The
-# same bound caps the rows of all strategies that share a stack.
+# Rows of one strategy's chunk of a depth's nodes, at ``rollouts`` rows per
+# node: a deeper depth is cut into chunks in node order, and a strategy draws
+# chunk by chunk, so these caps fix the draws of drawing and kernel-less
+# strategies. How many strategies share a stack is the engine's budget's call.
 _STACK_ROWS = 1 << 16
 _CALLABLE_STACK_ROWS = 1 << 12
 
@@ -100,7 +102,7 @@ def fingerprint(
     Deterministic given the seed, which seeds the strategy's one stream.
     The nodes of each depth are replayed together, one row per (node,
     rollout), node-major, depths in increasing order; a depth with more rows
-    than a stack holds is split into chunks of nodes, in node order. A
+    than a chunk holds is split into chunks of nodes, in node order. A
     family whose ``reads`` hold neither ``u`` nor ``rng`` has one row per
     node instead, since its rollouts would all repeat one game. Row
     ``i`` is game ``i`` with the subject as player 0; opponent identities
@@ -149,10 +151,11 @@ def _fingerprint_rows(
 ) -> np.ndarray:
     """The one driver: strategy ``i`` draws from ``rng_for(seeds[i])``.
 
-    For each family, depth and chunk of nodes, a stack holds a batch of
-    the family's strategies, strategy-major, within the family's stack
-    rows. Chunks and batches are sized from ``rollouts`` rows per node,
-    though a family that draws nothing plays each node once. Each round,
+    For each family, depth and chunk of nodes, a stack holds as many of the
+    family's strategies as ``engine.STACK_WORDS`` fits at ``block_words``'
+    charge for their rows as one-slot games (one at least), strategy-major.
+    Chunks are cut at ``rollouts`` rows per node, though a family that
+    draws nothing plays each node once. Each round,
     ``u`` holds each strategy's ``rng.random(rows)`` in turn, and a
     ``callable`` row draws from its own strategy's generator, so every
     stream is drawn depth by depth, chunk by chunk, round by round, as it
@@ -190,15 +193,16 @@ def _fingerprint_rows(
     values = np.empty((len(strategies), len(nodes)), dtype=float)
     for code, family in enumerate(table.families):
         members = np.flatnonzero(table.family == code)
-        limit = _CALLABLE_STACK_ROWS if family is CALLABLE else _STACK_ROWS
         # a family that draws nothing plays every rollout of a node alike
         plays = rollouts if {"u", "rng"} & set(family.reads) else 1
-        per_stack = max(1, limit // rollouts)
+        limit = _CALLABLE_STACK_ROWS if family is CALLABLE else _STACK_ROWS
+        per_chunk = max(1, limit // rollouts)
+        row_words = engine.block_words(table, params)(members[:1, None])  # a one-slot game
         for depth, forced in forced_by_depth.items():
-            for start in range(0, len(forced), per_stack):
-                index = by_depth[depth][start : start + per_stack]
-                chunk = _NodeChunk(forced[start : start + per_stack], plays, kind, params)
-                per_batch = max(1, limit // (len(index) * rollouts))
+            for start in range(0, len(forced), per_chunk):
+                index = by_depth[depth][start : start + per_chunk]
+                chunk = _NodeChunk(forced[start : start + per_chunk], plays, kind, params)
+                per_batch = max(1, engine.STACK_WORDS // (row_words * chunk.rows))
                 for first in range(0, len(members), per_batch):
                     batch = members[first : first + per_batch]
                     P = np.repeat(table.params[code][table.row[batch]], chunk.rows, axis=0)
@@ -247,8 +251,7 @@ class _NodeChunk:
     ) -> np.ndarray:
         """Play a stack of ``len(draws)`` strategies, ``draws`` holding each
         one's generator in stack order, to the chunk's depth; returns the
-        last round's actions, or raises the first ``SlotFault`` with its
-        round as ``round``."""
+        last round's actions, or raises the first ``SlotFault``."""
         params, n, rows = self.params, self.params.n, len(P)
         depth, strategies = self.counts.shape[1], len(draws)
         state = family.new_state(P)
@@ -283,11 +286,7 @@ class _NodeChunk:
                     view.last = last
                 if "last_payoffs" in reads:
                     view.last_payoffs = payoffs
-            try:
-                acts = decide_group(family, P, state, view)
-            except SlotFault as fault:
-                fault.round = t
-                raise
+            acts = decide_group(family, P, state, view)
             if t < depth and (stock is not None or "last" in reads):
                 forced = self.column(self.counts, t, strategies)
                 if "last" in reads:  # the round as played, for a family that keeps the history

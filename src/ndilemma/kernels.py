@@ -49,14 +49,15 @@ class SlotFault(RuntimeError):
 
     ``slot`` indexes the rows of the call's parameter matrix; ``reason`` is
     a ``StrategyFault`` reason (``exception``, ``step_budget`` or
-    ``invalid_action``). The engine maps the slot back to its strategy,
-    game and player.
+    ``invalid_action``); ``decide_group`` stamps its ``round``. The engine
+    maps the slot back to its strategy, game and player.
     """
 
-    def __init__(self, slot: int, reason: str, detail: str):
+    def __init__(self, slot: int, reason: str, detail: str, round: int | None = None):
         self.slot = slot
         self.reason = reason
         self.detail = detail
+        self.round = round
         super().__init__(f"slot {slot} {reason}: {detail}")
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ndilemma import cli
+from ndilemma import GameKind, GameParams, cli
 from ndilemma.cli import main
 from ndilemma.manifest import config_digest, verify_manifest
 
@@ -1033,6 +1033,28 @@ class TestValidateCmd:
         assert code == 0
         assert (tmp_path / "rep" / "validation.csv").exists()
 
+    @pytest.mark.parametrize("game, flag, value", [
+        ("crd", "m", 3), ("cpr", "capacity", 8.0),
+    ], ids=["m", "capacity"])
+    def test_the_pool_plays_the_game_its_flags_set(self, monkeypatch, game, flag, value):
+        played, validate_pool = [], cli.validate_pool
+
+        def recorded(pool, kind, params, **kwargs):
+            played.append((kind, params))
+            return validate_pool(pool, kind, params, **kwargs)
+
+        monkeypatch.setattr(cli, "validate_pool", recorded)
+        pool = str(REPO / "configs" / "pool_example.json")
+        args = ["--game", game, "--n", "4", "--trials", "3", f"--{flag}", str(value)]
+        assert main(["validate", pool, *args]) == 0
+        assert played == [(GameKind.parse(game), GameParams(n=4, **{flag: value}))]
+
+    def test_a_threshold_outside_the_group_exits_one(self, capsys):
+        pool = str(REPO / "configs" / "pool_example.json")
+        assert main(["validate", pool, "--game", "crd", "--n", "4", "--m", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: collective risk requires 1 <= m <= n, got m=5, n=4\n"
+
     def test_config_digest_covers_every_parameter(self, tmp_path):
         pool = str(REPO / "configs" / "pool_example.json")
         base = ["--game", "pgg", "--n", "4", "--trials", "3"]
@@ -1040,6 +1062,8 @@ class TestValidateCmd:
             "base": base,
             "rounds": base + ["--rounds", "5"],
             "k": base + ["--k", "3"],
+            "m": base + ["--m", "3"],
+            "capacity": base + ["--capacity", "8"],
             "trials": ["--game", "pgg", "--n", "4", "--trials", "4"],
             "seed": base + ["--seed", "1"],
         }
@@ -1165,8 +1189,9 @@ POLICY_FILES = {
 # they hold rota members with period 2-4 and punish on, drawing members and
 # stateful ones; stock_guardian plays only the common-pool game. The third
 # run plays the policy files above, which the test writes where the run's
-# relative paths find them; the last is a common-pool fingerprint, whose
-# stock follows each node's forced counts.
+# relative paths find them. The fingerprints' stock follows each node's
+# forced counts; their stacks hold several strategies each, so how many
+# share one cannot change what each strategy draws.
 PINNED_STREAM_RUNS = [
     pytest.param("selfplay", "grid.csv", {
         "schema_version": 1,
@@ -1223,6 +1248,62 @@ PINNED_STREAM_RUNS = [
             every_family_pool("collective", SYNTH_FAMILIES + ["stock_guardian"]),
         ],
     }, "ee5da46be9dcdc3b4c081d6cb9b3812ebfedc8bf9f6d050e91349c6cbaf5b2a6", id="fingerprint-cpr"),
+    pytest.param("fingerprint", "fingerprints.csv", {
+        "schema_version": 1,
+        "seed": 37,
+        "game": {"kind": "cpr", "n": 4, "rounds": 4},
+        "rollouts": 8,
+        "include_references": True,
+        "pools": [
+            {"source": {"type": "file", "path": "policy_e.json"}},
+            {"source": {"type": "file", "path": "policy_c.json"}},
+        ],
+    }, "853f27df35d1dd323af0482fd9f2947cc07da9994290ca3c3b46c3bd07fc5dab", id="fingerprint-cpr-policy"),
+    pytest.param("evolve", "summary.json", {
+        "schema_version": 1,
+        "seed": 41,
+        "game": {"kind": "crd", "k": 2.0, "rounds": 10},
+        "population": 24,
+        "group_size": 4,
+        "games_per_agent": 2,
+        "elites": 4,
+        "mutation_rate": 0.1,
+        "dominance_threshold": 0.75,
+        "max_generations": 6,
+        "runs": 2,
+        "genes": [
+            every_family_pool("exploitative", SYNTH_FAMILIES),
+            every_family_pool("collective", SYNTH_FAMILIES),
+        ],
+    }, "6d5f776e8846022b8039b5d7f1e985850c75a5e078074b32db18d6d88550a6cf", id="evolve-crd"),
+    pytest.param("evolve", "summary.json", {
+        "schema_version": 1,
+        "seed": 43,
+        "game": {"kind": "cpr", "rounds": 12},
+        "population": 24,
+        "group_size": 4,
+        "games_per_agent": 2,
+        "elites": 4,
+        "mutation_rate": 0.1,
+        "dominance_threshold": 0.75,
+        "max_generations": 6,
+        "runs": 2,
+        "genes": [
+            every_family_pool("exploitative", SYNTH_FAMILIES + ["stock_guardian"]),
+            every_family_pool("collective", SYNTH_FAMILIES + ["stock_guardian"]),
+        ],
+    }, "5d4e48d5aa58931636c675770c940d500793b6a47a784dc5b234de904b15853d", id="evolve-cpr"),
+    pytest.param("fingerprint", "fingerprints.csv", {
+        "schema_version": 1,
+        "seed": 47,
+        "game": {"kind": "crd", "n": 4, "rounds": 5, "k": 2.0},
+        "rollouts": 12,
+        "include_references": True,
+        "pools": [
+            every_family_pool("exploitative", SYNTH_FAMILIES),
+            every_family_pool("collective", SYNTH_FAMILIES),
+        ],
+    }, "07848ef2e57a572e30669bb9f00ff259e78ba2f20fda02749fb50ab77c9cc664", id="fingerprint-crd"),
 ]
 
 

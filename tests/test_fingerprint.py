@@ -30,6 +30,8 @@ from ndilemma import (
     participation_ratio,
     pca,
 )
+from ndilemma import engine
+from ndilemma.engine import MemberTable
 from ndilemma.fingerprint import write_fingerprint_csv, write_pca_json, write_projections_csv
 from ndilemma.kernels import FAMILIES, KernelFamily, SlotFault, kernel_strategy
 from ndilemma.policy import Predicate, PolicyRule, PolicySpec, policy_strategy
@@ -212,8 +214,8 @@ class TestStackedFingerprint:
 
     def test_depths_split_into_several_stacks_give_the_same_results(self, monkeypatch):
         whole = [_fingerprint_or_fault(s, GameKind.COMMON_POOL) for s in DETERMINISTIC_MEMBERS]
-        # three nodes per stack of 20 rollouts, so node 1.0 sits in the second
-        # stack of depth 2
+        # three nodes per chunk of 20 rollouts, so node 1.0 sits in the second
+        # chunk of depth 2
         monkeypatch.setattr(fingerprint_module, "_STACK_ROWS", 60)
         split = [_fingerprint_or_fault(s, GameKind.COMMON_POOL) for s in DETERMINISTIC_MEMBERS]
         for (a, a_fault), (b, b_fault) in zip(whole, split):
@@ -309,12 +311,17 @@ class TestOneDriver:
     @pytest.mark.parametrize("kind", [KIND, GameKind.COMMON_POOL], ids=lambda k: k.value)
     def test_each_row_is_a_lone_fingerprint_on_its_derived_seed(self, kind, split, monkeypatch):
         """Strategies of a family share stacks, and each still draws from its
-        own stream as it would alone: ``split`` bounds a stack at 40 nodes
-        of 10 rollouts (20 for strategies without a kernel), so depths 3 and
-        4 split into several stacks while shallow depths still share."""
+        own stream as it would alone. Whole, most families share every stack
+        and the deep policy and kernel-less stacks hold one strategy each.
+        ``split`` cuts depths 3 and 4 into chunks of 40 nodes of 10 rollouts
+        (20 for strategies without a kernel) and budgets a stack at 8,000
+        words, so the deeper chunks of the heavier families (policy,
+        reciprocator, kernel-less) spread their strategies over several
+        stacks while the others still share."""
         if split:
             monkeypatch.setattr(fingerprint_module, "_STACK_ROWS", 400)
             monkeypatch.setattr(fingerprint_module, "_CALLABLE_STACK_ROWS", 200)
+            monkeypatch.setattr(engine, "STACK_WORDS", 8000)
         members = list(SHARED_MEMBERS)
         if kind is GameKind.COMMON_POOL:
             members[3:3] = [kernel_strategy("stock_guardian", 0.6),
@@ -324,6 +331,29 @@ class TestOneDriver:
         for i, strategy in enumerate(members):
             lone = fingerprint(strategy, kind, PARAMS, NODES, 10, derive_seed(9, i))
             assert np.array_equal(matrix[i], lone), strategy.label
+
+    def test_stacks_of_several_strategies_keep_to_the_engine_budget(self, monkeypatch):
+        """Forty-rule policy tables hold about 590 words a row, so a depth-2
+        chunk of 16 nodes of 50 rollouts already outweighs the budget for
+        two strategies: each deep chunk plays one strategy a stack, and the
+        shallow ones share."""
+        members = [policy_strategy(PolicySpec(f"long{i}", tuple(
+            PolicyRule(Predicate("last_coop_ge", value=float(1 + (i + j) % 3)), j / 40)
+            for j in range(40)
+        ), 0.5)) for i in range(3)]
+        charge = engine.block_words(MemberTable.compile(members), PARAMS)
+        stacks = []
+        play = fingerprint_module._NodeChunk.play
+
+        def recorded(chunk, family, P, draws):
+            stacks.append((len(draws), charge(np.zeros((len(P), 1), dtype=np.int64))))
+            return play(chunk, family, P, draws)
+
+        monkeypatch.setattr(fingerprint_module._NodeChunk, "play", recorded)
+        fingerprint_many(members, KIND, PARAMS, NODES, 50, seed=3)
+        shared = [words for strategies, words in stacks if strategies > 1]
+        assert shared and max(shared) <= engine.STACK_WORDS
+        assert len(stacks) > len(shared)
 
     @pytest.mark.parametrize("with_kernel", [True, False], ids=["kernel", "callable"])
     def test_the_lowest_listed_fault_is_raised_as_its_lone_call_raises_it(self, with_kernel):
