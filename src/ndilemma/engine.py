@@ -13,6 +13,9 @@ plays it.
 ``play_blocks`` packs independent blocks of games (grid cells, evolution
 runs) into stacks; a block draws only from its own kernel seed, so it plays
 exactly as it would alone, and a family never splits by block.
+``play_split`` plays the tasks of a large run in two parts, one of them in
+a forked child, where the process may use two CPUs; a task's output never
+depends on its part.
 
 A strategy that raises, exceeds its step budget, or returns a non-action
 aborts the game with a ``StrategyFault`` naming the offender.
@@ -22,8 +25,11 @@ from __future__ import annotations
 
 import itertools
 import logging
+import os
+import pickle
+import signal
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -76,6 +82,13 @@ class StrategyFault(RuntimeError):
         super().__init__(
             f"strategy {label!r} (player {player}, round {round_index}) "
             f"{reason}: {self.detail}"
+        )
+
+    def __reduce__(self):
+        """Pickle as the constructor's arguments, so a fault can cross a pipe."""
+        return StrategyFault, (
+            self.label, self.player, self.round_index, self.reason, self.cause,
+            self.game, self.block,
         )
 
 
@@ -568,6 +581,76 @@ def play_blocks(
         yield from zip(result.totals.reshape(len(seeds), -1, params.n),
                        result.mean_welfare.reshape(len(seeds), -1))
         done += len(seeds)
+
+
+# Decisions a run must hold before ``play_split`` forks for it. Forking,
+# copying pages on write and reaping cost about 3 ms in a bare process and
+# about 10 ms in one that holds two pools of 288 members; on two cores, mix
+# grids of those pools broke even near 0.4 M decisions and took 0.65-0.73 of
+# their one-process time from 2.8 M on. The benchmark's policy grid (178 k
+# decisions) plays in one process, its mix grid (11.2 M) and the c04 grid
+# (281 M) in two.
+SPLIT_DECISIONS = 1 << 22
+
+_Part = TypeVar("_Part")
+
+
+def _may_fork_two() -> bool:
+    """Whether this process can fork and its affinity mask holds two CPUs,
+    so ``taskset -c 0`` keeps a run to one process."""
+    if not hasattr(os, "fork"):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+def play_split(play: Callable[[int, int], _Part], decisions: int) -> list[_Part]:
+    """``play(part, parts)`` of each part of a run of independent tasks, in
+    part order.
+
+    A run of ``decisions`` at least ``SPLIT_DECISIONS``, in a process that
+    may fork and use two CPUs, is two parts: a forked child plays part 1
+    while this process plays part 0, and the child's result comes back
+    pickled through a pipe. Otherwise it is one part, played in-process.
+    ``play`` should return the faults it meets with its result, so that the
+    caller can choose among the parts' faults; an exception raised in the
+    child is raised here as a ``RuntimeError`` that quotes it. No child
+    outlives the call, however it ends.
+    """
+    if decisions < SPLIT_DECISIONS or not _may_fork_two():
+        return [play(0, 1)]
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child leaves only through os._exit
+        try:
+            os.close(read)
+            try:
+                payload = pickle.dumps((True, play(1, 2)))
+            except BaseException as exc:  # noqa: BLE001 - sent to the parent as text
+                payload = pickle.dumps((False, f"{type(exc).__name__}: {exc}"))
+            with open(write, "wb") as pipe:
+                pipe.write(payload)
+        finally:
+            os._exit(0)
+    os.close(write)
+    reaped = False
+    try:
+        with open(read, "rb") as pipe:
+            mine = play(0, 2)
+            payload = pipe.read()  # the whole result, before the child is reaped
+        os.waitpid(pid, 0)
+        reaped = True
+    finally:
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if not payload:
+        raise RuntimeError("the forked part of the run ended without a result")
+    ok, theirs = pickle.loads(payload)
+    if not ok:
+        raise RuntimeError(f"the forked part of the run raised {theirs}")
+    return [mine, theirs]
 
 
 def play_game(

@@ -6,9 +6,10 @@ second without replacement, plays one game, and records its mean normalised
 reward. A cell draws all of its samples in one vectorised call on its own
 stream and plays them as one block of games on its own kernel seed, so its
 row depends only on its address ``(n, n_e)``; the engine packs the cells of
-one group size into a few large stacks, which changes no output. A cell
-reports the mean and standard error over its samples, alongside the welfare
-bounds for the group size.
+one group size into a few large stacks, and a large grid plays its cells of
+odd ``n_e`` in a forked child (``engine.play_split``), which changes no
+output. A cell reports the mean and standard error over its samples,
+alongside the welfare bounds for the group size.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import WelfareBounds, cached_bounds
-from .engine import MemberTable, StrategyFault, play_blocks
+from .engine import MemberTable, StrategyFault, play_blocks, play_split
 from .games import GameKind, GameParams
 from .seeding import derive_seed, rng_for
 from .strategies import StrategyPool
@@ -144,28 +145,50 @@ def run_mix_grid(config: MixGridConfig) -> list[MixGridRow]:
     """All cells for all group sizes; deterministic given the master seed.
 
     Each cell is one block of games on its own kernel seed, so its row
-    depends only on its address ``(n, n_e)``. A ``StrategyFault`` names the
-    cell and the sample: the first faulting cell's lone fault, in grid order
-    (group sizes, then ``n_e``), however the cells share stacks.
+    depends only on its address ``(n, n_e)``. A large grid plays its odd
+    ``n_e`` in a forked child (``play_split``). A ``StrategyFault`` names
+    the cell and the sample: the first faulting cell's lone fault, in grid
+    order (group sizes, then ``n_e``), however the cells share stacks or
+    processes.
     """
     config.validate()
     table = MemberTable.compile(config.pool_e.members + config.pool_c.members)
+
+    def play(part: int, parts: int):
+        """Cells ``n_e = part, part + parts, ...`` of each group size: their
+        (cells, samples) welfare per group size, up to the first group size
+        that faults, and that fault with its grid position, or None."""
+        welfare = []
+        for at, n in enumerate(config.group_sizes):
+            cells = (
+                (_draw_cell(config, n, n_e), derive_seed(config.master_seed, n, n_e, 1))
+                for n_e in range(part, n + 1, parts)
+            )
+            try:
+                welfare.append(np.array(
+                    [w for _, w in play_blocks(config.kind, config.params_for(n), table, cells)]
+                ))
+            except StrategyFault as fault:
+                return welfare, ((at, part + fault.block * parts), fault)
+        return welfare, None
+
+    decisions = config.samples_per_cell * config.rounds * sum(
+        n * (n + 1) for n in config.group_sizes
+    )
+    played = play_split(play, decisions)
+    faults = [fault for _, fault in played if fault is not None]
+    if faults:
+        ((at, n_e), fault) = min(faults, key=lambda found: found[0])
+        raise StrategyFault(
+            fault.label, fault.player, fault.round_index, fault.reason,
+            f"{fault.cause} (sample {fault.game} of cell ({config.group_sizes[at]}, {n_e}))",
+        ) from fault
     out: list[MixGridRow] = []
-    for n in config.group_sizes:
-        params = config.params_for(n)
-        limits = cached_bounds(config.kind, params)
-        cells = (
-            (_draw_cell(config, n, n_e), derive_seed(config.master_seed, n, n_e, 1))
-            for n_e in range(n + 1)
-        )
-        try:
-            welfare = np.array([w for _, w in play_blocks(config.kind, params, table, cells)])
-        except StrategyFault as fault:
-            raise StrategyFault(
-                fault.label, fault.player, fault.round_index, fault.reason,
-                f"{fault.cause} (sample {fault.game} of cell ({n}, {fault.block}))",
-            ) from fault
-        out += _cell_rows(config, n, welfare, limits)
+    for at, n in enumerate(config.group_sizes):
+        welfare = np.empty((n + 1, config.samples_per_cell))
+        for part, (rows, _) in enumerate(played):
+            welfare[part :: len(played)] = rows[at]
+        out += _cell_rows(config, n, welfare, cached_bounds(config.kind, config.params_for(n)))
     return out
 
 

@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from ndilemma import Attitude, GameKind, GameParams, Strategy, StrategyPool, make_reference
+from ndilemma import engine
 from ndilemma.engine import MemberTable, build_groups
 from ndilemma.games import batch_round_payoffs
 from ndilemma.kernels import PolicyTable, SlotView
@@ -16,6 +19,20 @@ def reference_pool(kind: str, count: int, tag: str, attitude: Attitude, **kwargs
         for i in range(count)
     )
     return StrategyPool(gene_tag=tag, attitude=attitude, members=members)
+
+
+@pytest.fixture
+def forced_split(monkeypatch):
+    """Every run ``engine.play_split`` plays is split between this process
+    and a forked child, whatever its size and this machine's CPUs; no child
+    may be left once the test ends."""
+    if not hasattr(os, "fork"):
+        pytest.skip("os.fork is not available")
+    monkeypatch.setattr(engine, "SPLIT_DECISIONS", 0)
+    monkeypatch.setattr(engine, "_may_fork_two", lambda: True)
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def lineup_groups(lineup: list[Strategy]):

@@ -205,6 +205,11 @@ class TestSelfplay:
             "ZeroDivisionError: float division by zero (rule 1) (sample 0 of cell (64, 0))\n"
         )
 
+    def test_a_grid_fault_names_the_first_cell_when_the_grid_is_split(
+        self, tmp_path, capsys, forced_split
+    ):
+        self.test_a_grid_fault_names_the_first_cell_whatever_the_packing(tmp_path, capsys)
+
 
 class TestEvolve:
     def evolve_config(self, **overrides) -> dict:
@@ -1316,6 +1321,15 @@ def test_stream_outputs_are_pinned(tmp_path, monkeypatch, command, name, config,
     path = write_json(tmp_path / "config.json", config)
     assert main([command, "--config", str(path), "--out", str(out)]) == 0
     assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("command, name, config, sha256",
+                         [run for run in PINNED_STREAM_RUNS if run.values[0] == "selfplay"])
+def test_selfplay_stream_pins_hold_when_the_grid_is_split(
+    tmp_path, monkeypatch, forced_split, command, name, config, sha256
+):
+    test_stream_outputs_are_pinned(tmp_path, monkeypatch, command, name, config, sha256)
+
 
 def test_shipped_demo_configs_run(tmp_path):
     assert main([

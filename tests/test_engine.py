@@ -2,6 +2,9 @@
 
 import gc
 import logging
+import os
+import pickle
+import time
 import tracemalloc
 
 import numpy as np
@@ -21,7 +24,9 @@ from ndilemma import (
     play_game,
 )
 from ndilemma import engine
-from ndilemma.engine import KernelGroup, MemberTable, build_groups, play_blocks, simulate_batch
+from ndilemma.engine import (
+    KernelGroup, MemberTable, build_groups, play_blocks, play_split, simulate_batch,
+)
 from ndilemma.kernels import FAMILIES, PolicyTable, kernel_strategy
 from ndilemma.policy import PolicyRule, PolicySpec, Predicate, StepBudgetExceeded, policy_strategy
 
@@ -365,6 +370,82 @@ def test_play_blocks_names_the_earliest_listed_fault_whatever_the_packing(monkey
     )
     assert (fault.block, fault.game) == (0, 1)
     assert fault.detail == "ZeroDivisionError: round 5 (game 1 of block 0)"
+
+
+@pytest.mark.parametrize("place", [{}, {"game": 3}, {"game": 3, "block": 4}])
+def test_a_strategy_fault_survives_pickling(place):
+    fault = StrategyFault("x", 1, 2, "exception", "boom", **place)
+    copy = pickle.loads(pickle.dumps(fault))
+    assert type(copy) is StrategyFault
+    assert str(copy) == str(fault)
+    assert vars(copy) == vars(fault)
+
+
+def _where(part: int, parts: int) -> tuple[int, int, int]:
+    return part, parts, os.getpid()
+
+
+def test_play_split_plays_in_process_below_the_gate_or_on_one_cpu(monkeypatch):
+    monkeypatch.setattr(engine, "SPLIT_DECISIONS", 100)
+    assert play_split(_where, 99) == [(0, 1, os.getpid())]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert play_split(_where, 100) == [(0, 1, os.getpid())]
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert play_split(_where, 100) == [(0, 1, os.getpid())]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2, reason="needs fork and two CPUs")
+def test_play_split_forks_one_child_from_the_gate_on(monkeypatch):
+    monkeypatch.setattr(engine, "SPLIT_DECISIONS", 100)
+    (mine, theirs) = play_split(_where, 100)
+    assert mine == (0, 2, os.getpid())
+    assert theirs[:2] == (1, 2) and theirs[2] != os.getpid()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_play_split_brings_back_a_result_larger_than_the_pipe(forced_split):
+    """The parent reads the child's whole result before it reaps it."""
+    parts = play_split(lambda part, parts: np.full(1 << 20, part), 0)
+    assert [(len(part), np.unique(part).tolist()) for part in parts] == [
+        (1 << 20, [0]), (1 << 20, [1]),
+    ]
+
+
+def _child_raises(part, parts):
+    if part == 1:
+        raise KeyError("lost")
+    return part
+
+
+def _child_dies(part, parts):
+    if part == 1:
+        os._exit(3)
+    return part
+
+
+@pytest.mark.parametrize("play, message", [
+    (_child_raises, "the forked part of the run raised KeyError: 'lost'"),
+    (_child_dies, "the forked part of the run ended without a result"),
+])
+def test_a_child_that_fails_is_an_error_in_the_parent(forced_split, play, message):
+    with pytest.raises(RuntimeError) as info:
+        play_split(play, 0)
+    assert str(info.value) == message
+
+
+def test_a_parent_that_raises_kills_and_reaps_its_child(forced_split):
+    def play(part, parts):
+        if part == 0:
+            raise ValueError("parent")
+        time.sleep(60)
+
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="parent"):
+        play_split(play, 0)
+    assert time.perf_counter() - start < 30
 
 
 def test_scalar_fallback_matches_kernel_path():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,10 +12,13 @@ from conftest import reference_pool
 from reference import twin_pool, without_kernel
 
 from ndilemma import (
+    Action,
     Attitude,
     GameKind,
     MixGridConfig,
     MixGridRow,
+    Strategy,
+    StrategyFault,
     StrategyPool,
     emit_grid_csv,
     read_grid_csv,
@@ -101,7 +105,9 @@ def test_scalar_fallback_matches_kernel_path(small_pools):
 
 
 def _record_cells(monkeypatch):
-    """Record the lineups of each cell ``run_mix_grid`` plays, by (n, n_e)."""
+    """Record the lineups of each cell ``run_mix_grid`` plays, by (n, n_e).
+    The grid plays as one part, so that every cell plays in this process."""
+    monkeypatch.setattr(engine, "SPLIT_DECISIONS", sys.maxsize)
     cells = {}
     real = selfplay.play_blocks
 
@@ -141,11 +147,14 @@ def _policy_pool_file(path) -> dict:
 
 @pytest.mark.parametrize("pool_e", ["synth", "policy"])
 @pytest.mark.parametrize("kind", ["pgg", "cpr", "crd"])
-def test_a_grid_cell_depends_only_on_its_address(kind, pool_e, tmp_path, monkeypatch):
+def test_a_grid_cell_depends_only_on_its_address(
+    kind, pool_e, tmp_path, monkeypatch, forced_split
+):
     """Stochastic pools, synth or a policy file beside a synth pool, one of
-    whose members has no kernel, write the same ``grid.csv`` whether a stack
-    holds every cell of a group size, a few or one, at the default budget
-    and smaller ones; each row is its cell's lineups played as a stack of
+    whose members has no kernel, write the same ``grid.csv`` and manifest
+    digests whether a stack holds every cell of a group size, a few or one,
+    at the default budget and smaller ones, and whether the grid plays in
+    one process or two; each row is its cell's lineups played as a stack of
     their own on the cell's kernel seed."""
     real_load = cli.load_pool_source
 
@@ -176,11 +185,15 @@ def test_a_grid_cell_depends_only_on_its_address(kind, pool_e, tmp_path, monkeyp
         "pool_c": {"gene_tag": "c", "attitude": "collective", "source": SYNTH_C},
     }))
     digests = set()
-    for budget in (engine.STACK_WORDS, 1 << 17, 1 << 13, 1 << 10):
+    runs = [(budget, sys.maxsize) for budget in (engine.STACK_WORDS, 1 << 17, 1 << 13, 1 << 10)]
+    for budget, gate in runs + [(engine.STACK_WORDS, 0)]:
         monkeypatch.setattr(engine, "STACK_WORDS", budget)
-        out = tmp_path / f"out{budget}"
+        monkeypatch.setattr(engine, "SPLIT_DECISIONS", gate)
+        out = tmp_path / f"out{budget}-{gate}"
         assert cli.main(["selfplay", "--config", str(path), "--out", str(out)]) == 0
-        digests.add(hashlib.sha256((out / "grid.csv").read_bytes()).hexdigest())
+        manifest = json.loads((out / "manifest.json").read_text())
+        digests.add((hashlib.sha256((out / "grid.csv").read_bytes()).hexdigest(),
+                     manifest["config_digest"], json.dumps(manifest["outputs"])))
     assert len(digests) == 1
     config = grids[0]
     table = MemberTable.compile(config.pool_e.members + config.pool_c.members, warn=False)
@@ -195,6 +208,68 @@ def test_a_grid_cell_depends_only_on_its_address(kind, pool_e, tmp_path, monkeyp
         assert row.mean_welfare == float(alone.mean_welfare.mean())
         assert row.std_error == float(alone.mean_welfare.std(ddof=1) / np.sqrt(10))
     assert len({row.std_error for row in rows}) > 1
+
+
+@pytest.mark.parametrize("kind", list(GameKind))
+def test_kernel_less_grid_pins_hold_when_split(tmp_path, kind, forced_split):
+    test_kernel_less_grid_outputs_are_pinned(tmp_path, kind)
+
+
+def _touchy_pool(cells: set[tuple[int, int]]) -> StrategyPool:
+    """Kernel-less cooperators that raise in round 1 of exactly the (n, n_e)
+    ``cells`` of a grid against defectors, where each sees n - n_e - 1
+    other cooperators."""
+    def decide(obs, rng):
+        n = obs.params.n
+        if obs.round_index == 1 and (n, n - 1 - obs.opp_coop_last) in cells:
+            raise ZeroDivisionError("touched")
+        return Action.C
+
+    members = tuple(Strategy(f"touchy{i}", "file", decide) for i in range(16))
+    return StrategyPool("c", Attitude.COLLECTIVE, members)
+
+
+@pytest.mark.parametrize("cells, named", [
+    ({(8, 3), (8, 6)}, (8, 3)),  # the child's cell first, then the parent's
+    ({(4, 3), (8, 2)}, (4, 3)),  # the same, across group sizes
+    ({(8, 2), (8, 5)}, (8, 2)),  # the parent's cell first, then the child's
+    ({(4, 2), (8, 1)}, (4, 2)),
+])
+def test_a_split_grid_names_the_first_faulting_cell(
+    small_pools, forced_split, monkeypatch, cells, named
+):
+    """Odd ``n_e`` play in the child. The fault raised is the one the grid
+    raises in one process: the earliest faulting cell's, in grid order."""
+    pool_e, _ = small_pools
+    config = small_grid(GameKind.PUBLIC_GOODS, pool_e, _touchy_pool(cells),
+                        group_sizes=(4, 8), samples_per_cell=3)
+    faults = []
+    for gate in (sys.maxsize, 0):
+        monkeypatch.setattr(engine, "SPLIT_DECISIONS", gate)
+        with pytest.raises(StrategyFault) as info:
+            run_mix_grid(config)
+        faults.append(info.value)
+    one, split = faults
+    n, n_e = named
+    assert str(split) == str(one)
+    assert (split.player, split.round_index, split.reason) == (n_e, 1, "exception")
+    assert split.cause == f"ZeroDivisionError: touched (sample 0 of cell ({n}, {n_e}))"
+
+
+def test_an_error_in_the_childs_cells_is_raised_in_the_parent(
+    small_pools, forced_split, monkeypatch
+):
+    real = selfplay._draw_cell
+
+    def draw(config, n, n_e):
+        if n_e % 2:
+            raise MemoryError("no room")
+        return real(config, n, n_e)
+
+    monkeypatch.setattr(selfplay, "_draw_cell", draw)
+    with pytest.raises(RuntimeError) as info:
+        run_mix_grid(small_grid(GameKind.PUBLIC_GOODS, *small_pools))
+    assert str(info.value) == "the forked part of the run raised MemoryError: no room"
 
 
 @pytest.mark.parametrize("samples", [1, 2, 3, 17, 200, 1000])
