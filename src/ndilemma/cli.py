@@ -13,10 +13,10 @@ that does not match its manifest, 2 strategy fault or failed validation.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import asdict, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import get_type_hints
 
@@ -48,7 +48,14 @@ from .fingerprint import (
 )
 from .games import GameConfigError, GameKind, GameParams
 from .kernels import default_reference_overlay, make_reference
-from .manifest import MANIFEST_NAME, RunManifest, config_digest, verify_manifest
+from .manifest import (
+    MANIFEST_NAME,
+    RunManifest,
+    config_digest,
+    verify_manifest,
+    write_csv,
+    write_json,
+)
 from .policy import SchemaError, load_pool
 from .pools import FamilySpec, synth_pool, validate_pool
 from .seeding import derive_seed
@@ -215,11 +222,13 @@ def _game_params(game: _Entry, n: int | None = None) -> tuple[GameKind, GamePara
 
 
 def _flag_game(args: argparse.Namespace) -> tuple[GameKind, GameParams]:
-    """The game that the ``validate`` and ``bounds`` flags set; a flag left
-    out keeps its ``GameParams`` default."""
+    """The game that the ``validate`` and ``bounds`` flags set, checked; a
+    flag left out keeps its ``GameParams`` default."""
     flags = {f.name: getattr(args, f.name) for f in fields(GameParams)}
     given = {name: value for name, value in flags.items() if value is not None}
-    return GameKind.parse(args.game), GameParams(**given)
+    kind, params = GameKind.parse(args.game), GameParams(**given)
+    params.validate_for(kind)
+    return kind, params
 
 
 def load_pool_source(spec: dict | _Entry, master_seed: int, pool_index: int) -> StrategyPool:
@@ -289,10 +298,30 @@ def _pool_from_source(pool: _Entry, master_seed: int, pool_index: int) -> Strate
     return StrategyPool(gene_tag, attitude, tuple(members))
 
 
-def _prepare_out(out: str) -> Path:
+def _prepare_out(out: str | None) -> Path | None:
+    """``--out`` as a directory, made if need be (None when not given).
+    Each command makes it once its config checks out and before any work."""
+    if out is None:
+        return None
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: cannot make the directory: {exc.strerror}") from None
     return out_dir
+
+
+def _or_undefined(metric, *sets):
+    """``metric(*sets)``, or ``"undefined"`` where it raises ``ValueError``
+    (too few strategies, or no spread to compare against)."""
+    try:
+        return metric(*sets)
+    except ValueError:
+        return "undefined"
+
+
+def _participation_ratio(block: np.ndarray) -> float:
+    return participation_ratio(pca(block).eigenvalues)
 
 
 # ---------------------------------------------------------------------------
@@ -332,57 +361,30 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
     matrix = fingerprint_many(strategies, kind, params, nodes, seed=derive_seed(seed, 1),
                              **rollouts)
     analysis = pca(matrix)
-
-    ref_labels: list[str] = []
-    ref_matrix = None
-    if include_refs:
-        refs = default_reference_overlay(params.n)
-        ref_labels = [ref.label for ref in refs]
-        ref_matrix = fingerprint_many(refs, kind, params, nodes, seed=derive_seed(seed, 2),
-                                      **rollouts)
-
-    write_nodes_csv(nodes, out_dir / "nodes.csv")
-    all_labels = labels + ref_labels
-    all_sets = sets + ["reference"] * len(ref_labels)
-    if ref_matrix is not None and len(ref_labels):
-        full_matrix = np.vstack([matrix, ref_matrix])
-        projections = np.vstack(
-            [analysis.projections, (ref_matrix - analysis.mean) @ analysis.components.T]
-        )
-    else:
-        full_matrix = matrix
-        projections = analysis.projections
-    write_fingerprint_csv(all_labels, full_matrix, nodes, out_dir / "fingerprints.csv")
-    write_pca_json(analysis, out_dir / "pca.json")
-    write_projections_csv(all_labels, all_sets, projections, out_dir / "projections.csv")
-
-    with open(out_dir / "metrics.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pool", "mpd", "pr"])
-        for name, rows in pool_slices:
-            block = matrix[rows]
-            mpd_value = repr(mpd(block)) if len(block) >= 2 else "undefined"
-            try:
-                pr_value = repr(participation_ratio(pca(block).eigenvalues))
-            except ValueError:
-                pr_value = "undefined"
-            writer.writerow([name, mpd_value, pr_value])
-
-    with open(out_dir / "cohens_d.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pool_a", "pool_b", "cohens_d"])
-        for i, (name_a, rows_a) in enumerate(pool_slices):
-            for name_b, rows_b in pool_slices[i + 1 :]:
-                try:
-                    value = repr(cohens_d(matrix[rows_a], matrix[rows_b]))
-                except ValueError:
-                    value = "undefined"
-                writer.writerow([name_a, name_b, value])
-
-    for name in ("nodes.csv", "fingerprints.csv", "pca.json", "projections.csv",
-                 "metrics.csv", "cohens_d.csv"):
-        manifest.add_output(out_dir, out_dir / name)
-    manifest.write(out_dir)
+    refs = default_reference_overlay(params.n) if include_refs else []
+    ref_matrix = fingerprint_many(refs, kind, params, nodes, seed=derive_seed(seed, 2),
+                                  **rollouts)
+    labels.extend(ref.label for ref in refs)
+    sets.extend(["reference"] * len(refs))
+    projections = np.vstack(
+        [analysis.projections, (ref_matrix - analysis.mean) @ analysis.components.T]
+    )
+    metrics = [(name, _or_undefined(mpd, matrix[rows]),
+                _or_undefined(_participation_ratio, matrix[rows]))
+               for name, rows in pool_slices]
+    separations = [(name_a, name_b, _or_undefined(cohens_d, matrix[rows_a], matrix[rows_b]))
+                   for i, (name_a, rows_a) in enumerate(pool_slices)
+                   for name_b, rows_b in pool_slices[i + 1 :]]
+    manifest.write_outputs(out_dir, {
+        "nodes.csv": partial(write_nodes_csv, nodes),
+        "fingerprints.csv": partial(write_fingerprint_csv, labels,
+                                    np.vstack([matrix, ref_matrix]), nodes),
+        "pca.json": partial(write_pca_json, analysis),
+        "projections.csv": partial(write_projections_csv, labels, sets, projections),
+        "metrics.csv": partial(write_csv, header=["pool", "mpd", "pr"], rows=metrics),
+        "cohens_d.csv": partial(write_csv, header=["pool_a", "pool_b", "cohens_d"],
+                                rows=separations),
+    })
     print(f"fingerprint outputs written to {out_dir}")
     return EXIT_OK
 
@@ -421,15 +423,14 @@ def cmd_selfplay(args: argparse.Namespace) -> int:
         raise ConfigError(f"{where}: {exc}") from None
     except ValueError as exc:
         raise ConfigError(str(exc))
-    rows = run_mix_grid(grid)
     out_dir = _prepare_out(args.out)
-    emit_grid_csv(rows, out_dir / "grid.csv")
+    rows = run_mix_grid(grid)
     # the digest covers the config as played, with any --k override applied
     played = game.data if args.k is None else {**game.data, "k": args.k}
     digest = config_digest({**config.data, "game": played})
-    manifest = RunManifest("selfplay", __version__, seed, digest)
-    manifest.add_output(out_dir, out_dir / "grid.csv")
-    manifest.write(out_dir)
+    RunManifest("selfplay", __version__, seed, digest).write_outputs(
+        out_dir, {"grid.csv": partial(emit_grid_csv, rows)}
+    )
     print(f"mix grid written to {out_dir / 'grid.csv'} ({len(rows)} cells)")
     return EXIT_OK
 
@@ -461,52 +462,48 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
     out_dir = _prepare_out(args.out)
-    manifest = RunManifest("evolve", __version__, seed, config_digest(config.data))
     if runs == 1:
         result = run_evolution(evo)
-        write_generations_csv(result.history, out_dir / "generations.csv")
-        (out_dir / "result.json").write_text(
-            json.dumps(
-                {
-                    "winner": result.winner.label,
-                    "terminated_by": result.terminated_by,
-                    "generations_run": result.generations_run,
-                    "final_frequencies": {
-                        gene.label: freq for gene, freq in result.final_frequencies.items()
-                    },
+        outputs = {
+            "generations.csv": partial(write_generations_csv, result.history),
+            "result.json": partial(write_json, doc={
+                "winner": result.winner.label,
+                "terminated_by": result.terminated_by,
+                "generations_run": result.generations_run,
+                "final_frequencies": {
+                    gene.label: freq for gene, freq in result.final_frequencies.items()
                 },
-                indent=2,
-            )
-            + "\n"
-        )
-        manifest.add_output(out_dir, out_dir / "generations.csv")
-        manifest.add_output(out_dir, out_dir / "result.json")
-        print(
+            }),
+        }
+        message = (
             f"evolution finished: winner {result.winner.label} by "
             f"{result.terminated_by} after {result.generations_run} generations"
         )
     else:
         summary = batch_runs(evo, runs)
-        write_summary_csv(summary, out_dir / "summary.csv")
-        write_summary_json(summary, out_dir / "summary.json")
-        manifest.add_output(out_dir, out_dir / "summary.csv")
-        manifest.add_output(out_dir, out_dir / "summary.json")
-        print(
+        outputs = {
+            "summary.csv": partial(write_summary_csv, summary),
+            "summary.json": partial(write_summary_json, summary),
+        }
+        message = (
             f"{runs} runs finished: threshold reached in "
             f"{summary.threshold_reached}, average generations "
             f"{summary.average_generations:g}"
         )
-    manifest.write(out_dir)
+    RunManifest("evolve", __version__, seed, config_digest(config.data)).write_outputs(
+        out_dir, outputs
+    )
+    print(message)
     return EXIT_OK
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
     kind, params = _flag_game(args)
-    params.validate_for(kind)
     if args.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {args.trials}")
     _check_seed(args.seed)
     pool = load_pool(args.pool)
+    out_dir = _prepare_out(args.out)
     reports = validate_pool(pool, kind, params, trials=args.trials, seed=args.seed)
     failed = [rep for rep in reports if not rep.passed]
     for rep in reports:
@@ -518,20 +515,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         )
         for failure in rep.failures[:3]:
             print(f"    {failure}")
-    if args.out:
-        out_dir = _prepare_out(args.out)
-        with open(out_dir / "validation.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([
-                "label", "passed", "action_ok", "step_ok", "deterministic",
-                "cooperation_rate", "decisions", "failures",
-            ])
-            for rep in reports:
-                writer.writerow([
-                    rep.label, rep.passed, rep.action_ok, rep.step_ok,
-                    rep.deterministic, repr(rep.cooperation_rate),
-                    rep.decisions, " | ".join(rep.failures),
-                ])
+    if out_dir:
         manifest = RunManifest(
             "validate", __version__, args.seed,
             config_digest({
@@ -539,39 +523,37 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 "trials": args.trials, "seed": args.seed,
             }),
         )
-        manifest.add_output(out_dir, out_dir / "validation.csv")
-        manifest.write(out_dir)
+        manifest.write_outputs(out_dir, {"validation.csv": partial(
+            write_csv,
+            header=["label", "passed", "action_ok", "step_ok", "deterministic",
+                    "cooperation_rate", "decisions", "failures"],
+            rows=[(rep.label, rep.passed, rep.action_ok, rep.step_ok, rep.deterministic,
+                   rep.cooperation_rate, rep.decisions, " | ".join(rep.failures))
+                  for rep in reports],
+        )})
     print(f"{len(reports) - len(failed)}/{len(reports)} members admitted")
     return EXIT_STRATEGY if failed else EXIT_OK
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     kind, params = _flag_game(args)
+    out_dir = _prepare_out(args.out)
     limits = welfare_bounds(kind, params)
     print(f"min_mean_welfare {limits.min_mean!r}")
     print(f"max_mean_welfare {limits.max_mean!r}")
-    if args.out:
-        out_dir = _prepare_out(args.out)
-        (out_dir / "bounds.json").write_text(
-            json.dumps(
-                {
-                    "game": kind.value,
-                    "n": params.n,
-                    "rounds": params.rounds,
-                    "min_mean_welfare": limits.min_mean,
-                    "max_mean_welfare": limits.max_mean,
-                    "method": limits.method,
-                },
-                indent=2,
-            )
-            + "\n"
-        )
+    if out_dir:
         manifest = RunManifest(
             "bounds", __version__, 0,
             config_digest({"game": kind.value, **asdict(params)}),
         )
-        manifest.add_output(out_dir, out_dir / "bounds.json")
-        manifest.write(out_dir)
+        manifest.write_outputs(out_dir, {"bounds.json": partial(write_json, doc={
+            "game": kind.value,
+            "n": params.n,
+            "rounds": params.rounds,
+            "min_mean_welfare": limits.min_mean,
+            "max_mean_welfare": limits.max_mean,
+            "method": limits.method,
+        })})
     return EXIT_OK
 
 

@@ -21,8 +21,6 @@ the order a lone run does, so batch and lone runs give the same results."""
 
 from __future__ import annotations
 
-import csv
-import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,6 +32,7 @@ import numpy as np
 from .bounds import cached_bounds
 from .engine import MemberTable, StrategyFault, play_blocks
 from .games import GameKind, GameParams
+from .manifest import write_csv, write_json
 from .seeding import SEED_SPACE, derive_seed, rng_for
 from .strategies import Attitude, StrategyPool
 
@@ -435,30 +434,21 @@ def batch_runs(config: EvolutionConfig, run_count: int) -> BatchRunsSummary:
 
 def write_generations_csv(history: Sequence[GenerationStats], path: str | Path) -> None:
     """One row per (generation, gene): the gene-frequency trajectory."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["generation", "gene", "frequency", "mean_welfare", "welfare_efficiency"])
-        for stats in history:
-            for gene, freq in stats.gene_frequencies.items():
-                writer.writerow([
-                    stats.generation, gene.label, freq,
-                    repr(stats.mean_welfare), repr(stats.welfare_efficiency),
-                ])
+    write_csv(
+        path, ["generation", "gene", "frequency", "mean_welfare", "welfare_efficiency"],
+        ([stats.generation, gene.label, freq, stats.mean_welfare, stats.welfare_efficiency]
+         for stats in history for gene, freq in stats.gene_frequencies.items()),
+    )
 
 
 def write_summary_csv(summary: BatchRunsSummary, path: str | Path) -> None:
     """Winner counts per gene plus the aggregate footer rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "value"])
-        for gene, wins in summary.winners.items():
-            writer.writerow([gene.label, wins])
-        writer.writerow(["threshold_reached", summary.threshold_reached])
-        writer.writerow(["average_generations", repr(summary.average_generations)])
-        writer.writerow([
-            "mean_final_welfare_efficiency",
-            repr(summary.mean_final_welfare_efficiency),
-        ])
+    write_csv(path, ["row", "value"], [
+        *((gene.label, wins) for gene, wins in summary.winners.items()),
+        ("threshold_reached", summary.threshold_reached),
+        ("average_generations", summary.average_generations),
+        ("mean_final_welfare_efficiency", summary.mean_final_welfare_efficiency),
+    ])
 
 
 def summary_to_dict(summary: BatchRunsSummary) -> dict:
@@ -484,4 +474,4 @@ def summary_to_dict(summary: BatchRunsSummary) -> dict:
 
 
 def write_summary_json(summary: BatchRunsSummary, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(summary_to_dict(summary), indent=2) + "\n")
+    write_json(path, summary_to_dict(summary))

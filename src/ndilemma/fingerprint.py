@@ -31,7 +31,6 @@ the participation ratio of the covariance eigenvalues.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 from dataclasses import dataclass
@@ -44,6 +43,7 @@ from . import engine
 from .engine import CALLABLE, MemberTable, StrategyFault, decide_group
 from .games import GameKind, GameParams, batch_round_payoffs, cpr_next_stock
 from .kernels import KernelFamily, SlotFault, SlotView
+from .manifest import write_csv
 from .seeding import derive_seed, rng_for
 from .strategies import Strategy
 
@@ -433,11 +433,8 @@ def participation_ratio(eigenvalues: Sequence[float] | np.ndarray) -> float:
 
 
 def write_nodes_csv(nodes: Sequence[DecisionNode], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "depth", "counts"])
-        for i, node in enumerate(nodes):
-            writer.writerow([i, node.depth, node.column_name()])
+    write_csv(path, ["node", "depth", "counts"],
+              ((i, node.depth, node.column_name()) for i, node in enumerate(nodes)))
 
 
 def write_fingerprint_csv(
@@ -447,12 +444,9 @@ def write_fingerprint_csv(
     path: str | Path,
 ) -> None:
     """Feature matrix CSV: one row per strategy, canonical node columns."""
-    matrix = np.asarray(matrix, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"node_{i:03d}" for i in range(len(nodes))])
-        for label, row in zip(labels, matrix):
-            writer.writerow([label, *map(repr, row.tolist())])
+    rows = np.asarray(matrix, dtype=float).tolist()
+    write_csv(path, ["label"] + [f"node_{i:03d}" for i in range(len(nodes))],
+              ([label, *row] for label, row in zip(labels, rows)))
 
 
 def write_projections_csv(
@@ -463,11 +457,9 @@ def write_projections_csv(
 ) -> None:
     projections = np.asarray(projections, dtype=float)
     dims = min(2, projections.shape[1]) if projections.size else 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "set"] + [f"pc{i + 1}" for i in range(dims)])
-        for label, group, row in zip(labels, sets, projections):
-            writer.writerow([label, group, *map(repr, row[:dims].tolist())])
+    write_csv(path, ["label", "set"] + [f"pc{i + 1}" for i in range(dims)],
+              ([label, group, *row] for label, group, row
+               in zip(labels, sets, projections[:, :dims].tolist())))
 
 
 def _indented_json(obj: dict | list, pad: str = "") -> str:

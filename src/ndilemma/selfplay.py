@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -24,6 +25,7 @@ import numpy as np
 from .bounds import WelfareBounds, cached_bounds
 from .engine import MemberTable, StrategyFault, play_blocks, play_split
 from .games import GameKind, GameParams
+from .manifest import write_csv
 from .seeding import derive_seed, rng_for
 from .strategies import StrategyPool
 
@@ -193,17 +195,9 @@ def run_mix_grid(config: MixGridConfig) -> list[MixGridRow]:
 
 
 def emit_grid_csv(rows: Sequence[MixGridRow], path: str | Path) -> None:
-    """Write the documented grid schema; floats use repr for lossless IO."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GRID_CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([
-                row.game, row.n, row.n_e,
-                repr(row.mean_welfare), repr(row.std_error),
-                repr(row.welfare_min), repr(row.welfare_max),
-                row.samples,
-            ])
+    """Write the documented grid schema: one row per cell, each column the
+    field of its name."""
+    write_csv(path, GRID_CSV_COLUMNS, map(attrgetter(*GRID_CSV_COLUMNS), rows))
 
 
 def read_grid_csv(path: str | Path) -> list[MixGridRow]:

@@ -868,6 +868,36 @@ class TestNegativeSeed:
         assert not out.exists()
 
 
+class TestOutThatCannotBeADirectory:
+    """An ``--out`` that is a file, or lies under one, exits 1 with one
+    ``error:`` line before the command does any work."""
+
+    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+    @pytest.mark.parametrize("argv, work", [
+        (["fingerprint", "--config", str(REPO / "configs" / "fingerprint_demo.json")],
+         "fingerprint_many"),
+        (["selfplay", "--config", str(REPO / "configs" / "selfplay_demo.json")], "run_mix_grid"),
+        (["evolve", "--config", str(REPO / "configs" / "evolve_demo.json")], "run_evolution"),
+        (["validate", str(REPO / "configs" / "pool_example.json"), "--game", "pgg", "--n", "4"],
+         "validate_pool"),
+        (["bounds", "pgg", "--n", "4"], "welfare_bounds"),
+    ], ids=["fingerprint", "selfplay", "evolve", "validate", "bounds"])
+    def test_exits_one_before_any_work(self, tmp_path, monkeypatch, capsys, argv, work, under):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{work} ran")
+
+        monkeypatch.setattr(cli, work, never)
+        blocker = tmp_path / "afile"
+        blocker.write_text("kept")
+        out = blocker / "sub" if under else blocker
+        assert main([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        reason = "Not a directory" if under else "File exists"
+        assert captured.err == f"error: --out {out}: cannot make the directory: {reason}\n"
+        assert blocker.read_text() == "kept"
+
+
 class _Built(Exception):
     """Carries the config object a command built out of the command."""
 
@@ -1111,12 +1141,23 @@ def test_console_script_installed():
     assert "ndilemma" in proc.stdout
 
 
-# sha256 of the fingerprint demo's stream-dependent outputs; a change to
-# how the fingerprint driver consumes random streams changes them
+# sha256 of every data file the fingerprint demo writes; a change to how
+# the fingerprint driver consumes random streams, or to how a file is
+# formatted, changes them
 FINGERPRINT_DEMO_SHA256 = {
+    "cohens_d.csv": "66471c39d3fee247cd09690a5212a4ea9fa6e590bc3ca60f419b87adae5c598e",
     "fingerprints.csv": "371174c36676b7c5e93beda483c1ad5b1c12240ddb389d5827f18f294743887b",
+    "metrics.csv": "6a7746b9264dd2ec6051bf24e5e8749ec17eb7750512209e72b49da8eb55d3c9",
     "nodes.csv": "d21e36efee6f584bb5514c47e97b26196cfc69af7c0e8a16f2a8c60e52b4ecce",
+    "pca.json": "399cf7492f18218dd7d340c1730db02be240377eed42d8dabca313b4080edf4d",
+    "projections.csv": "97ae10f91bb3ff3c27b3610d24261b59f38fb9de4599eb622fb81ab2d77a89c5",
 }
+
+
+def data_file_digests(out: Path) -> dict[str, str]:
+    """sha256 of every file in ``out`` but its manifest."""
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir()) if path.name != "manifest.json"}
 
 
 def test_fingerprint_demo_outputs_are_pinned(tmp_path):
@@ -1125,11 +1166,7 @@ def test_fingerprint_demo_outputs_are_pinned(tmp_path):
         "fingerprint", "--config", str(REPO / "configs" / "fingerprint_demo.json"),
         "--out", str(out),
     ]) == 0
-    digests = {
-        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in FINGERPRINT_DEMO_SHA256
-    }
-    assert digests == FINGERPRINT_DEMO_SHA256
+    assert data_file_digests(out) == FINGERPRINT_DEMO_SHA256
 
 
 
@@ -1196,9 +1233,12 @@ POLICY_FILES = {
 # run plays the policy files above, which the test writes where the run's
 # relative paths find them. The fingerprints' stock follows each node's
 # forced counts; their stacks hold several strategies each, so how many
-# share one cannot change what each strategy draws.
+# share one cannot change what each strategy draws. Each run is the
+# command's arguments before ``--config`` (or, for ``validate`` and
+# ``bounds``, which take none, before ``--out``), its config, and the sha256
+# of every data file it writes.
 PINNED_STREAM_RUNS = [
-    pytest.param("selfplay", "grid.csv", {
+    pytest.param(["selfplay"], {
         "schema_version": 1,
         "seed": 13,
         "game": {"kind": "cpr", "rounds": 12},
@@ -1206,8 +1246,10 @@ PINNED_STREAM_RUNS = [
         "samples_per_cell": 6,
         "pool_e": every_family_pool("exploitative", SYNTH_FAMILIES + ["stock_guardian"]),
         "pool_c": every_family_pool("collective", SYNTH_FAMILIES + ["stock_guardian"]),
-    }, "4c1660330b24a4430738342889fd103edfb788e126f8125cf421affaca709a13", id="selfplay"),
-    pytest.param("evolve", "summary.json", {
+    }, {
+        "grid.csv": "4c1660330b24a4430738342889fd103edfb788e126f8125cf421affaca709a13",
+    }, id="selfplay"),
+    pytest.param(["evolve"], {
         "schema_version": 1,
         "seed": 17,
         "game": {"kind": "pgg", "k": 2.0, "rounds": 10},
@@ -1223,8 +1265,11 @@ PINNED_STREAM_RUNS = [
             every_family_pool("exploitative", SYNTH_FAMILIES),
             every_family_pool("collective", SYNTH_FAMILIES),
         ],
-    }, "f19fbd5746187e91d1c0202880e7945e2995b6cd407913de34e899b6f02622b0", id="evolve"),
-    pytest.param("selfplay", "grid.csv", {
+    }, {
+        "summary.csv": "f0b1444ad7929a1992ab66b42086169eb6d2d93bc2f04771e53508ac1a29dc67",
+        "summary.json": "f19fbd5746187e91d1c0202880e7945e2995b6cd407913de34e899b6f02622b0",
+    }, id="evolve"),
+    pytest.param(["selfplay"], {
         "schema_version": 1,
         "seed": 19,
         "game": {"kind": "cpr", "rounds": 12},
@@ -1232,8 +1277,10 @@ PINNED_STREAM_RUNS = [
         "samples_per_cell": 6,
         "pool_e": {"source": {"type": "file", "path": "policy_e.json"}},
         "pool_c": {"source": {"type": "file", "path": "policy_c.json"}},
-    }, "41f9af1fc9efb475afa6c22526568315dded61707363709b822c13ded6b75582", id="selfplay-policy"),
-    pytest.param("selfplay", "grid.csv", {
+    }, {
+        "grid.csv": "41f9af1fc9efb475afa6c22526568315dded61707363709b822c13ded6b75582",
+    }, id="selfplay-policy"),
+    pytest.param(["selfplay"], {
         "schema_version": 1,
         "seed": 29,
         "game": {"kind": "crd", "k": 2.0, "rounds": 10},
@@ -1241,8 +1288,10 @@ PINNED_STREAM_RUNS = [
         "samples_per_cell": 6,
         "pool_e": every_family_pool("exploitative", SYNTH_FAMILIES),
         "pool_c": every_family_pool("collective", SYNTH_FAMILIES),
-    }, "0e365a76dde9eb588f258a582720ffd20d892bd19f4eb74a35f2851f58d46b10", id="selfplay-crd"),
-    pytest.param("fingerprint", "fingerprints.csv", {
+    }, {
+        "grid.csv": "0e365a76dde9eb588f258a582720ffd20d892bd19f4eb74a35f2851f58d46b10",
+    }, id="selfplay-crd"),
+    pytest.param(["fingerprint"], {
         "schema_version": 1,
         "seed": 31,
         "game": {"kind": "cpr", "n": 4, "rounds": 4},
@@ -1252,8 +1301,15 @@ PINNED_STREAM_RUNS = [
             every_family_pool("exploitative", SYNTH_FAMILIES + ["stock_guardian"]),
             every_family_pool("collective", SYNTH_FAMILIES + ["stock_guardian"]),
         ],
-    }, "ee5da46be9dcdc3b4c081d6cb9b3812ebfedc8bf9f6d050e91349c6cbaf5b2a6", id="fingerprint-cpr"),
-    pytest.param("fingerprint", "fingerprints.csv", {
+    }, {
+        "cohens_d.csv": "34e33ccd996cb05b7d533e4d15da4d037bb95b4f2af65d13b318765acfe201cd",
+        "fingerprints.csv": "ee5da46be9dcdc3b4c081d6cb9b3812ebfedc8bf9f6d050e91349c6cbaf5b2a6",
+        "metrics.csv": "df8281513bd79654c0101394ee10f456ea6252bc9d8708f966ccc8372cb4460e",
+        "nodes.csv": "bfc3504dd5dbe917059e19a9dc94b094a1a9c5b8c3296f39631ee6906e7b8460",
+        "pca.json": "f77ca2b4382b04315f04720272965dbb722e7cbcd123ce6804efaff9a7d6b4fe",
+        "projections.csv": "d27e7683e1dd87f8c72d45e832f670deebe3789b057dc144969678b6b56537e7",
+    }, id="fingerprint-cpr"),
+    pytest.param(["fingerprint"], {
         "schema_version": 1,
         "seed": 37,
         "game": {"kind": "cpr", "n": 4, "rounds": 4},
@@ -1263,8 +1319,15 @@ PINNED_STREAM_RUNS = [
             {"source": {"type": "file", "path": "policy_e.json"}},
             {"source": {"type": "file", "path": "policy_c.json"}},
         ],
-    }, "853f27df35d1dd323af0482fd9f2947cc07da9994290ca3c3b46c3bd07fc5dab", id="fingerprint-cpr-policy"),
-    pytest.param("evolve", "summary.json", {
+    }, {
+        "cohens_d.csv": "4e8267ea93335293834889376bff7d8f430d2113d4ff416a58f48d1f99f79746",
+        "fingerprints.csv": "853f27df35d1dd323af0482fd9f2947cc07da9994290ca3c3b46c3bd07fc5dab",
+        "metrics.csv": "3b173e0c5381ebca2d72122062eeee6cdbc2a3fc4d758ad80151ae80e4a89e22",
+        "nodes.csv": "bfc3504dd5dbe917059e19a9dc94b094a1a9c5b8c3296f39631ee6906e7b8460",
+        "pca.json": "dbac6a13ff70351350ac763e1be74dbc31180bc364c83381005070a50c0c8ee4",
+        "projections.csv": "87e35b7fa2c91b5b6333466d61219c678e23eb850a05b7671d2ce419bc418a57",
+    }, id="fingerprint-cpr-policy"),
+    pytest.param(["evolve"], {
         "schema_version": 1,
         "seed": 41,
         "game": {"kind": "crd", "k": 2.0, "rounds": 10},
@@ -1280,8 +1343,11 @@ PINNED_STREAM_RUNS = [
             every_family_pool("exploitative", SYNTH_FAMILIES),
             every_family_pool("collective", SYNTH_FAMILIES),
         ],
-    }, "6d5f776e8846022b8039b5d7f1e985850c75a5e078074b32db18d6d88550a6cf", id="evolve-crd"),
-    pytest.param("evolve", "summary.json", {
+    }, {
+        "summary.csv": "5d6d552c7bd892944b3c7c9691bb4d1ba84f6b16ad5b5f739a4134ac9aa01e7a",
+        "summary.json": "6d5f776e8846022b8039b5d7f1e985850c75a5e078074b32db18d6d88550a6cf",
+    }, id="evolve-crd"),
+    pytest.param(["evolve"], {
         "schema_version": 1,
         "seed": 43,
         "game": {"kind": "cpr", "rounds": 12},
@@ -1297,8 +1363,11 @@ PINNED_STREAM_RUNS = [
             every_family_pool("exploitative", SYNTH_FAMILIES + ["stock_guardian"]),
             every_family_pool("collective", SYNTH_FAMILIES + ["stock_guardian"]),
         ],
-    }, "5d4e48d5aa58931636c675770c940d500793b6a47a784dc5b234de904b15853d", id="evolve-cpr"),
-    pytest.param("fingerprint", "fingerprints.csv", {
+    }, {
+        "summary.csv": "db13f6501688323a7c0b9c02b4a68c688902bcdf8bd4306c3d9e01364107ddd8",
+        "summary.json": "5d4e48d5aa58931636c675770c940d500793b6a47a784dc5b234de904b15853d",
+    }, id="evolve-cpr"),
+    pytest.param(["fingerprint"], {
         "schema_version": 1,
         "seed": 47,
         "game": {"kind": "crd", "n": 4, "rounds": 5, "k": 2.0},
@@ -1308,27 +1377,108 @@ PINNED_STREAM_RUNS = [
             every_family_pool("exploitative", SYNTH_FAMILIES),
             every_family_pool("collective", SYNTH_FAMILIES),
         ],
-    }, "07848ef2e57a572e30669bb9f00ff259e78ba2f20fda02749fb50ab77c9cc664", id="fingerprint-crd"),
+    }, {
+        "cohens_d.csv": "1d99ba36745309887058a25c25e0d36e1064d2eead38b12dfaa39f7255b5bba1",
+        "fingerprints.csv": "07848ef2e57a572e30669bb9f00ff259e78ba2f20fda02749fb50ab77c9cc664",
+        "metrics.csv": "73c1e49a59e87dd3383767aebb4a3629c6f07c70c29b1edce6b804d39419ada5",
+        "nodes.csv": "d21e36efee6f584bb5514c47e97b26196cfc69af7c0e8a16f2a8c60e52b4ecce",
+        "pca.json": "78c3e098626a706764bedac6abcc5f6ed543b94fab9618d9f01d1a94e680989e",
+        "projections.csv": "1dcd743ec01ccdf759984d6b45da1bd25224af8ee4bb932c7fba669f32264c2e",
+    }, id="fingerprint-crd"),
+    pytest.param(["selfplay"], {
+        "schema_version": 1,
+        "seed": 53,
+        "game": {"kind": "pgg", "k": 2.0, "rounds": 10},
+        "group_sizes": [3, 6],
+        "samples_per_cell": 6,
+        "pool_e": every_family_pool("exploitative", SYNTH_FAMILIES),
+        "pool_c": every_family_pool("collective", SYNTH_FAMILIES),
+    }, {
+        "grid.csv": "c8fda5951d502315fb3b6d03fa6f40171150fe4f061cbbf12a8bf38d3e3d64c3",
+    }, id="selfplay-pgg"),
+    pytest.param(["evolve"], {
+        "schema_version": 1,
+        "seed": 59,
+        "game": {"kind": "pgg", "k": 2.0, "rounds": 10},
+        "population": 24,
+        "group_size": 4,
+        "games_per_agent": 2,
+        "elites": 4,
+        "mutation_rate": 0.1,
+        "dominance_threshold": 0.75,
+        "max_generations": 6,
+        "runs": 1,
+        "genes": [
+            every_family_pool("exploitative", SYNTH_FAMILIES),
+            every_family_pool("collective", SYNTH_FAMILIES),
+        ],
+    }, {
+        "generations.csv": "e11c5df74d22ffb7c066ae6b9a0d7e6a32500a07fe8c942dd30a3bfc43671c29",
+        "result.json": "e76fc8ed318aaf5823f59922b8a41d6484862ab52232ce20dc5bd7b89e4fe611",
+    }, id="evolve-one-run"),
+    pytest.param(["fingerprint"], {
+        "schema_version": 1,
+        "seed": 67,
+        "game": {"kind": "pgg", "n": 4, "rounds": 4, "k": 2.0},
+        "rollouts": 8,
+        "include_references": False,
+        "pools": [
+            every_family_pool("exploitative", SYNTH_FAMILIES),
+            every_family_pool("collective", SYNTH_FAMILIES),
+        ],
+    }, {
+        "cohens_d.csv": "a652ee60f45f0ad1fc419d19b9310bb739bc3e171c6f85f809b5083f48c959a4",
+        "fingerprints.csv": "4b92de402a4d4797e8525a41df14d83fe2c6fee0c7c167491122a71fa3bf4598",
+        "metrics.csv": "69d553db74b394e92c4308a495a96f289c393309b4520e67f09e784a8e04f9fd",
+        "nodes.csv": "bfc3504dd5dbe917059e19a9dc94b094a1a9c5b8c3296f39631ee6906e7b8460",
+        "pca.json": "947489e2a0acb4a28e7b94d5ff039258c2273597b1c8beb878a08f34b3e38298",
+        "projections.csv": "600fd473667d5a9efcddebeda5ed04c4b3586eb5f7dfca42d463df47c27c6c93",
+    }, id="fingerprint-pgg-no-references"),
+    pytest.param(["validate", "policy_c.json", "--game", "cpr", "--n", "4", "--rounds", "8",
+                  "--trials", "4", "--seed", "61"], None, {
+        "validation.csv": "45408dd88245053ce3ab500126611049ecffa5826668bf34d830eeb47e7fd8ae",
+    }, id="validate"),
+    pytest.param(["bounds", "crd", "--n", "5", "--k", "2", "--m", "3"], None, {
+        "bounds.json": "487e3d0c305de2e278b6ce74dcf87b14e8f35688d87c07f8302c198a51219d0a",
+    }, id="bounds"),
 ]
 
 
-@pytest.mark.parametrize("command, name, config, sha256", PINNED_STREAM_RUNS)
-def test_stream_outputs_are_pinned(tmp_path, monkeypatch, command, name, config, sha256):
+def run_pinned(tmp_path: Path, monkeypatch, argv: list[str], config: dict | None) -> Path:
+    """The run's output directory, once the run has exited 0."""
     monkeypatch.chdir(tmp_path)
     for file_name, doc in POLICY_FILES.items():
         write_json(tmp_path / file_name, doc)
+    if config is not None:
+        argv = [*argv, "--config", str(write_json(tmp_path / "config.json", config))]
     out = tmp_path / "out"
-    path = write_json(tmp_path / "config.json", config)
-    assert main([command, "--config", str(path), "--out", str(out)]) == 0
-    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha256
+    assert main([*argv, "--out", str(out)]) == 0
+    return out
 
 
-@pytest.mark.parametrize("command, name, config, sha256",
-                         [run for run in PINNED_STREAM_RUNS if run.values[0] == "selfplay"])
+@pytest.mark.parametrize("argv, config, sha256", PINNED_STREAM_RUNS)
+def test_stream_outputs_are_pinned(tmp_path, monkeypatch, argv, config, sha256):
+    assert data_file_digests(run_pinned(tmp_path, monkeypatch, argv, config)) == sha256
+
+
+@pytest.mark.parametrize("argv, config, sha256",
+                         [run for run in PINNED_STREAM_RUNS if run.values[0] == ["selfplay"]])
 def test_selfplay_stream_pins_hold_when_the_grid_is_split(
-    tmp_path, monkeypatch, forced_split, command, name, config, sha256
+    tmp_path, monkeypatch, forced_split, argv, config, sha256
 ):
-    test_stream_outputs_are_pinned(tmp_path, monkeypatch, command, name, config, sha256)
+    test_stream_outputs_are_pinned(tmp_path, monkeypatch, argv, config, sha256)
+
+
+@pytest.mark.parametrize("argv, config, sha256", PINNED_STREAM_RUNS)
+def test_a_run_writes_exactly_the_files_its_manifest_lists(
+    tmp_path, monkeypatch, argv, config, sha256
+):
+    out = run_pinned(tmp_path, monkeypatch, argv, config)
+    listed = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert sorted(path.name for path in out.iterdir()) == sorted(
+        [entry["path"] for entry in listed] + ["manifest.json"]
+    )
+    assert verify_manifest(out) == []
 
 
 def test_shipped_demo_configs_run(tmp_path):
